@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensorio import tensor_bytes, tensor_from_bytes
+from .tensorio import TensorFormatError, tensor_bytes, tensor_from_bytes
 
 MAGIC = b"PFCK"
 VERSION = 2  # 2: palette-latent renderer with learned text positions
@@ -76,35 +76,58 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
-        buf = Path(path).read_bytes()
-        if buf[:4] != MAGIC:
+        """Parse a checkpoint; a truncated or garbled file raises CheckpointError."""
+        reader = _Reader(Path(path).read_bytes(), path)
+        if reader.take(4, "magic") != MAGIC:
             raise CheckpointError(f"{path}: bad magic")
-        (version,) = struct.unpack_from("<I", buf, 4)
+        version = reader.unpack("<I", "version")
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported version {version} (this build reads version {VERSION})")
-        (meta_len,) = struct.unpack_from("<Q", buf, 8)
-        meta = json.loads(buf[16 : 16 + meta_len].decode())
-        offset = 16 + meta_len
-        (n_blocks,) = struct.unpack_from("<Q", buf, offset)
-        offset += 8
+        meta_len = reader.unpack("<Q", "metadata length")
+        try:
+            meta = json.loads(reader.take(meta_len, "metadata").decode())
+        except (UnicodeDecodeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: metadata is not JSON ({exc})") from None
         groups: dict[str, dict[str, np.ndarray]] = {"params": {}, "ema": {}, "opt_m": {}, "opt_v": {}}
-        for _ in range(n_blocks):
-            (name_len,) = struct.unpack_from("<H", buf, offset)
-            offset += 2
-            name = buf[offset : offset + name_len].decode()
-            offset += name_len
-            arr, offset = tensor_from_bytes(buf, offset)
+        for _ in range(reader.unpack("<Q", "block count")):
+            name = reader.take(reader.unpack("<H", "block name length"), "block name").decode(errors="replace")
             group, _, key = name.partition("/")
-            groups[group][key] = arr
-        return cls(
-            stage=meta["stage"],
-            step=meta["step"],
-            stages_done=list(meta["stages_done"]),
-            params=groups["params"],
-            ema=groups["ema"],
-            opt_m=groups["opt_m"],
-            opt_v=groups["opt_v"],
-            opt_meta=meta["opt_meta"],
-            rng_states={k: (int(v[0]), int(v[1])) for k, v in meta["rng_states"].items()},
-            config_snapshot=meta.get("config", {}),
-        )
+            if group not in groups:
+                raise CheckpointError(f"{path}: unknown tensor block {name!r}")
+            try:
+                groups[group][key], reader.offset = tensor_from_bytes(reader.buf, reader.offset)
+            except TensorFormatError as exc:
+                raise CheckpointError(f"{path}: tensor {name!r} is truncated or malformed ({exc})") from None
+        if reader.offset != len(reader.buf):
+            raise CheckpointError(f"{path}: {len(reader.buf) - reader.offset} trailing bytes after the last tensor")
+        try:
+            return cls(
+                stage=meta["stage"],
+                step=int(meta["step"]),
+                stages_done=list(meta["stages_done"]),
+                opt_meta=meta["opt_meta"],
+                rng_states={k: (int(v[0]), int(v[1])) for k, v in meta["rng_states"].items()},
+                config_snapshot=meta.get("config", {}),
+                **groups,
+            )
+        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+            raise CheckpointError(f"{path}: malformed metadata ({type(exc).__name__}: {exc})") from None
+
+
+class _Reader:
+    """Bounds-checked cursor over a checkpoint's bytes."""
+
+    def __init__(self, buf: bytes, path):
+        self.buf, self.path, self.offset = buf, path, 0
+
+    def take(self, n: int, what: str) -> bytes:
+        if n > len(self.buf) - self.offset:
+            raise CheckpointError(
+                f"{self.path}: truncated at byte {len(self.buf)}: {what} needs {n} bytes at offset {self.offset}"
+            )
+        out = self.buf[self.offset : self.offset + n]
+        self.offset += n
+        return out
+
+    def unpack(self, fmt: str, what: str) -> int:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]

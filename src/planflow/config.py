@@ -124,6 +124,15 @@ DEFAULTS: list[tuple[str, str, str]] = [
 
 _DEFAULT_MAP = {k: v for k, v, _ in DEFAULTS}
 
+# model sizes that must be positive integers
+_DIMENSIONS = (
+    "vit.embed_dim", "vit.patch",
+    "planner.hidden_dim", "planner.blocks", "planner.heads", "planner.decoder_dim",
+    "planner.decoder_blocks", "planner.time_features",
+    "renderer.hidden_dim", "renderer.blocks", "renderer.heads", "renderer.patch",
+    "renderer.channels", "renderer.time_features",
+)
+
 
 class Config:
     def __init__(self, overrides: dict[str, str] | None = None):
@@ -132,6 +141,25 @@ class Config:
             if k not in self.values:
                 raise ConfigError(f"unknown config key {k!r}")
             self.values[k] = v
+        self.validate()
+
+    def validate(self) -> None:
+        """Refuse model sizes the networks cannot be built with."""
+        for key in _DIMENSIONS:
+            try:
+                dims = self.get_ints(key)
+            except ValueError:
+                raise ConfigError(f"{key}: expected integers, got {self.values[key]!r}") from None
+            if min(dims) < 1:
+                raise ConfigError(f"{key}: dimensions must be positive, got {self.values[key]!r}")
+        for model in ("planner", "renderer"):
+            width, heads = self.get_int(f"{model}.hidden_dim"), self.get_int(f"{model}.heads")
+            if width % heads:
+                raise ConfigError(f"{model}.hidden_dim = {width} is not divisible by {model}.heads = {heads}")
+            if (width // heads) % 2:
+                raise ConfigError(f"{model}: head width hidden_dim / heads = {width // heads} must be even")
+            if self.get_int(f"{model}.time_features") % 2:
+                raise ConfigError(f"{model}.time_features must be even (sine and cosine pairs)")
 
     def get(self, key: str) -> str:
         try:
@@ -179,6 +207,7 @@ class Config:
         if key not in self.values:
             raise ConfigError(f"unknown config key {key!r}")
         self.values[key] = str(value)
+        self.validate()
 
     def snapshot(self) -> dict[str, str]:
         return dict(self.values)

@@ -19,7 +19,7 @@ predictions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -73,16 +73,8 @@ class GuidanceSpec:
         return chain
 
 
-def compose(
-    spec: GuidanceSpec,
-    forwards: Mapping[frozenset, np.ndarray],
-    post_hook: Callable[[np.ndarray, Mapping[frozenset, np.ndarray]], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Base prediction plus weighted increments over the spec's subset chain.
-
-    `post_hook` is an optional rescaling step applied to the composed output
-    (identity when omitted).
-    """
+def compose(spec: GuidanceSpec, forwards: Mapping[frozenset, np.ndarray]) -> np.ndarray:
+    """Base prediction plus weighted increments over the spec's subset chain."""
     chain = spec.subset_chain()
     missing = [s for s in chain if s not in forwards]
     if missing:
@@ -93,8 +85,6 @@ def compose(
         branch = next(iter(cur - prev))
         delta = np.asarray(forwards[cur], dtype=np.float64) - np.asarray(forwards[prev], dtype=np.float64)
         out += spec.weights[branch] * delta
-    if post_hook is not None:
-        out = post_hook(out, forwards)
     return out
 
 
@@ -163,18 +153,6 @@ def compose_dual_branch(spec: DualBranchSpec, forwards: Mapping[str, np.ndarray]
         f["v2v_full"] - f["v2v_video_drop"]
     )
     return b_val + spec.alpha * (a_val - b_val)
-
-
-# Per-task inference guidance scales (txt, vid, img, tgt); keyed by the task
-# names the renderer serves. The video branch does not apply to text-to-video.
-DEFAULT_GUIDANCE_SCALES: dict[str, dict[str, float]] = {
-    "t2v": {"txt": 4.0, "img": 1.0, "tgt": 1.0},
-    "s2v": {"txt": 4.0, "vid": 1.25, "img": 2.5, "tgt": 1.5},
-    "v2v": {"txt": 4.0, "vid": 1.25, "img": 1.25, "tgt": 0.5},
-    "rv2v": {"txt": 4.0, "vid": 1.25, "img": 3.0, "tgt": 1.5},
-}
-
-DEFAULT_STEPS: dict[str, int] = {"t2v": 60, "s2v": 40, "v2v": 40, "rv2v": 40}
 
 
 def spec_for_conditions(

@@ -202,12 +202,17 @@ class ModelBundle:
         return {k: v for k, v in named.items() if k.startswith(keep)}
 
     def load_param_values(self, values: dict[str, np.ndarray]) -> None:
+        """Replace every parameter; refuses a set that is not exactly this config's."""
         named = self.named_params()
         for name, arr in values.items():
             if name not in named:
                 raise ConfigError(f"checkpoint parameter {name!r} does not match this config")
             if named[name].data.shape != arr.shape:
                 raise ConfigError(f"shape mismatch for {name}: {named[name].data.shape} vs {arr.shape}")
+        missing = sorted(set(named) - set(values))
+        if missing:
+            raise ConfigError(f"checkpoint lacks {len(missing)} parameter(s) of this config: {', '.join(missing)}")
+        for name, arr in values.items():
             named[name].data = arr.copy()
 
     def param_values(self) -> dict[str, np.ndarray]:

@@ -9,19 +9,14 @@ import math
 import numpy as np
 
 from .numerics import (
-    DimensionError,
     Rng,
     Tensor,
     add,
-    concat,
+    attention,
     gelu,
     layernorm,
     matmul,
-    mul,
-    narrow,
     rotate_pairs,
-    softmax_rows,
-    transpose,
 )
 
 
@@ -57,53 +52,43 @@ def self_attention(
     heads: int,
     bias: np.ndarray | None = None,
     angles: np.ndarray | None = None,
+    batch: int = 1,
 ) -> Tensor:
-    """Multi-head attention with optional additive mask bias and rotary phases.
+    """Multi-head attention over `batch` independent token streams.
 
-    `angles` has shape (n, head_dim/2) and is shared across heads; a fully
-    banned key column gets softmax weight exactly 0 (the bias underflows).
+    x stacks the streams row-wise, shape (batch*n, d). `bias` is an additive
+    mask broadcastable to (batch, heads, n, n); a fully banned key column gets
+    softmax weight exactly 0 (the bias underflows). `angles` has shape
+    (n, head_dim/2) and is shared across streams and heads.
     """
-    n, d = x.shape
-    if d % heads:
-        raise DimensionError(f"hidden dim {d} not divisible by {heads} heads")
-    hd = d // heads
     q = matmul(x, params[prefix + "wq"])
     k = matmul(x, params[prefix + "wk"])
     v = matmul(x, params[prefix + "wv"])
-    scale = 1.0 / math.sqrt(hd)
-    outs = []
-    for h in range(heads):
-        qh = narrow(q, 1, h * hd, hd)
-        kh = narrow(k, 1, h * hd, hd)
-        vh = narrow(v, 1, h * hd, hd)
-        if angles is not None:
-            qh = rotate_pairs(qh, angles)
-            kh = rotate_pairs(kh, angles)
-        logits = mul(matmul(qh, transpose(kh)), scale)
-        if bias is not None:
-            logits = add(logits, bias)
-        outs.append(matmul(softmax_rows(logits), vh))
-    merged = outs[0] if len(outs) == 1 else concat(outs, axis=1)
-    return matmul(merged, params[prefix + "wo"])
+    if angles is not None:
+        tiled = np.tile(angles, (batch, heads))
+        q = rotate_pairs(q, tiled)
+        k = rotate_pairs(k, tiled)
+    return matmul(attention(q, k, v, heads, batch, bias), params[prefix + "wo"])
 
 
-def cross_attention(params: dict, prefix: str, x: Tensor, cond: Tensor, heads: int) -> Tensor:
-    """Queries from the token stream, keys/values from the conditioning stream."""
-    n, d = x.shape
-    hd = d // heads
+def cross_attention(
+    params: dict,
+    prefix: str,
+    x: Tensor,
+    cond: Tensor,
+    heads: int,
+    batch: int = 1,
+    bias: np.ndarray | None = None,
+) -> Tensor:
+    """Queries from the token stream, keys/values from the conditioning stream.
+
+    Stream b of x attends to block b of cond, shape (batch*m, d); `bias`
+    (broadcastable to (batch, heads, n, m)) bans padding keys.
+    """
     q = matmul(x, params[prefix + "cq"])
     k = matmul(cond, params[prefix + "ck"])
     v = matmul(cond, params[prefix + "cv"])
-    scale = 1.0 / math.sqrt(hd)
-    outs = []
-    for h in range(heads):
-        qh = narrow(q, 1, h * hd, hd)
-        kh = narrow(k, 1, h * hd, hd)
-        vh = narrow(v, 1, h * hd, hd)
-        logits = mul(matmul(qh, transpose(kh)), scale)
-        outs.append(matmul(softmax_rows(logits), vh))
-    merged = outs[0] if len(outs) == 1 else concat(outs, axis=1)
-    return matmul(merged, params[prefix + "co"])
+    return matmul(attention(q, k, v, heads, batch, bias), params[prefix + "co"])
 
 
 def time_features(t, dim: int) -> np.ndarray:

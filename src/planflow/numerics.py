@@ -146,13 +146,6 @@ def matmul(a, b) -> Tensor:
     return _record(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
-def transpose(a) -> Tensor:
-    a = _lift(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose: expected rank-2, got shape {a.shape}")
-    return _record(a.data.T.copy(), (a,), lambda g: (g.T,))
-
-
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _lift(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
@@ -334,6 +327,57 @@ def rotate_pairs(a, angles: np.ndarray) -> Tensor:
         return (ga,)
 
     return _record(data, (a,), vjp)
+
+
+def attention(q, k, v, heads: int, batch: int = 1, bias: np.ndarray | None = None) -> Tensor:
+    """Scaled dot-product attention, block-diagonal over `batch` entries.
+
+    q has shape (batch*nq, heads*hd); k and v have shape (batch*nk, heads*hd).
+    Rows are batch-major and each head owns a contiguous block of hd columns.
+    `bias` is a constant broadcastable to (batch, heads, nq, nk) and is added
+    to the scaled logits; a column whose bias underflows gets weight exactly
+    0. The output, shape (batch*nq, heads*hd), merges the heads back.
+    """
+    q, k, v = _lift(q), _lift(k), _lift(v)
+    if q.data.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]:
+        raise DimensionError(f"attention: incompatible shapes q {q.shape}, k {k.shape}, v {v.shape}")
+    width = q.shape[1]
+    if width % heads or q.shape[0] % batch or k.shape[0] % batch:
+        raise DimensionError(
+            f"attention: q {q.shape}, k {k.shape} do not split into {batch} batches of {heads} heads"
+        )
+    hd = width // heads
+    nq, nk = q.shape[0] // batch, k.shape[0] // batch
+
+    def split(x, n):  # (batch*n, heads*hd) -> (batch, heads, n, hd)
+        return x.reshape(batch, n, heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(x, n):  # inverse of split
+        return x.transpose(0, 2, 1, 3).reshape(batch * n, width)
+
+    qh, kh, vh = split(q.data, nq), split(k.data, nk), split(v.data, nk)
+    scale = 1.0 / math.sqrt(hd)
+    # softmax computed in place in one (batch, heads, nq, nk) buffer
+    s = qh @ kh.swapaxes(-1, -2)
+    s *= scale
+    if bias is not None:
+        s += bias
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    data = merge(s @ vh, nq)
+
+    def vjp(g):
+        gh = split(g, nq)
+        ds = gh @ vh.swapaxes(-1, -2)
+        dlogits = s * (ds - (ds * s).sum(axis=-1, keepdims=True)) * scale
+        return (
+            merge(dlogits @ kh, nq),
+            merge(dlogits.swapaxes(-1, -2) @ qh, nk),
+            merge(s.swapaxes(-1, -2) @ gh, nk),
+        )
+
+    return _record(data, (q, k, v), vjp)
 
 
 # ---------------------------------------------------------------------------

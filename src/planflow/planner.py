@@ -42,7 +42,6 @@ from .sequence import (
     AttentionMask,
     TokenSequence,
     build_mask,
-    serialize,
 )
 from .toydata import VOCAB, Scene
 
@@ -222,17 +221,25 @@ def _assemble_inputs(model: PlannerModel, seq: TokenSequence) -> Tensor:
 
 
 def planner_forward(model: PlannerModel, seq: TokenSequence, mask: AttentionMask | None = None) -> Tensor:
-    """Contextual hidden states, one per token, under the hybrid attention mask."""
+    """Contextual hidden states, one per token, under the hybrid attention mask.
+
+    A mask whose `allow` has shape (batch, n, n) runs one copy of the
+    sequence per mask and stacks the states row-wise: (batch * n, hidden_dim).
+    """
     cfg = model.cfg
     if mask is None:
         mask = build_mask(seq)
     bias = mask.additive_bias()
+    batch = 1 if bias.ndim == 2 else bias.shape[0]
+    bias = bias.reshape(batch, 1, len(seq), len(seq))  # shared by all heads
     angles = token_angles(cfg.rope(), seq, cfg.segment_phases)
     x = _assemble_inputs(model, seq)
+    if batch > 1:
+        x = concat([x] * batch, axis=0)
     p = model.params
     for i in range(cfg.blocks):
         pre = f"block{i}."
-        x = add(x, nets.self_attention(p, pre, nets.ln(p, pre + "ln1.", x), cfg.heads, bias, angles))
+        x = add(x, nets.self_attention(p, pre, nets.ln(p, pre + "ln1.", x), cfg.heads, bias, angles, batch))
         x = add(x, nets.mlp(p, pre, nets.ln(p, pre + "ln2.", x)))
     return nets.ln(p, "ln_f.", x)
 
@@ -312,18 +319,25 @@ def losses_from_hidden(
 # guided embedding decoding and the iterative planning loop
 # ---------------------------------------------------------------------------
 
-def _composed_velocity(decoder, x, t, z_branches: dict[str, np.ndarray], g_text: float, g_image: float) -> np.ndarray:
-    """Incremental two-branch guidance over condition chain none -> image -> full."""
-    if set(z_branches) == {"full"}:
-        return decoder_forward(decoder, x, t, z_branches["full"]).data
-    v_prev = decoder_forward(decoder, x, t, z_branches["uncond"]).data
+# guided decoding's condition chain: none -> image -> full
+GUIDANCE_VARIANTS = ("uncond", "img", "full")
+
+
+def _composed_velocity(decoder, x: np.ndarray, t, z_branches: dict[str, np.ndarray], g_text: float, g_image: float) -> np.ndarray:
+    """Incremental two-branch guidance over the condition chain, with the
+    rows of every branch stacked into one decoder forward."""
+    names = [name for name in GUIDANCE_VARIANTS if name in z_branches]
+    z = np.concatenate([z_branches[name] for name in names], axis=0)
+    v = decoder_forward(decoder, Tensor(np.tile(x, (len(names), 1))), t, z).data
+    v = dict(zip(names, v.reshape(len(names), x.shape[0], -1)))
+    if names == ["full"]:
+        return v["full"]
+    v_prev = v["uncond"]
     out = v_prev.copy()
-    if "img" in z_branches:
-        v_img = decoder_forward(decoder, x, t, z_branches["img"]).data
-        out += g_image * (v_img - v_prev)
-        v_prev = v_img
-    v_full = decoder_forward(decoder, x, t, z_branches["full"]).data
-    out += g_text * (v_full - v_prev)
+    if "img" in v:
+        out += g_image * (v["img"] - v_prev)
+        v_prev = v["img"]
+    out += g_text * (v["full"] - v_prev)
     return out
 
 
@@ -355,7 +369,7 @@ def decode_embedding(
     with no_grad():
         for s in range(steps):
             t = s * dt
-            x = x + dt * _composed_velocity(decoder, Tensor(x), t, branches, g_text, g_image)
+            x = x + dt * _composed_velocity(decoder, x, t, branches, g_text, g_image)
     return x
 
 
@@ -368,29 +382,20 @@ class PlanResult:
     text_len: int = 0
 
 
-def _drop_segments(seq: TokenSequence, drop_text: bool, drop_sources: bool) -> TokenSequence:
-    text_len, sources, target = (seq.text_len, *_grids(seq))
-    new = serialize(0 if drop_text else text_len, [] if drop_sources else sources, target)
-    if new.text_len:
-        new.text_ids = seq.text_ids.copy()
-    if seq.embeddings is not None:
-        emb = np.zeros((len(new), seq.embeddings.shape[1]))
-        for desc, start, stop in new.spans():
-            if desc.kind == TEXT:
-                continue
-            old_start, old_stop = seq.span_of(desc.kind, desc.segment_index)
-            emb[start:stop] = seq.embeddings[old_start:old_stop]
-        new.embeddings = emb
-        t0, t1 = new.span_of(VISUAL_TARGET)
-        o0, o1 = seq.span_of(VISUAL_TARGET)
-        new.masked[t0:t1] = seq.masked[o0:o1]
-    return new
+def _variant_masks(seq: TokenSequence, names: list[str]) -> AttentionMask:
+    """One hybrid mask per guidance variant, stacked on a leading batch axis.
 
-
-def _grids(seq: TokenSequence):
-    sources = [d.grid for d in seq.layout if d.kind == VISUAL_SOURCE]
-    target = next(d.grid for d in seq.layout if d.kind == VISUAL_TARGET)
-    return sources, target
+    All variants share the sequence's layout: "img" hides the text from
+    visual rows, and "uncond" also hides the sources from target rows.
+    """
+    text = seq.kinds == TEXT
+    allow = np.repeat(build_mask(seq).allow[None], len(names), axis=0)
+    for b, name in enumerate(names):
+        if name != "full":
+            allow[b][np.ix_(~text, text)] = False
+        if name == "uncond":
+            allow[b][np.ix_(seq.kinds == VISUAL_TARGET, seq.kinds == VISUAL_SOURCE)] = False
+    return AttentionMask(allow)
 
 
 def plan(
@@ -410,7 +415,9 @@ def plan(
     revealed tokens are chosen by decoder self-consistency (smallest terminal
     velocity norm) or uniformly at random. Predictions are written back into
     the sequence between steps; a final encoder pass over the completed
-    sequence yields the conditioning states.
+    sequence yields the conditioning states. With guidance on, the
+    text-dropped and unconditional variants are masks over the same sequence,
+    so every revealing step makes one batched planner forward.
     """
     if total_steps < 1:
         raise ContractError(f"total_steps must be >= 1, got {total_steps}")
@@ -425,17 +432,14 @@ def plan(
     trace = masked_count_trace(total_steps, n_target)
 
     guided = not (g_text == 1.0 and g_image == 1.0)
-    has_text = seq.text_len > 0
     has_sources = any(d.kind == VISUAL_SOURCE for d in seq.layout)
-    variants: dict[str, TokenSequence] = {"full": seq}
-    if guided:
-        if has_sources:
-            variants["img"] = _drop_segments(seq, drop_text=True, drop_sources=False)
-            variants["uncond"] = _drop_segments(seq, drop_text=True, drop_sources=True)
-        elif has_text:
-            variants["uncond"] = _drop_segments(seq, drop_text=True, drop_sources=False)
+    names = ["full"]
+    if guided and has_sources:
+        names = ["uncond", "img", "full"]
+    elif guided and seq.text_len > 0:
+        names = ["uncond", "full"]
+    mask = _variant_masks(seq, names)
 
-    spans = {name: v.span_of(VISUAL_TARGET) for name, v in variants.items()}
     masked_counts: list[int] = []
     norms: list[float] = []
     with no_grad():
@@ -447,26 +451,21 @@ def plan(
                 masked_counts.append(len(masked_rel))
                 norms.append(0.0)
                 continue
-            z_branches = {}
-            for name, vseq in variants.items():
-                z = planner_forward(model, vseq)
-                s0, _ = spans[name]
-                z_branches[name] = z.data[s0 + masked_rel]
+            z = planner_forward(model, seq, mask).data.reshape(len(names), len(seq), -1)
+            z_branches = {name: z[b, t0 + masked_rel] for b, name in enumerate(names)}
             noise = rng.normal((len(masked_rel), decoder.cfg.embed_dim))
             pred = decode_embedding(
                 decoder, z_branches, decoder_steps, g_text, g_image, noise=noise
             )
-            term = _composed_velocity(decoder, Tensor(pred), 1.0, z_branches, g_text, g_image)
+            term = _composed_velocity(decoder, pred, 1.0, z_branches, g_text, g_image)
             conf = np.linalg.norm(term, axis=1)
             if reveal == "confidence":
                 order = np.argsort(conf, kind="stable")
             else:
                 order = rng.permutation(len(masked_rel))
             chosen = masked_rel[order[:n_reveal]]
-            for name, vseq in variants.items():
-                s0, _ = spans[name]
-                vseq.embeddings[s0 + chosen] = pred[order[:n_reveal]]
-                vseq.masked[s0 + chosen] = False
+            seq.embeddings[t0 + chosen] = pred[order[:n_reveal]]
+            seq.masked[t0 + chosen] = False
             masked_counts.append(keep)
             norms.append(float(np.linalg.norm(pred, axis=1).mean()))
         z_final = planner_forward(model, seq).data

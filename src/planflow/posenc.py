@@ -15,12 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
 from .numerics import DimensionError, Tensor, add, embedding, narrow, rotate_pairs
 from .sequence import TEXT, TokenSequence
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def default_axis_split(head_dim: int) -> tuple[int, int, int]:

@@ -7,8 +7,9 @@ token stream (sources as extra segments with their own rotary segment
 phases), runs self-attention + cross-attention blocks over text features that
 carry learned word positions, and reads a velocity field off the target
 tokens. Sampling is plain Euler from noise at t=0 to data at t=1 on a
-shift-warped time grid, with the guidance module composing the per-subset
-forwards at every step.
+shift-warped time grid. Every guidance condition subset is one entry of a
+batched forward, so each step makes a single forward whose per-subset slices
+the guidance module composes.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .guidance import GuidanceSpec, compose
 from .numerics import DimensionError, ContractError, Rng, Tensor, add, concat, embedding, matmul, mul, narrow, no_grad, sub, tmean
 from .posenc import RopeConfig, spatial_angles
 from .schedules import sample_timestep, shift_toward_noise
+from .sequence import NEG_BIAS
 from .toydata import VOCAB
 
 
@@ -225,9 +227,21 @@ def build_cond_tokens(model: RendererModel, text_ids: np.ndarray | None, planner
     return parts[0] if len(parts) == 1 else concat(parts, axis=0)
 
 
-def _token_stream(cfg: RendererConfig, x_t: np.ndarray, source_latents: list[np.ndarray],
-                  source_segment_indices: list[int] | None):
-    """Patchify target + sources; returns (rows, angles, target_slice)."""
+@dataclass(frozen=True)
+class VisualStream:
+    """Layout of the visual token stream: clean source tokens, then the target.
+
+    Built once per render; only the noisy target tokens change between steps.
+    """
+
+    sources: np.ndarray                  # (n_src, patch_dim) source tokens
+    source_spans: list[tuple[int, int]]  # row span of each source latent
+    angles: np.ndarray                   # (n_src + n_target, head_dim // 2)
+
+
+def visual_stream(cfg: RendererConfig, source_latents: list[np.ndarray],
+                  source_segment_indices: list[int] | None, target_shape) -> VisualStream:
+    """Patchify the sources and lay out rotary angles for sources + target."""
     if source_segment_indices is None:
         source_segment_indices = list(range(1, len(source_latents) + 1))
     if len(source_segment_indices) != len(source_latents):
@@ -236,20 +250,21 @@ def _token_stream(cfg: RendererConfig, x_t: np.ndarray, source_latents: list[np.
         raise LayoutError(f"segment index collision in {source_segment_indices} (0 is the target)")
     rope = cfg.rope()
     seg_freq = rope.segment_frequencies()
-    rows, angles = [], []
+    rows, spans, angles = [], [], []
+    offset = 0
     for latent, seg in zip(source_latents, source_segment_indices):
         grid, toks = patchify(np.asarray(latent, dtype=np.float64), cfg.patch)
         rows.append(toks)
-        pos = _grid_pos(grid)
-        ang = spatial_angles(rope, pos)
+        spans.append((offset, offset + len(toks)))
+        offset += len(toks)
+        ang = spatial_angles(rope, _grid_pos(grid))
         if cfg.segment_phases:
             ang = ang + seg * seg_freq[None, :]
         angles.append(ang)
-    tgt_grid, tgt_tokens = patchify(np.asarray(x_t, dtype=np.float64), cfg.patch)
-    rows.append(tgt_tokens)
+    tgt_grid = tuple(d // q for d, q in zip(target_shape, cfg.patch))  # patchify checks divisibility
     angles.append(spatial_angles(rope, _grid_pos(tgt_grid)))  # segment 0: no extra phase
-    n_src = sum(r.shape[0] for r in rows[:-1])
-    return np.concatenate(rows, axis=0), np.concatenate(angles, axis=0), (n_src, n_src + tgt_tokens.shape[0]), tgt_grid
+    sources = np.concatenate(rows, axis=0) if rows else np.zeros((0, cfg.patch_dim))
+    return VisualStream(sources, spans, np.concatenate(angles, axis=0))
 
 
 def _grid_pos(grid: tuple[int, int, int]) -> np.ndarray:
@@ -265,30 +280,45 @@ def renderer_forward(
     source_latents: list[np.ndarray] | None = None,
     source_segment_indices: list[int] | None = None,
     attn_bias: np.ndarray | None = None,
+    *,
+    batch: int = 1,
+    cond_bias: np.ndarray | None = None,
+    stream: VisualStream | None = None,
 ) -> Tensor:
-    """Velocity prediction on the target tokens, shape (n_target, patch_dim).
+    """Velocity prediction on the target tokens, shape (batch * n_target, patch_dim).
 
-    `attn_bias` is an optional additive self-attention bias over the full
-    visual token stream (sources first, target last), used to force-mask
-    columns when checking code-path equivalences.
+    Evaluates `batch` copies of the visual stream (sources first, target
+    last) that share x_t, t and the sources; copy b cross-attends to rows
+    [b*m, (b+1)*m) of `cond`. `attn_bias` and `cond_bias` are additive
+    biases broadcastable to (batch, heads, n, n) and (batch, heads, n, m):
+    they ban self-attention columns (absent sources) and conditioning
+    padding per copy. `stream` is the prebuilt layout from `visual_stream`;
+    without it the layout is built from `source_latents`.
     """
     cfg = model.cfg
     p = model.params
-    source_latents = source_latents or []
-    raw, angles, (tgt_lo, tgt_hi), _ = _token_stream(cfg, x_t, source_latents, source_segment_indices)
+    x_t = np.asarray(x_t, dtype=np.float64)
+    if stream is None:
+        stream = visual_stream(cfg, source_latents or [], source_segment_indices, x_t.shape)
+    _, tgt_tokens = patchify(x_t, cfg.patch)
+    n_src, n = len(stream.sources), len(stream.angles)
+    raw = np.tile(np.concatenate([stream.sources, tgt_tokens], axis=0), (batch, 1))
     x = add(matmul(Tensor(raw), p["patch_proj"]), p["patch_bias"])
     temb = nets.time_embedding(p, "time.", float(t), cfg.time_features)
     # time conditioning applies to the noisy target tokens; sources are clean
-    time_rows = np.zeros((raw.shape[0], 1))
-    time_rows[tgt_lo:tgt_hi] = 1.0
-    x = add(x, mul(Tensor(time_rows), temb))
+    time_rows = np.zeros((batch, n, 1))
+    time_rows[:, n_src:] = 1.0
+    x = add(x, mul(Tensor(time_rows.reshape(batch * n, 1)), temb))
     for i in range(cfg.blocks):
         pre = f"block{i}."
-        x = add(x, nets.self_attention(p, pre, nets.ln(p, pre + "ln1.", x), cfg.heads, attn_bias, angles))
-        x = add(x, nets.cross_attention(p, pre, nets.ln(p, pre + "lnc.", x), cond, cfg.heads))
+        x = add(x, nets.self_attention(p, pre, nets.ln(p, pre + "ln1.", x), cfg.heads, attn_bias, stream.angles, batch))
+        if i == cfg.blocks - 1:
+            # only target rows are read out, and the layers after the last
+            # self-attention act row by row: drop the source rows here
+            x = embedding(x, (np.arange(batch)[:, None] * n + np.arange(n_src, n)).ravel())
+        x = add(x, nets.cross_attention(p, pre, nets.ln(p, pre + "lnc.", x), cond, cfg.heads, batch, cond_bias))
         x = add(x, nets.mlp(p, pre, nets.ln(p, pre + "ln2.", x)))
-    out = narrow(x, 0, tgt_lo, tgt_hi - tgt_lo)
-    return add(matmul(nets.ln(p, "ln_f.", out), p["out_proj"]), p["out_bias"])
+    return add(matmul(nets.ln(p, "ln_f.", x), p["out_proj"]), p["out_bias"])
 
 
 @dataclass
@@ -351,8 +381,11 @@ def render(
 ) -> np.ndarray:
     """Sample a target latent by guided Euler integration from pure noise.
 
-    Every step evaluates one forward per condition subset in the spec's chain
-    and composes them into the guided velocity.
+    Every condition subset in the spec's chain is one batch entry: all
+    entries see every source, with the columns of the sources a subset lacks
+    banned, and cross-attend to that subset's conditioning tokens, padded to
+    a common length. Every step makes one batched forward and composes its
+    per-subset slices into the guided velocity.
     """
     cfg = model.cfg
     for b in spec.present:
@@ -366,28 +399,35 @@ def render(
             raise LayoutError("guidance spec includes a target-semantics branch but no planner states")
 
     chain = spec.subset_chain()
-    per_subset: dict[frozenset, tuple[Tensor, list[np.ndarray], list[int]]] = {}
+    batch = len(chain)
+    t_len, h, w = target_grid
     with no_grad():
-        for subset in chain:
+        stream = visual_stream(cfg, cond_inputs.source_latents, None, (t_len, h, w))
+        n = len(stream.angles)
+        col_bias = np.zeros((batch, 1, 1, n))
+        conds = []
+        for b, subset in enumerate(chain):
+            for (lo, hi), role in zip(stream.source_spans, cond_inputs.source_roles):
+                if role not in subset:
+                    col_bias[b, ..., lo:hi] = NEG_BIAS
             text = cond_inputs.text_ids if "txt" in subset else None
             states = cond_inputs.planner_states if "tgt" in subset else None
-            cond = build_cond_tokens(model, text, states)
-            latents, seg_idx = [], []
-            for i, (lat, role) in enumerate(zip(cond_inputs.source_latents, cond_inputs.source_roles)):
-                if role in subset:
-                    latents.append(lat)
-                    seg_idx.append(i + 1)
-            per_subset[subset] = (cond, latents, seg_idx)
-
-        t_len, h, w = target_grid
+            conds.append(build_cond_tokens(model, text, states).data)
+        m = max(len(c) for c in conds)
+        cond = np.zeros((batch * m, cfg.hidden_dim))
+        cond_bias = np.full((batch, 1, 1, m), NEG_BIAS)
+        for b, c in enumerate(conds):
+            cond[b * m : b * m + len(c)] = c
+            cond_bias[b, ..., : len(c)] = 0.0
+        cond = Tensor(cond)
         noise = rng.normal((t_len, h, w, cfg.channels))
 
         def velocity(x, t):
-            forwards = {}
-            for subset, (cond, latents, seg_idx) in per_subset.items():
-                tok = renderer_forward(model, x, t, cond, latents, seg_idx or None)
-                grid, _ = patchify(x, cfg.patch)
-                forwards[subset] = unpatchify(tok.data, grid, cfg.patch, cfg.channels)
+            tok = renderer_forward(model, x, t, cond, attn_bias=col_bias, batch=batch,
+                                   cond_bias=cond_bias, stream=stream).data
+            grid, _ = patchify(x, cfg.patch)
+            per_subset = tok.reshape(batch, -1, cfg.patch_dim)
+            forwards = {s: unpatchify(v, grid, cfg.patch, cfg.channels) for s, v in zip(chain, per_subset)}
             return compose(spec, forwards)
 
         return euler_integrate(velocity, noise, steps, shift)

@@ -89,7 +89,7 @@ class TokenSequence:
 
 @dataclass(frozen=True)
 class AttentionMask:
-    allow: np.ndarray  # (n, n) bool: query row may attend key column
+    allow: np.ndarray  # (n, n) or (batch, n, n) bool: query row may attend key column
 
     def additive_bias(self) -> np.ndarray:
         bias = np.zeros(self.allow.shape)

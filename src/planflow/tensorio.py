@@ -7,6 +7,7 @@ array in C order.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -28,15 +29,22 @@ def tensor_bytes(arr: np.ndarray) -> bytes:
 
 
 def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Decode one tensor; returns (array, next_offset)."""
+    """Decode one tensor; returns (array, next_offset). Truncated input raises
+    TensorFormatError."""
     if buf[offset : offset + 4] != MAGIC:
         raise TensorFormatError("bad magic")
+    if len(buf) < offset + 6:
+        raise TensorFormatError("truncated header")
     dtype_code, rank = struct.unpack_from("<BB", buf, offset + 4)
     if dtype_code != DTYPE_F64:
         raise TensorFormatError(f"unsupported dtype code {dtype_code}")
-    dims = struct.unpack_from(f"<{rank}Q", buf, offset + 6)
     body_start = offset + 6 + 8 * rank
-    count = int(np.prod(dims)) if rank else 1
+    if len(buf) < body_start:
+        raise TensorFormatError("truncated header")
+    dims = struct.unpack_from(f"<{rank}Q", buf, offset + 6)
+    count = math.prod(dims)
+    if len(buf) - body_start < 8 * count:
+        raise TensorFormatError(f"truncated body: {dims} needs {8 * count} bytes, {len(buf) - body_start} left")
     arr = np.frombuffer(buf, dtype="<f8", count=count, offset=body_start).astype(np.float64)
     return arr.reshape(dims), body_start + 8 * count
 

@@ -113,6 +113,26 @@ class TestEditDeterminism:
         assert rc == 1
         assert "unsupported version 1" in capsys.readouterr().err
 
+    def test_truncated_checkpoint_exits_1(self, workdir, generated, trained_ckpt, capsys):
+        cut = workdir / "cut.ckpt"
+        cut.write_bytes(trained_ckpt.read_bytes()[:-10])
+        case = str(generated / "eval" / "cases" / "case_00000.json")
+        rc = cli.main(["edit", "--case", case, "--seed", "7", "--ckpt", str(cut),
+                       "--config", str(workdir / "tiny.cfg"), "--out", str(workdir / "ecut")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "truncated" in err
+
+    def test_inconsistent_config_exits_1(self, workdir, generated, trained_ckpt, capsys):
+        bad = workdir / "bad_heads.cfg"
+        bad.write_text("renderer.heads = 5\n")
+        case = str(generated / "eval" / "cases" / "case_00000.json")
+        for argv in (["check"], ["edit", "--case", case, "--ckpt", str(trained_ckpt),
+                                 "--out", str(workdir / "ebad")]):
+            assert cli.main([*argv, "--config", str(bad)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1 and "renderer.heads" in err
+
     def test_case_by_jsonl_index(self, workdir, generated, trained_ckpt):
         records = str(generated / "eval" / "records.jsonl") + ":0"
         rc = cli.main(["edit", "--case", records, "--seed", "3",

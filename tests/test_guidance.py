@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planflow.config import default_config
 from planflow.guidance import (
     BRANCHES,
-    DEFAULT_GUIDANCE_SCALES,
-    DEFAULT_STEPS,
     DUAL_BRANCH_KEYS,
     CompositionError,
     DualBranchSpec,
@@ -17,6 +16,13 @@ from planflow.guidance import (
     validate,
 )
 from planflow.numerics import Rng
+
+
+GUIDANCE_KEYS = ("t2v", "s2v", "v2v", "rv2v")
+
+
+def default_scales(key):
+    return default_config().get_weighted(f"guidance.{key}")
 
 
 def full_spec(weights=None):
@@ -71,16 +77,10 @@ class TestCompose:
         assert np.allclose(compose(spec, scaled), 3.0 * compose(spec, forwards), atol=1e-12)
 
     def test_t2v_drops_video_branch(self):
-        spec = spec_for_conditions(DEFAULT_GUIDANCE_SCALES["t2v"], has_video=False, has_image=False)
+        spec = spec_for_conditions(default_scales("t2v"), has_video=False, has_image=False)
         assert spec.present == ("txt", "tgt")
         chain = spec.subset_chain()
         assert chain == [frozenset(), frozenset({"txt"}), frozenset({"txt", "tgt"})]
-
-    def test_post_hook_applied(self):
-        spec = full_spec({b: 0.0 for b in BRANCHES})
-        forwards = random_forwards(spec, Rng(6))
-        out = compose(spec, forwards, post_hook=lambda eps, f: eps * 0.0)
-        assert np.array_equal(out, np.zeros_like(out))
 
     def test_non_finite_weight_rejected(self):
         with pytest.raises(GuidanceValidationError):
@@ -159,11 +159,13 @@ class TestValidate:
 
     def test_table_rows_load_as_specs(self):
         # the four-increment weights carry no constraint; every table row loads
-        for key, scales in DEFAULT_GUIDANCE_SCALES.items():
+        cfg = default_config()
+        for key in GUIDANCE_KEYS:
+            scales = default_scales(key)
             spec = spec_for_conditions(scales, has_video="vid" in scales, has_image=True)
             assert spec.weights["txt"] == 4.0
-            assert DEFAULT_STEPS[key] in (40, 60)
-        s2v = spec_for_conditions(DEFAULT_GUIDANCE_SCALES["s2v"], has_video=True, has_image=True)
+            assert cfg.get_int(f"guidance.steps.{key}") in (40, 60)
+        s2v = spec_for_conditions(default_scales("s2v"), has_video=True, has_image=True)
         assert (s2v.weights["txt"], s2v.weights["vid"], s2v.weights["img"], s2v.weights["tgt"]) == (4.0, 1.25, 2.5, 1.5)
 
     @given(st.floats(0.0, 1.0), st.floats(-2.0, 4.0), st.floats(-2.0, 4.0))

@@ -202,6 +202,42 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version 1"):
             Checkpoint.load(path)
 
+    def _saved_bytes(self, tmp_path):
+        rng = Rng(4)
+        ck = Checkpoint(stage="I", step=2, stages_done=["I"], params={"a.w": rng.normal((2, 3))},
+                        ema={"a.w": rng.normal((2, 3))}, rng_states={"task": (1, 2)})
+        ck.save(tmp_path / "full.ckpt")
+        return (tmp_path / "full.ckpt").read_bytes()
+
+    def test_truncated_file_refused(self, tmp_path):
+        buf = self._saved_bytes(tmp_path)
+        (meta_len,) = struct.unpack_from("<Q", buf, 8)
+        blocks = 16 + meta_len  # block count, then per block: name length, name, tensor
+        (name_len,) = struct.unpack_from("<H", buf, blocks + 8)
+        tensor = blocks + 10 + name_len
+        boundaries = [0, 4, 8, 16, 12 + meta_len // 2, blocks, blocks + 8, blocks + 10,
+                      tensor, tensor + 4, tensor + 6, tensor + 6 + 16, tensor + 6 + 16 + 8]
+        path = tmp_path / "cut.ckpt"
+        for cut in sorted({20, len(buf) - 10, len(buf) - 1, *boundaries}):
+            path.write_bytes(buf[:cut])
+            with pytest.raises(CheckpointError):
+                Checkpoint.load(path)
+
+    def test_garbled_file_refused(self, tmp_path):
+        buf = self._saved_bytes(tmp_path)
+        (meta_len,) = struct.unpack_from("<Q", buf, 8)
+        path = tmp_path / "bad.ckpt"
+        for garbled in (
+            buf[:16] + b"}" * meta_len + buf[16 + meta_len :],                       # metadata not JSON
+            buf[:8] + struct.pack("<Q", meta_len + 10**6) + buf[16:],                 # metadata past the end
+            buf[:16 + meta_len] + struct.pack("<Q", 5) + buf[24 + meta_len :],        # too many blocks
+            buf[:16 + meta_len + 10] + b"xxxxxx" + buf[16 + meta_len + 16 :],         # unknown block group
+            buf + b"\0",                                                             # trailing bytes
+        ):
+            path.write_bytes(garbled)
+            with pytest.raises(CheckpointError):
+                Checkpoint.load(path)
+
     def test_tensorio_roundtrip(self, tmp_path):
         arr = Rng(9).normal((2, 3, 4))
         tensorio.write_tensor(tmp_path / "t.pft", arr)
@@ -211,6 +247,25 @@ class TestCheckpoint:
         (tmp_path / "bad.pft").write_bytes(b"nope" + b"\0" * 32)
         with pytest.raises(Exception):
             tensorio.read_tensor(tmp_path / "bad.pft")
+
+
+class TestModelBundle:
+    def test_partial_parameter_set_refused(self):
+        bundle = ModelBundle(tiny_config())
+        values = bundle.param_values()
+        del values["renderer.text_pos"]
+        values["planner.block0.wq"] = values["planner.block0.wq"] + 1.0
+        before = bundle.named_params()["planner.block0.wq"].data.copy()
+        with pytest.raises(ConfigError, match="renderer.text_pos"):
+            bundle.load_param_values(values)
+        # nothing is loaded from a refused set
+        assert np.array_equal(bundle.named_params()["planner.block0.wq"].data, before)
+
+    def test_complete_parameter_set_loads(self):
+        bundle = ModelBundle(tiny_config())
+        values = {k: v + 1.0 for k, v in bundle.param_values().items()}
+        bundle.load_param_values(values)
+        assert all(np.array_equal(bundle.param_values()[k], v) for k, v in values.items())
 
 
 class TestTraining:
@@ -348,6 +403,23 @@ class TestConfigFile:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             Config({"run.sneed": "1"})
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"renderer.heads": "5"}, "not divisible"),
+        ({"planner.hidden_dim": "12", "planner.heads": "4"}, "must be even"),
+        ({"renderer.blocks": "0"}, "positive"),
+        ({"vit.patch": "1,0,2"}, "positive"),
+        ({"planner.time_features": "15"}, "even"),
+        ({"planner.heads": "two"}, "integers"),
+    ])
+    def test_inconsistent_model_sizes_refused(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            Config(overrides)
+
+    def test_set_validates(self):
+        cfg = default_config()
+        with pytest.raises(ConfigError, match="renderer.heads"):
+            cfg.set("renderer.heads", 5)
 
     def test_parse_text(self):
         parsed = parse_config_text("# comment\nrun.seed = 42  # trailing\n\nstage.I.steps = 3\n")

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from planflow import numerics as nm
 from planflow.numerics import (
     ContractError,
+    attention,
     DimensionError,
     Rng,
     Tensor,
@@ -21,9 +22,9 @@ from planflow.numerics import (
     rotate_pairs,
     softmax_rows,
     tmean,
-    transpose,
     tsum,
 )
+from planflow.sequence import NEG_BIAS
 from util import rel_err
 
 
@@ -129,9 +130,9 @@ class TestPrimitiveAdjoints:
         a, b = self.rand((2, 5)), self.rand((2, 1))
         _fd_check(lambda: tsum(a * b), [a, b])
 
-    def test_matmul_transpose(self):
-        a, b = self.rand((3, 4)), self.rand((3, 4))
-        _fd_check(lambda: tsum(matmul(a, transpose(b))), [a, b])
+    def test_matmul(self):
+        a, b = self.rand((3, 4)), self.rand((4, 3))
+        _fd_check(lambda: tsum(matmul(a, b)), [a, b])
 
     def test_mean_axis(self):
         a = self.rand((4, 6))
@@ -167,6 +168,49 @@ class TestPrimitiveAdjoints:
         a = self.rand((5, 6))
         angles = self.rng.uniform((5, 3)) * np.pi
         _fd_check(lambda: tsum(rotate_pairs(a, angles) * rotate_pairs(a, angles)), [a])
+
+    def test_attention_batched_heads_rotary_and_banned_columns(self):
+        batch, heads, hd, nq, nk = 2, 2, 4, 3, 5
+        q = self.rand((batch * nq, heads * hd))
+        k = self.rand((batch * nk, heads * hd))
+        v = self.rand((batch * nk, heads * hd))
+        w = self.rand((batch * nq, heads * hd), grad=False)
+        q_angles = np.tile(self.rng.uniform((nq, hd // 2)) * np.pi, (batch, heads))
+        k_angles = np.tile(self.rng.uniform((nk, hd // 2)) * np.pi, (batch, heads))
+        bias = np.zeros((batch, 1, 1, nk))
+        bias[0, ..., 1] = NEG_BIAS
+        bias[1, ..., 3:] = NEG_BIAS
+
+        def build():
+            out = attention(rotate_pairs(q, q_angles), rotate_pairs(k, k_angles), v, heads, batch, bias)
+            return tsum(out * w)
+
+        _fd_check(build, [q, k, v])
+        # banned key rows get no gradient: their softmax weight is exactly 0
+        backward(build())
+        assert not k.grad[1].any() and not v.grad[nk + 3 :].any()
+
+
+class TestAttention:
+    def test_matches_per_head_softmax_oracle(self):
+        rng = Rng(104)
+        batch, heads, hd, nq, nk = 3, 2, 4, 4, 6
+        q, k, v = (rng.normal((batch * n, heads * hd)) for n in (nq, nk, nk))
+        bias = rng.normal((batch, heads, nq, nk))
+        got = attention(Tensor(q), Tensor(k), Tensor(v), heads, batch, bias).data
+        for b in range(batch):
+            for h in range(heads):
+                cols = slice(h * hd, (h + 1) * hd)
+                qb, kb, vb = q[b * nq : (b + 1) * nq, cols], k[b * nk : (b + 1) * nk, cols], v[b * nk : (b + 1) * nk, cols]
+                s = softmax_rows(Tensor(qb @ kb.T / np.sqrt(hd) + bias[b, h])).data
+                assert np.abs(got[b * nq : (b + 1) * nq, cols] - s @ vb).max() < 1e-12
+
+    def test_rejects_rows_that_do_not_split(self):
+        x = Tensor(np.zeros((5, 4)))
+        with pytest.raises(DimensionError):
+            attention(x, x, x, heads=2, batch=2)
+        with pytest.raises(DimensionError):
+            attention(x, x, x, heads=3, batch=1)
 
 
 class TestInvariants:

@@ -18,7 +18,7 @@ from planflow.planner import (
     train_step_planner,
 )
 from planflow.schedules import masked_count_trace
-from planflow.sequence import VISUAL_TARGET, apply_target_mask, build_mask, serialize
+from planflow.sequence import VISUAL_TARGET, apply_target_mask, build_mask, describe, serialize
 from planflow.toydata import VOCAB
 from util import rel_err
 
@@ -309,6 +309,64 @@ class TestPlan:
             plan(model, decoder, self._masked_seq(), 0, 1, rng=Rng(1))
         with pytest.raises(ContractError):
             plan(model, decoder, self._masked_seq(), 2, 1, rng=Rng(1), reveal="popularity")
+
+
+class TestGuidanceVariants:
+    def test_variant_masks_match_dropped_sequences(self):
+        """Masked variants reproduce the target rows of the text-dropped and the
+        text-and-source-dropped sequences serialized on their own."""
+        model, _ = make_models(seed=41)
+        seq = make_seq(text_len=3, sources=((1, 2, 2), (1, 1, 2)), target=(1, 2, 2), seed=42)
+        seq = apply_target_mask(seq, 0.5, Rng(43), model.mask_embedding.data[0])
+        names = ["uncond", "img", "full"]
+        z = planner_forward(model, seq, planner_mod._variant_masks(seq, names)).data
+        z = z.reshape(len(names), len(seq), -1)
+        t0, t1 = seq.span_of(VISUAL_TARGET)
+        _, sources, target = describe(seq)
+        for b, kept_sources in ((0, []), (1, sources), (2, None)):
+            if kept_sources is None:
+                ref = planner_forward(model, seq).data
+                r0 = t0
+            else:
+                dropped = serialize(0, kept_sources, target)
+                dropped.embeddings = np.zeros((len(dropped), CFG.embed_dim))
+                for desc, start, stop in dropped.spans():
+                    o0, o1 = seq.span_of(desc.kind, desc.segment_index)
+                    dropped.embeddings[start:stop] = seq.embeddings[o0:o1]
+                    dropped.masked[start:stop] = seq.masked[o0:o1]
+                ref = planner_forward(model, dropped).data
+                r0, _ = dropped.span_of(VISUAL_TARGET)
+            assert np.abs(z[b, t0:t1] - ref[r0 : r0 + t1 - t0]).max() < 1e-12, names[b]
+        assert np.abs(z[0, t0:t1] - z[2, t0:t1]).max() > 1e-6
+
+    @pytest.mark.parametrize("sources", [((1, 1, 2),), ()], ids=["with-sources", "text-only"])
+    def test_one_forward_per_revealing_step(self, monkeypatch, sources):
+        model, decoder = make_models()
+        calls = {"planner": [], "decoder": []}
+        real_planner, real_decoder = planner_mod.planner_forward, planner_mod.decoder_forward
+
+        def count_planner(model, seq, mask=None):
+            calls["planner"].append(1 if mask is None or mask.allow.ndim == 2 else mask.allow.shape[0])
+            return real_planner(model, seq, mask)
+
+        def count_decoder(decoder, x, t, z):
+            calls["decoder"].append(len(z))
+            return real_decoder(decoder, x, t, z)
+
+        monkeypatch.setattr(planner_mod, "planner_forward", count_planner)
+        monkeypatch.setattr(planner_mod, "decoder_forward", count_decoder)
+        seq = make_seq(text_len=3, sources=sources, target=(1, 2, 3))
+        t0, t1 = seq.span_of(VISUAL_TARGET)
+        seq.embeddings[t0:t1] = 0.0
+        seq.masked[t0:t1] = True
+        total, decoder_steps = 8, 3
+        res = plan(model, decoder, seq, total, decoder_steps, g_text=1.5, g_image=1.2, rng=Rng(44))
+        trace = [6] + res.masked_counts
+        revealing = sum(1 for a, b in zip(trace, trace[1:]) if b < a)
+        assert revealing < total  # the cosine trace holds steps that reveal nothing
+        branches = 3 if sources else 2
+        assert calls["planner"] == [branches] * revealing + [1]
+        assert len(calls["decoder"]) == revealing * (decoder_steps + 1)
 
 
 class TestToyVit:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from planflow.config import ConfigError
 from planflow.numerics import DimensionError, Rng, Tensor
 from planflow.posenc import (
-    ConfigError,
     RopeConfig,
     apply_rope,
     build_phase_table,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from planflow.config import ConfigError
-from planflow.guidance import GuidanceSpec, spec_for_conditions
+from planflow import renderer as renderer_mod
+from planflow.guidance import GuidanceSpec, compose, spec_for_conditions
 from planflow.numerics import ContractError, DimensionError, Rng, Tensor, backward, fd_gradient
 from planflow.renderer import (
     CondInputs,
@@ -325,6 +326,57 @@ class TestRender:
 
         expected = euler_integrate(velocity, noise, 3, 2.0)
         assert np.abs(out - expected).max() < 1e-10
+
+    @pytest.mark.parametrize("roles", [["vid"], ["vid", "img"]], ids=["v2v", "iv2v"])
+    def test_batched_subsets_match_per_subset_forwards(self, roles):
+        """One batched forward per step equals one forward per condition
+        subset, each over only the sources that subset holds."""
+        model = make_model(seed=30)
+        rng = Rng(31)
+        # a trained-looking projector, so the target-semantics branch matters
+        model.params["cond_proj"].data[:] = rng.normal(model.params["cond_proj"].shape) * 0.3
+        cond_in = CondInputs(
+            text_ids=np.array([1, 5, 2], dtype=np.intp),
+            planner_states=rng.normal((6, 16)),
+            source_latents=[rng.normal((1, 4, 4, 4)) for _ in roles],
+            source_roles=list(roles),
+        )
+        spec = spec_for_conditions({"txt": 4.0, "vid": 1.25, "img": 2.5, "tgt": 1.5},
+                                   has_video=True, has_image="img" in roles)
+        assert len(spec.subset_chain()) == len(roles) + 3
+
+        def per_subset_velocity(x, t):
+            forwards = {}
+            for subset in spec.subset_chain():
+                cond = build_cond_tokens(model, cond_in.text_ids if "txt" in subset else None,
+                                         cond_in.planner_states if "tgt" in subset else None)
+                held = [i for i, role in enumerate(cond_in.source_roles) if role in subset]
+                tok = renderer_forward(model, x, t, cond, [cond_in.source_latents[i] for i in held],
+                                       [i + 1 for i in held] or None).data
+                grid, _ = patchify(x, CFG.patch)
+                forwards[subset] = unpatchify(tok, grid, CFG.patch, CFG.channels)
+            return compose(spec, forwards)
+
+        out = render(model, cond_in, steps=3, spec=spec, shift=3.0, rng=Rng(32), target_grid=(1, 4, 4))
+        noise = Rng(32).normal((1, 4, 4, CFG.channels))
+        expected = euler_integrate(per_subset_velocity, noise, 3, 3.0)
+        assert np.abs(out - expected).max() < 1e-12
+        assert np.abs(out - noise).max() > 1e-3
+
+    def test_one_forward_per_euler_step(self, monkeypatch):
+        model = make_model()
+        calls = []
+        real = renderer_mod.renderer_forward
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("batch", 1))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(renderer_mod, "renderer_forward", counting)
+        cond_in = self._cond(Rng(33))
+        spec = spec_for_conditions({"txt": 4.0, "vid": 1.25, "tgt": 0.5}, has_video=True, has_image=False)
+        render(model, cond_in, steps=5, spec=spec, shift=2.0, rng=Rng(34), target_grid=(1, 4, 4))
+        assert calls == [len(spec.subset_chain())] * 5
 
     def test_missing_condition_for_branch(self):
         model = make_model()
