@@ -7,6 +7,7 @@ accepts --config / --seed / --out; outputs under a fixed seed are byte-stable.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from . import harness, tensorio
 from .checkpoint import Checkpoint, CheckpointError
 from .config import Config, ConfigError, load_config
 from .numerics import Rng
+from .schedules import DomainError
 from .sequence import VISUAL_TARGET
 from .toydata import Dataset, EditCase, generate_dataset
 
@@ -85,16 +87,22 @@ def _out_dir(args, default: str) -> Path:
 
 
 def load_case(path: str) -> EditCase:
-    """A standalone case file, or 'records.jsonl:INDEX'."""
-    if ":" in path and not Path(path).exists():
-        file, _, idx = path.rpartition(":")
-        with open(file) as fh:
-            for i, line in enumerate(fh):
-                if i == int(idx):
-                    return EditCase.from_dict(json.loads(line))
+    """A standalone case file, or 'records.jsonl:INDEX'; refuses a malformed
+    case with ConfigError."""
+    file, _, idx = path.rpartition(":")
+    indexed = ":" in path and not Path(path).exists()
+    if indexed and not idx.isdigit():
+        raise ConfigError(f"case {path}: expected FILE or FILE:INDEX with INDEX >= 0")
+    with open(file if indexed else path) as fh:
+        text = next(itertools.islice(fh, int(idx), None), None) if indexed else fh.read()
+    if text is None:
         raise ConfigError(f"record {idx} not found in {file}")
-    with open(path) as fh:
-        return EditCase.from_dict(json.load(fh))
+    try:
+        return EditCase.from_dict(json.loads(text))
+    except KeyError as exc:
+        raise ConfigError(f"case {path} lacks the field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"case {path} is malformed: {exc}") from None
 
 
 def _bundle_from_ckpt(cfg: Config, ckpt_path: str | None):
@@ -290,7 +298,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, CheckpointError, harness.StartupError, FileNotFoundError) as exc:
+    except (ConfigError, CheckpointError, DomainError, harness.StartupError, harness.NonFiniteError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

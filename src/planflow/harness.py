@@ -46,6 +46,8 @@ from .schedules import (
     TaskKind,
     TimestepConfig,
     pair_decay_weight,
+    parse_mask_ratio,
+    parse_timestep,
     sample_mask_ratio,
 )
 from .sequence import TEXT, VISUAL_TARGET, apply_target_mask, serialize
@@ -63,6 +65,10 @@ from .toydata import (
 
 class StartupError(RuntimeError):
     pass
+
+
+class NonFiniteError(RuntimeError):
+    """Training produced a non-finite loss, weight or EMA value."""
 
 
 STAGES = ("I", "II", "III")
@@ -104,15 +110,9 @@ class RunConfig:
 
     @classmethod
     def from_config(cls, cfg: Config) -> "RunConfig":
-        mask = MaskRatioConfig({t: cfg.get_floats(f"schedules.mask_ratio.{t.value}") for t in TaskKind})
-        ts_params = {}
-        for t in TaskKind:
-            parts = cfg.get_strs(f"schedules.timestep.{t.value}")
-            kind = parts[0]
-            args = tuple(float(x) for x in parts[1:-1])
-            ts_params[t] = (kind, args, float(parts[-1]))
+        mask = MaskRatioConfig({t: parse_mask_ratio(cfg.get(f"schedules.mask_ratio.{t.value}")) for t in TaskKind})
         timestep = TimestepConfig(
-            ts_params,
+            {t: parse_timestep(cfg.get(f"schedules.timestep.{t.value}")) for t in TaskKind},
             shift_in_training=cfg.get_bool("schedules.shift_in_training"),
             shift_in_inference=cfg.get_bool("schedules.shift_in_inference"),
         )
@@ -580,8 +580,6 @@ def run_stage(
                            _fresh_streams(seed, stage), stages_done)
 
     lambdas = (stage_cfg.lambda_text, stage_cfg.lambda_visual, stage_cfg.lambda_dit)
-    named = bundle.named_params()
-    last_loss = float("nan")
     while state.step < stage_cfg.steps:
         mixture = _effective_mixture(stage_cfg, state.step)
         batch_losses = []
@@ -618,6 +616,9 @@ def run_stage(
         for extra in batch_losses[1:]:
             batch_loss = batch_loss + extra
         batch_loss = (1.0 / stage_cfg.batch_size) * batch_loss
+        last_loss = batch_loss.item()
+        if not np.isfinite(last_loss):
+            raise NonFiniteError(f"stage {stage} step {state.step + 1}: loss is {last_loss}")
         for p in trainable.values():
             p.grad = None
         if batch_loss.requires_grad:
@@ -626,19 +627,30 @@ def run_stage(
         state.opt.step(trainable)
         ema_update(state.ema, trainable, stage_cfg.ema_decay)
         state.step += 1
-        last_loss = batch_loss.item()
         if log_every and state.step % log_every == 0:
             print(f"[stage {stage}] step {state.step}/{stage_cfg.steps} loss {last_loss:.5f}")
         if checkpoint_every and checkpoint_dir and state.step % checkpoint_every == 0 and state.step < stage_cfg.steps:
+            _require_finite(bundle, state, stage)
             ck = state_to_checkpoint(bundle, state, stage, run)
             ck.save(Path(checkpoint_dir) / f"stage_{stage}_step{state.step:06d}.ckpt")
 
+    _require_finite(bundle, state, stage)
     if stage not in state.stages_done:
         state.stages_done.append(stage)
     final = state_to_checkpoint(bundle, state, stage, run)
     if checkpoint_dir:
         final.save(Path(checkpoint_dir) / f"stage_{stage}_final.ckpt")
     return state, final
+
+
+def _require_finite(bundle: ModelBundle, state: TrainState, stage: str) -> None:
+    """Refuse to checkpoint non-finite weights or EMA values."""
+    bad = [name for name, p in bundle.named_params().items() if not np.isfinite(p.data).all()]
+    bad += [f"ema {name}" for name, arr in state.ema.items() if not np.isfinite(arr).all()]
+    if bad:
+        names = ", ".join(sorted(bad)[:3]) + (", ..." if len(bad) > 3 else "")
+        raise NonFiniteError(f"stage {stage} step {state.step}: {len(bad)} tensor(s) hold non-finite values "
+                             f"({names}); no checkpoint written")
 
 
 def state_to_checkpoint(bundle: ModelBundle, state: TrainState, stage: str, run: RunConfig) -> Checkpoint:

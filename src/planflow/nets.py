@@ -10,9 +10,12 @@ import numpy as np
 
 from .numerics import (
     Rng,
+    Rotation,
     Tensor,
     add,
     attention,
+    concat,
+    embedding,
     gelu,
     layernorm,
     matmul,
@@ -45,50 +48,79 @@ def mlp(params: dict, prefix: str, x: Tensor) -> Tensor:
     return add(matmul(gelu(h), params[prefix + "w2"]), params[prefix + "b2"])
 
 
+def rotary(angles: np.ndarray, heads: int, batch: int = 1) -> Rotation:
+    """cos/sin of per-row angles (n, head_dim/2), tiled over `batch` streams
+    and `heads` heads to match self_attention's projected rows."""
+    c, s = Rotation.of(angles)
+    return Rotation(np.tile(c, (batch, heads)), np.tile(s, (batch, heads)))
+
+
+def _after_past(past: Tensor, new: Tensor, batch: int) -> Tensor:
+    """Rows of each stream: its `past` rows, then its `new` rows (batch-major)."""
+    p, m = past.shape[0] // batch, new.shape[0] // batch
+    both = concat([past, new], axis=0)
+    if batch == 1:
+        return both
+    b, col = np.arange(batch)[:, None], np.arange(p + m)[None, :]
+    return embedding(both, np.where(col < p, b * p + col, batch * p + b * m + col - p).ravel())
+
+
 def self_attention(
     params: dict,
     prefix: str,
     x: Tensor,
     heads: int,
     bias: np.ndarray | None = None,
-    angles: np.ndarray | None = None,
+    rotation: Rotation | None = None,
     batch: int = 1,
+    past: tuple[Tensor, Tensor] | None = None,
+    keep: list | None = None,
 ) -> Tensor:
     """Multi-head attention over `batch` independent token streams.
 
     x stacks the streams row-wise, shape (batch*n, d). `bias` is an additive
-    mask broadcastable to (batch, heads, n, n); a fully banned key column gets
-    softmax weight exactly 0 (the bias underflows). `angles` has shape
-    (n, head_dim/2) and is shared across streams and heads.
+    mask broadcastable to (batch, heads, n, n_keys); a fully banned key
+    column gets softmax weight exactly 0 (the bias underflows). `rotation`
+    (from `rotary`) rotates queries and keys. `past` holds the rotated keys
+    and values of p earlier rows per stream, each (batch*p, d); the rows of x
+    then attend to those p rows followed by their own n, so n_keys = p + n.
+    `keep`, a list, receives this call's rotated (keys, values).
     """
     q = matmul(x, params[prefix + "wq"])
     k = matmul(x, params[prefix + "wk"])
     v = matmul(x, params[prefix + "wv"])
-    if angles is not None:
-        tiled = np.tile(angles, (batch, heads))
-        q = rotate_pairs(q, tiled)
-        k = rotate_pairs(k, tiled)
+    if rotation is not None:
+        q = rotate_pairs(q, rotation)
+        k = rotate_pairs(k, rotation)
+    if keep is not None:
+        keep.append((k, v))
+    if past is not None:
+        k, v = _after_past(past[0], k, batch), _after_past(past[1], v, batch)
     return matmul(attention(q, k, v, heads, batch, bias), params[prefix + "wo"])
+
+
+def cross_kv(params: dict, prefix: str, cond: Tensor) -> tuple[Tensor, Tensor]:
+    """Cross-attention keys and values of a conditioning stream."""
+    return matmul(cond, params[prefix + "ck"]), matmul(cond, params[prefix + "cv"])
 
 
 def cross_attention(
     params: dict,
     prefix: str,
     x: Tensor,
-    cond: Tensor,
+    kv: tuple[Tensor, Tensor],
     heads: int,
     batch: int = 1,
     bias: np.ndarray | None = None,
 ) -> Tensor:
-    """Queries from the token stream, keys/values from the conditioning stream.
+    """Queries from the token stream, keys/values (from `cross_kv`) from the
+    conditioning stream.
 
-    Stream b of x attends to block b of cond, shape (batch*m, d); `bias`
-    (broadcastable to (batch, heads, n, m)) bans padding keys.
+    Stream b of x attends to block b of the conditioning rows, (batch*m, d);
+    `bias` (broadcastable to (batch, heads, n, m)) bans padding keys.
     """
     q = matmul(x, params[prefix + "cq"])
-    k = matmul(cond, params[prefix + "ck"])
-    v = matmul(cond, params[prefix + "cv"])
-    return matmul(attention(q, k, v, heads, batch, bias), params[prefix + "co"])
+    return matmul(attention(q, kv[0], kv[1], heads, batch, bias), params[prefix + "co"])
 
 
 def time_features(t, dim: int) -> np.ndarray:

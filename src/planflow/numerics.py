@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -203,9 +203,10 @@ _LN_EPS = 1e-12
 def layernorm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale + shift."""
     x, gain, bias = _lift(x), _lift(gain), _lift(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    # sum / d is bit-identical to ndarray.mean without its Python-level overhead
+    d = x.shape[-1]
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
     data = xhat * gain.data + bias.data
@@ -214,8 +215,8 @@ def layernorm(x, gain, bias) -> Tensor:
         dxhat = g * gain.data
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            - dxhat.sum(axis=-1, keepdims=True) / d
+            - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
         )
         return (
             dx,
@@ -300,18 +301,30 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     return _record(data, (a,), vjp)
 
 
-def rotate_pairs(a, angles: np.ndarray) -> Tensor:
+class Rotation(NamedTuple):
+    """cos and sin of rotation angles, computed once for rotate_pairs calls that share them."""
+
+    cos: np.ndarray
+    sin: np.ndarray
+
+    @classmethod
+    def of(cls, angles) -> "Rotation":
+        angles = np.asarray(angles, dtype=np.float64)
+        return cls(np.cos(angles), np.sin(angles))
+
+
+def rotate_pairs(a, angles: np.ndarray | Rotation) -> Tensor:
     """Rotate consecutive (even, odd) pairs of the last axis by `angles` radians.
 
-    `angles` is a constant array broadcastable to a[..., ::2]; the rotation is
-    orthogonal, so norms are preserved.
+    `angles` is a constant array broadcastable to a[..., ::2], or a
+    `Rotation` of such an array; the rotation is orthogonal, so norms are
+    preserved.
     """
     a = _lift(a)
     d = a.shape[-1]
     if d % 2 != 0:
         raise DimensionError(f"rotate_pairs: last axis must be even, got {d}")
-    angles = np.asarray(angles, dtype=np.float64)
-    c, s = np.cos(angles), np.sin(angles)
+    c, s = angles if isinstance(angles, Rotation) else Rotation.of(angles)
     x = a.data[..., 0::2]
     y = a.data[..., 1::2]
     data = np.empty_like(a.data)

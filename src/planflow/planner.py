@@ -20,10 +20,12 @@ from .numerics import (
     ContractError,
     DimensionError,
     Rng,
+    Rotation,
     Tensor,
     add,
     concat,
     embedding,
+    gelu,
     matmul,
     mul,
     narrow,
@@ -175,23 +177,70 @@ class EmbeddingDecoder:
         self.params = p
 
 
+@dataclass
+class DecoderCondition:
+    """Conditioning states prepared for decoder_forward.
+
+    Every residual block's first layer acts on [ln(h), time embedding,
+    planner state], so its weight splits into three row blocks. The
+    planner-state term is computed once per condition and the time term once
+    per scalar t, memoised in `time_terms`, which the conditions of one plan
+    share. `branches` names the guidance branches whose rows are stacked, in
+    order, in the states.
+    """
+
+    branches: tuple[str, ...]
+    state_terms: list[Tensor]  # per block: the states times their rows of w1
+    time_terms: dict[float, list[Tensor]]
+
+    def __len__(self) -> int:
+        return self.state_terms[0].shape[0]
+
+
+def decoder_condition(decoder: EmbeddingDecoder, z, branches: tuple[str, ...] = ("full",),
+                      time_terms: dict | None = None) -> DecoderCondition:
+    """Prepare conditioning states z (m, hidden_dim), sharing the time-term
+    memo `time_terms` of earlier conditions of the same weights if given."""
+    p, dd, dp = decoder.params, decoder.cfg.decoder_dim, decoder.cfg.hidden_dim
+    z = z if isinstance(z, Tensor) else Tensor(z)
+    terms = [matmul(z, narrow(p[f"res{i}.w1"], 0, 2 * dd, dp)) for i in range(decoder.cfg.decoder_blocks)]
+    return DecoderCondition(tuple(branches), terms, {} if time_terms is None else time_terms)
+
+
+def _time_terms(decoder: EmbeddingDecoder, cond: DecoderCondition, t) -> list[Tensor]:
+    """Per block: time embedding times its rows of w1, plus b1; one row for a
+    scalar t (memoised), one per row for an array."""
+    t = np.asarray(t, dtype=np.float64)
+    key = float(t) if t.ndim == 0 else None
+    if key in cond.time_terms:
+        return cond.time_terms[key]
+    p, dd = decoder.params, decoder.cfg.decoder_dim
+    temb = nets.time_embedding(p, "time.", t, decoder.cfg.time_features)
+    terms = [
+        add(matmul(temb, narrow(p[f"res{i}.w1"], 0, dd, dd)), p[f"res{i}.b1"])
+        for i in range(decoder.cfg.decoder_blocks)
+    ]
+    if key is not None:
+        cond.time_terms[key] = terms
+    return terms
+
+
 def decoder_forward(decoder: EmbeddingDecoder, x, t, z) -> Tensor:
     """Velocity prediction in the target embedding space.
 
     x: (m, embed_dim) noisy embeddings; t: scalar or (m,) timesteps;
-    z: (m, hidden_dim) conditioning states (Tensor or constant).
+    z: (m, hidden_dim) conditioning states (Tensor or constant), or a
+    `DecoderCondition` prepared from them.
     """
     p = decoder.params
-    m = x.shape[0] if isinstance(x, Tensor) else np.asarray(x).shape[0]
-    t_arr = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)), (m,))
-    temb = nets.time_embedding(p, "time.", t_arr, decoder.cfg.time_features)
-    z = z if isinstance(z, Tensor) else Tensor(z)
-    cond = concat([temb, z], axis=1)
+    cond = z if isinstance(z, DecoderCondition) else decoder_condition(decoder, z)
+    times = _time_terms(decoder, cond, t)
     h = add(matmul(x if isinstance(x, Tensor) else Tensor(x), p["in_proj"]), p["in_bias"])
-    for i in range(decoder.cfg.decoder_blocks):
+    dd = decoder.cfg.decoder_dim
+    for i, (time_term, state_term) in enumerate(zip(times, cond.state_terms)):
         pre = f"res{i}."
-        inner = concat([nets.ln(p, pre + "ln.", h), cond], axis=1)
-        h = add(h, nets.mlp(p, pre, inner))
+        u = add(add(matmul(nets.ln(p, pre + "ln.", h), narrow(p[pre + "w1"], 0, 0, dd)), time_term), state_term)
+        h = add(h, add(matmul(gelu(u), p[pre + "w2"]), p[pre + "b2"]))
     return add(matmul(nets.ln(p, "out_ln.", h), p["out_proj"]), p["out_bias"])
 
 
@@ -199,10 +248,13 @@ def decoder_forward(decoder: EmbeddingDecoder, x, t, z) -> Tensor:
 # forward pass over the unified sequence
 # ---------------------------------------------------------------------------
 
-def _assemble_inputs(model: PlannerModel, seq: TokenSequence) -> Tensor:
+def _assemble_inputs(model: PlannerModel, seq: TokenSequence, start: int = 0) -> Tensor:
+    """Input rows of the segments from token `start` (a segment boundary) on."""
     p = model.params
     parts: list[Tensor] = []
-    for desc, start, stop in seq.spans():
+    for desc, s0, s1 in seq.spans():
+        if s0 < start:
+            continue
         if desc.kind == TEXT:
             if seq.text_ids is None:
                 raise DimensionError("sequence has a text segment but no text ids")
@@ -210,36 +262,83 @@ def _assemble_inputs(model: PlannerModel, seq: TokenSequence) -> Tensor:
             continue
         if seq.embeddings is None:
             raise DimensionError("sequence has visual segments but no embeddings")
-        rows = Tensor(seq.embeddings[start:stop])
+        rows = Tensor(seq.embeddings[s0:s1])
         if desc.kind == VISUAL_SOURCE:
             parts.append(add(matmul(rows, p["src_proj"]), p["src_bias"]))
         else:
-            flags = seq.masked[start:stop].astype(np.float64)[:, None]
-            content = add(mul(Tensor(flags), p["mask_embed"]), Tensor((1.0 - flags) * seq.embeddings[start:stop]))
+            flags = seq.masked[s0:s1].astype(np.float64)[:, None]
+            content = add(mul(Tensor(flags), p["mask_embed"]), Tensor((1.0 - flags) * seq.embeddings[s0:s1]))
             parts.append(add(matmul(content, p["tgt_proj"]), p["tgt_bias"]))
     return parts[0] if len(parts) == 1 else concat(parts, axis=0)
 
 
-def planner_forward(model: PlannerModel, seq: TokenSequence, mask: AttentionMask | None = None) -> Tensor:
+@dataclass(frozen=True)
+class PrefixCache:
+    """The first `length` rows of a sequence, run once: each block's rotated
+    keys and values and the final states, one copy per batch entry
+    (batch-major rows), plus the rotary tables of the rows after them.
+
+    Valid while the layout, those rows and the weights stay fixed and no row
+    before `length` may attend to a later one, so later rows cannot change
+    them.
+    """
+
+    length: int
+    kv: list[tuple[Tensor, Tensor]]  # per block, each (batch * length, hidden_dim)
+    states: np.ndarray               # (batch, length, hidden_dim)
+    rotation: Rotation               # rows after the prefix, tiled over batch and heads
+
+
+def prefix_cache(model: PlannerModel, seq: TokenSequence, mask: AttentionMask, length: int) -> PrefixCache:
+    """Run the first `length` rows of `seq` once under `mask` (one copy per
+    mask of a batched mask) and keep what later rows need from them."""
+    if mask.allow[..., :length, length:].any():
+        raise ContractError(f"rows before {length} attend to later rows; their states are not fixed")
+    cfg = model.cfg
+    kv: list[tuple[Tensor, Tensor]] = []
+    head_mask = AttentionMask(mask.allow[..., :length, :length])
+    states = planner_forward(model, seq.head(length), head_mask, keep=kv).data
+    states = states.reshape(-1, length, states.shape[1])
+    angles = token_angles(cfg.rope(), seq, cfg.segment_phases)[length:]
+    return PrefixCache(length, kv, states, nets.rotary(angles, cfg.heads, len(states)))
+
+
+def planner_forward(
+    model: PlannerModel,
+    seq: TokenSequence,
+    mask: AttentionMask | None = None,
+    past: PrefixCache | None = None,
+    keep: list | None = None,
+) -> Tensor:
     """Contextual hidden states, one per token, under the hybrid attention mask.
 
     A mask whose `allow` has shape (batch, n, n) runs one copy of the
     sequence per mask and stacks the states row-wise: (batch * n, hidden_dim).
+    With `past`, a `PrefixCache` of the same layout and batch, only the rows
+    from `past.length` on are run, against the cached rows: the states then
+    have shape (batch * (n - past.length), hidden_dim). `keep`, a list,
+    receives each block's rotated keys and values.
     """
     cfg = model.cfg
     if mask is None:
         mask = build_mask(seq)
+    n, start = len(seq), 0 if past is None else past.length
     bias = mask.additive_bias()
     batch = 1 if bias.ndim == 2 else bias.shape[0]
-    bias = bias.reshape(batch, 1, len(seq), len(seq))  # shared by all heads
-    angles = token_angles(cfg.rope(), seq, cfg.segment_phases)
-    x = _assemble_inputs(model, seq)
+    bias = bias.reshape(batch, 1, n, n)[:, :, start:]  # shared by all heads
+    if past is None:
+        rotation = nets.rotary(token_angles(cfg.rope(), seq, cfg.segment_phases), cfg.heads, batch)
+    else:
+        rotation = past.rotation
+    x = _assemble_inputs(model, seq, start)
     if batch > 1:
         x = concat([x] * batch, axis=0)
     p = model.params
     for i in range(cfg.blocks):
         pre = f"block{i}."
-        x = add(x, nets.self_attention(p, pre, nets.ln(p, pre + "ln1.", x), cfg.heads, bias, angles, batch))
+        h = nets.ln(p, pre + "ln1.", x)
+        kv = None if past is None else past.kv[i]
+        x = add(x, nets.self_attention(p, pre, h, cfg.heads, bias, rotation, batch, kv, keep))
         x = add(x, nets.mlp(p, pre, nets.ln(p, pre + "ln2.", x)))
     return nets.ln(p, "ln_f.", x)
 
@@ -323,14 +422,23 @@ def losses_from_hidden(
 GUIDANCE_VARIANTS = ("uncond", "img", "full")
 
 
-def _composed_velocity(decoder, x: np.ndarray, t, z_branches: dict[str, np.ndarray], g_text: float, g_image: float) -> np.ndarray:
+def _branch_condition(decoder, z_at_position, time_terms: dict | None = None) -> DecoderCondition:
+    """A DecoderCondition over the guidance branches' states stacked row-wise;
+    `z_at_position` is one (m, hidden) array or a branch-name mapping."""
+    branches = z_at_position if isinstance(z_at_position, dict) else {"full": z_at_position}
+    names = [name for name in GUIDANCE_VARIANTS if name in branches]
+    z = np.concatenate([branches[name].data if isinstance(branches[name], Tensor) else np.asarray(branches[name])
+                        for name in names], axis=0)
+    return decoder_condition(decoder, z, tuple(names), time_terms)
+
+
+def _composed_velocity(decoder, x: np.ndarray, t, cond: DecoderCondition, g_text: float, g_image: float) -> np.ndarray:
     """Incremental two-branch guidance over the condition chain, with the
     rows of every branch stacked into one decoder forward."""
-    names = [name for name in GUIDANCE_VARIANTS if name in z_branches]
-    z = np.concatenate([z_branches[name] for name in names], axis=0)
-    v = decoder_forward(decoder, Tensor(np.tile(x, (len(names), 1))), t, z).data
+    names = cond.branches
+    v = decoder_forward(decoder, Tensor(np.tile(x, (len(names), 1))), t, cond).data
     v = dict(zip(names, v.reshape(len(names), x.shape[0], -1)))
-    if names == ["full"]:
+    if names == ("full",):
         return v["full"]
     v_prev = v["uncond"]
     out = v_prev.copy()
@@ -352,24 +460,23 @@ def decode_embedding(
 ) -> np.ndarray:
     """Euler-integrate the decoder's velocity field from noise (t=0) to t=1.
 
-    `z_at_position` is either a single (m, hidden) array (pure conditional) or a
-    mapping with keys "full" and optionally "uncond" / "img" for guidance.
+    `z_at_position` is either a single (m, hidden) array (pure conditional), a
+    mapping with keys "full" and optionally "uncond" / "img" for guidance, or
+    a `DecoderCondition` already prepared from one of those.
     """
     if steps < 1:
         raise ContractError(f"steps must be >= 1, got {steps}")
-    branches = z_at_position if isinstance(z_at_position, dict) else {"full": z_at_position}
-    branches = {k: (v.data if isinstance(v, Tensor) else np.asarray(v)) for k, v in branches.items()}
-    m = branches["full"].shape[0]
-    if noise is None:
-        if rng is None:
-            raise ContractError("decode_embedding needs either rng or explicit noise")
-        noise = rng.normal((m, decoder.cfg.embed_dim))
-    x = noise.copy()
-    dt = 1.0 / steps
+    if noise is None and rng is None:
+        raise ContractError("decode_embedding needs either rng or explicit noise")
     with no_grad():
+        cond = z_at_position if isinstance(z_at_position, DecoderCondition) else _branch_condition(decoder, z_at_position)
+        if noise is None:
+            noise = rng.normal((len(cond) // len(cond.branches), decoder.cfg.embed_dim))
+        x = noise.copy()
+        dt = 1.0 / steps
         for s in range(steps):
             t = s * dt
-            x = x + dt * _composed_velocity(decoder, x, t, branches, g_text, g_image)
+            x = x + dt * _composed_velocity(decoder, x, t, cond, g_text, g_image)
     return x
 
 
@@ -418,6 +525,11 @@ def plan(
     sequence yields the conditioning states. With guidance on, the
     text-dropped and unconditional variants are masks over the same sequence,
     so every revealing step makes one batched planner forward.
+
+    Text and source rows never attend to the target, so they are run once
+    per call (`prefix_cache`) and each step runs only the target rows. The
+    decoder's planner-state terms are prepared once per revealing step and
+    its time terms once per distinct t.
     """
     if total_steps < 1:
         raise ContractError(f"total_steps must be >= 1, got {total_steps}")
@@ -442,7 +554,9 @@ def plan(
 
     masked_counts: list[int] = []
     norms: list[float] = []
+    time_terms: dict = {}  # the decoder's time terms, shared by every revealing step
     with no_grad():
+        past = prefix_cache(model, seq, mask, t0) if t0 else None
         for k in range(total_steps):
             keep = trace[k]
             masked_rel = np.where(seq.masked[t0:t1])[0]
@@ -451,13 +565,12 @@ def plan(
                 masked_counts.append(len(masked_rel))
                 norms.append(0.0)
                 continue
-            z = planner_forward(model, seq, mask).data.reshape(len(names), len(seq), -1)
-            z_branches = {name: z[b, t0 + masked_rel] for b, name in enumerate(names)}
+            # rows of the target segment only (it is last), one block per variant
+            z = planner_forward(model, seq, mask, past).data.reshape(len(names), n_target, -1)
+            cond = decoder_condition(decoder, z[:, masked_rel].reshape(-1, z.shape[2]), tuple(names), time_terms)
             noise = rng.normal((len(masked_rel), decoder.cfg.embed_dim))
-            pred = decode_embedding(
-                decoder, z_branches, decoder_steps, g_text, g_image, noise=noise
-            )
-            term = _composed_velocity(decoder, pred, 1.0, z_branches, g_text, g_image)
+            pred = decode_embedding(decoder, cond, decoder_steps, g_text, g_image, noise=noise)
+            term = _composed_velocity(decoder, pred, 1.0, cond, g_text, g_image)
             conf = np.linalg.norm(term, axis=1)
             if reveal == "confidence":
                 order = np.argsort(conf, kind="stable")
@@ -468,7 +581,10 @@ def plan(
             seq.masked[t0 + chosen] = False
             masked_counts.append(keep)
             norms.append(float(np.linalg.norm(pred, axis=1).mean()))
-        z_final = planner_forward(model, seq).data
+        # the "full" variant is the plain hybrid mask and always comes last
+        z_final = planner_forward(model, seq, mask, past).data.reshape(len(names), n_target, -1)[-1]
+        if past is not None:
+            z_final = np.concatenate([past.states[-1], z_final])
     return PlanResult(
         embeddings=seq.embeddings[t0:t1].copy(),
         hidden=z_final,

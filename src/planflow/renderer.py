@@ -22,15 +22,11 @@ import numpy as np
 from . import nets
 from .config import ConfigError
 from .guidance import GuidanceSpec, compose
-from .numerics import DimensionError, ContractError, Rng, Tensor, add, concat, embedding, matmul, mul, narrow, no_grad, sub, tmean
+from .numerics import DimensionError, ContractError, Rng, Rotation, Tensor, add, concat, embedding, matmul, mul, narrow, no_grad, sub, tmean
 from .posenc import RopeConfig, spatial_angles
-from .schedules import sample_timestep, shift_toward_noise
+from .schedules import DomainError, sample_timestep, shift_toward_noise
 from .sequence import NEG_BIAS
 from .toydata import VOCAB
-
-
-class DomainError(ValueError):
-    pass
 
 
 class LayoutError(ValueError):
@@ -272,6 +268,34 @@ def _grid_pos(grid: tuple[int, int, int]) -> np.ndarray:
     return np.stack([tt.ravel(), hh.ravel(), ww.ravel()], axis=1)
 
 
+@dataclass(frozen=True)
+class RenderConstants:
+    """Everything in renderer_forward that depends on neither x_t nor t.
+
+    Built once per render (and per call in training); only valid for the
+    weights it was built with.
+    """
+
+    stream: VisualStream
+    batch: int
+    rotation: Rotation                      # rotary cos/sin tiled over batch and heads
+    sources: Tensor                         # (n_src, hidden_dim) patch projection of the sources
+    cross_kv: list[tuple[Tensor, Tensor]]   # per block: keys and values of the cond stream
+
+
+def render_constants(model: RendererModel, stream: VisualStream, cond: Tensor, batch: int = 1) -> RenderConstants:
+    """Prepare the constants of `batch` copies of `stream` cross-attending to `cond`."""
+    p = model.params
+    cfg = model.cfg
+    return RenderConstants(
+        stream=stream,
+        batch=batch,
+        rotation=nets.rotary(stream.angles, cfg.heads, batch),
+        sources=add(matmul(Tensor(stream.sources), p["patch_proj"]), p["patch_bias"]),
+        cross_kv=[nets.cross_kv(p, f"block{i}.", cond) for i in range(cfg.blocks)],
+    )
+
+
 def renderer_forward(
     model: RendererModel,
     x_t: np.ndarray,
@@ -283,7 +307,7 @@ def renderer_forward(
     *,
     batch: int = 1,
     cond_bias: np.ndarray | None = None,
-    stream: VisualStream | None = None,
+    consts: RenderConstants | None = None,
 ) -> Tensor:
     """Velocity prediction on the target tokens, shape (batch * n_target, patch_dim).
 
@@ -292,31 +316,32 @@ def renderer_forward(
     [b*m, (b+1)*m) of `cond`. `attn_bias` and `cond_bias` are additive
     biases broadcastable to (batch, heads, n, n) and (batch, heads, n, m):
     they ban self-attention columns (absent sources) and conditioning
-    padding per copy. `stream` is the prebuilt layout from `visual_stream`;
-    without it the layout is built from `source_latents`.
+    padding per copy. `consts` holds the work prepared from the layout,
+    `cond` and the weights by `render_constants`; without it that work is
+    done here from `source_latents` and `cond`.
     """
     cfg = model.cfg
     p = model.params
     x_t = np.asarray(x_t, dtype=np.float64)
-    if stream is None:
+    if consts is None:
         stream = visual_stream(cfg, source_latents or [], source_segment_indices, x_t.shape)
+        consts = render_constants(model, stream, cond, batch)
+    if consts.batch != batch:
+        raise DimensionError(f"render constants hold {consts.batch} batch entries, not {batch}")
     _, tgt_tokens = patchify(x_t, cfg.patch)
-    n_src, n = len(stream.sources), len(stream.angles)
-    raw = np.tile(np.concatenate([stream.sources, tgt_tokens], axis=0), (batch, 1))
-    x = add(matmul(Tensor(raw), p["patch_proj"]), p["patch_bias"])
-    temb = nets.time_embedding(p, "time.", float(t), cfg.time_features)
+    n_src, n = len(consts.stream.sources), len(consts.stream.angles)
+    target = add(matmul(Tensor(tgt_tokens), p["patch_proj"]), p["patch_bias"])
     # time conditioning applies to the noisy target tokens; sources are clean
-    time_rows = np.zeros((batch, n, 1))
-    time_rows[:, n_src:] = 1.0
-    x = add(x, mul(Tensor(time_rows.reshape(batch * n, 1)), temb))
+    target = add(target, nets.time_embedding(p, "time.", float(t), cfg.time_features))
+    x = concat([consts.sources, target] * batch, axis=0)
     for i in range(cfg.blocks):
         pre = f"block{i}."
-        x = add(x, nets.self_attention(p, pre, nets.ln(p, pre + "ln1.", x), cfg.heads, attn_bias, stream.angles, batch))
+        x = add(x, nets.self_attention(p, pre, nets.ln(p, pre + "ln1.", x), cfg.heads, attn_bias, consts.rotation, batch))
         if i == cfg.blocks - 1:
             # only target rows are read out, and the layers after the last
             # self-attention act row by row: drop the source rows here
             x = embedding(x, (np.arange(batch)[:, None] * n + np.arange(n_src, n)).ravel())
-        x = add(x, nets.cross_attention(p, pre, nets.ln(p, pre + "lnc.", x), cond, cfg.heads, batch, cond_bias))
+        x = add(x, nets.cross_attention(p, pre, nets.ln(p, pre + "lnc.", x), consts.cross_kv[i], cfg.heads, batch, cond_bias))
         x = add(x, nets.mlp(p, pre, nets.ln(p, pre + "ln2.", x)))
     return add(matmul(nets.ln(p, "ln_f.", x), p["out_proj"]), p["out_bias"])
 
@@ -420,11 +445,12 @@ def render(
             cond[b * m : b * m + len(c)] = c
             cond_bias[b, ..., : len(c)] = 0.0
         cond = Tensor(cond)
+        consts = render_constants(model, stream, cond, batch)
         noise = rng.normal((t_len, h, w, cfg.channels))
 
         def velocity(x, t):
             tok = renderer_forward(model, x, t, cond, attn_bias=col_bias, batch=batch,
-                                   cond_bias=cond_bias, stream=stream).data
+                                   cond_bias=cond_bias, consts=consts).data
             grid, _ = patchify(x, cfg.patch)
             per_subset = tok.reshape(batch, -1, cfg.patch_dim)
             forwards = {s: unpatchify(v, grid, cfg.patch, cfg.channels) for s, v in zip(chain, per_subset)}

@@ -13,6 +13,7 @@ from enum import Enum
 
 import numpy as np
 
+from .config import DEFAULTS, ConfigError
 from .numerics import ContractError, Rng
 from .sequence import round_half_up
 
@@ -32,27 +33,38 @@ class TaskKind(str, Enum):
 
 ALL_TASKS = tuple(TaskKind)
 
-# Per-task Beta(alpha, beta) for the training mask ratio. More informative
-# inputs get distributions pushed toward ratio 1 so the planner cannot lean on
-# visible target tokens.
-DEFAULT_MASK_RATIO: dict[TaskKind, tuple[float, float]] = {
-    TaskKind.T2I: (5.0, 1.1),
-    TaskKind.T2V: (8.0, 1.05),
-    TaskKind.I2I: (8.0, 1.05),
-    TaskKind.I2V: (10.0, 1.0),
-    TaskKind.V2V: (12.0, 0.9),
-    TaskKind.IV2V: (12.0, 0.9),
-}
+def parse_mask_ratio(text: str) -> tuple[float, float]:
+    """'alpha,beta' -> (alpha, beta), the config form of a mask-ratio Beta."""
+    try:
+        a, b = (float(x) for x in text.split(","))
+    except ValueError:
+        raise ConfigError(f"expected 'alpha,beta' for a mask ratio, got {text!r}") from None
+    return a, b
 
-# Per-task timestep weighting and shift: logit-normal(0.5, 1) for image tasks,
+
+def parse_timestep(text: str) -> tuple[str, tuple[float, ...], float]:
+    """'kind,params...,shift' -> (kind, params, shift), the config form of a
+    timestep weighting."""
+    parts = [x.strip() for x in text.split(",") if x.strip()]
+    try:
+        if len(parts) < 2:
+            raise ValueError
+        return parts[0], tuple(float(x) for x in parts[1:-1]), float(parts[-1])
+    except ValueError:
+        raise ConfigError(f"expected 'kind,params...,shift' for a timestep weighting, got {text!r}") from None
+
+
+# The config's defaults (schedules.* keys). Per-task Beta(alpha, beta) for the
+# training mask ratio: more informative inputs get distributions pushed toward
+# ratio 1 so the planner cannot lean on visible target tokens. Per-task
+# timestep weighting and shift: logit-normal(0.5, 1) for image tasks,
 # mode(1.29) for video tasks.
+_DEFAULTS = {key: value for key, value, _ in DEFAULTS}
+DEFAULT_MASK_RATIO: dict[TaskKind, tuple[float, float]] = {
+    t: parse_mask_ratio(_DEFAULTS[f"schedules.mask_ratio.{t.value}"]) for t in TaskKind
+}
 DEFAULT_TIMESTEP: dict[TaskKind, tuple[str, tuple[float, ...], float]] = {
-    TaskKind.T2I: ("logit-normal", (0.5, 1.0), 3.0),
-    TaskKind.I2I: ("logit-normal", (0.5, 1.0), 4.0),
-    TaskKind.T2V: ("mode", (1.29,), 3.0),
-    TaskKind.I2V: ("mode", (1.29,), 5.0),
-    TaskKind.V2V: ("mode", (1.29,), 5.0),
-    TaskKind.IV2V: ("mode", (1.29,), 5.0),
+    t: parse_timestep(_DEFAULTS[f"schedules.timestep.{t.value}"]) for t in TaskKind
 }
 
 
@@ -68,6 +80,9 @@ class MaskRatioConfig:
                 raise DomainError(f"mask ratio Beta params for {task} must be positive: {(a, b)}")
 
 
+_WEIGHTING_ARITY = {"logit-normal": 2, "mode": 1}
+
+
 @dataclass
 class TimestepConfig:
     params: dict[TaskKind, tuple[str, tuple[float, ...], float]] = field(
@@ -78,8 +93,10 @@ class TimestepConfig:
 
     def __post_init__(self):
         for task, (kind, args, shift) in self.params.items():
-            if kind not in ("logit-normal", "mode"):
+            if kind not in _WEIGHTING_ARITY:
                 raise DomainError(f"unknown timestep weighting {kind!r} for {task}")
+            if len(args) != _WEIGHTING_ARITY[kind]:
+                raise DomainError(f"{kind} weighting takes {_WEIGHTING_ARITY[kind]} parameter(s), got {args} for {task}")
             if shift < 1.0:
                 raise DomainError(f"shift must be >= 1, got {shift} for {task}")
             if kind == "logit-normal" and args[1] <= 0:

@@ -75,16 +75,24 @@ class TokenSequence:
     def target_len(self) -> int:
         return sum(d.length for d in self.layout if d.kind == VISUAL_TARGET)
 
-    def copy(self) -> "TokenSequence":
+    def head(self, stop: int) -> "TokenSequence":
+        """The segments that end at or before token `stop`, as a sequence of
+        their own; `stop` must fall on a segment boundary."""
+        layout = [desc for desc, _, end in self.spans() if end <= stop]
+        if sum(d.length for d in layout) != stop:
+            raise DimensionError(f"head: token {stop} is not a segment boundary")
         return TokenSequence(
-            layout=list(self.layout),
-            kinds=self.kinds.copy(),
-            segment_indices=self.segment_indices.copy(),
-            positions=self.positions.copy(),
-            masked=self.masked.copy(),
-            embeddings=None if self.embeddings is None else self.embeddings.copy(),
+            layout=layout,
+            kinds=self.kinds[:stop].copy(),
+            segment_indices=self.segment_indices[:stop].copy(),
+            positions=self.positions[:stop].copy(),
+            masked=self.masked[:stop].copy(),
+            embeddings=None if self.embeddings is None else self.embeddings[:stop].copy(),
             text_ids=None if self.text_ids is None else self.text_ids.copy(),
         )
+
+    def copy(self) -> "TokenSequence":
+        return self.head(len(self))
 
 
 @dataclass(frozen=True)
@@ -92,9 +100,7 @@ class AttentionMask:
     allow: np.ndarray  # (n, n) or (batch, n, n) bool: query row may attend key column
 
     def additive_bias(self) -> np.ndarray:
-        bias = np.zeros(self.allow.shape)
-        bias[~self.allow] = NEG_BIAS
-        return bias
+        return np.where(self.allow, 0.0, NEG_BIAS)
 
 
 def _grid_positions(grid: tuple[int, int, int]) -> np.ndarray:

@@ -133,6 +133,50 @@ class TestEditDeterminism:
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1 and "renderer.heads" in err
 
+    @pytest.mark.parametrize("command", ["plan", "edit"])
+    def test_case_without_family_exits_1(self, workdir, generated, trained_ckpt, capsys, command):
+        record = json.loads((generated / "eval" / "cases" / "case_00000.json").read_text())
+        del record["family"]
+        case = workdir / "no_family.json"
+        case.write_text(json.dumps(record))
+        rc = cli.main([command, "--case", str(case), "--seed", "7", "--ckpt", str(trained_ckpt),
+                       "--config", str(workdir / "tiny.cfg"), "--out", str(workdir / "nofam")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "'family'" in err
+
+    def test_garbled_case_exits_1(self, workdir, generated, trained_ckpt, capsys):
+        case = workdir / "garbled.json"
+        case.write_text('{"task": "v2v", "family": ')
+        records = str(generated / "eval" / "records.jsonl")
+        for spec, message in ((str(case), "malformed"), (records + ":abc", "INDEX >= 0")):
+            rc = cli.main(["edit", "--case", spec, "--ckpt", str(trained_ckpt),
+                           "--config", str(workdir / "tiny.cfg"), "--out", str(workdir / "garbled")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1 and message in err
+
+    def test_unknown_timestep_weighting_exits_1(self, workdir, generated, capsys):
+        bad = workdir / "bad_timestep.cfg"
+        bad.write_text("schedules.timestep.t2i = bogus,0.5,1.0,3.0\n")
+        rc = cli.main(["train", "--stage", "I", "--data", str(generated / "stage_I"),
+                       "--config", str(bad), "--out", str(workdir / "bad_ts"), "--log-every", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "bogus" in err
+
+    def test_diverging_training_exits_1(self, workdir, generated, capsys):
+        cfg = Config(dict(SMOKE_OVERRIDES))
+        cfg.set("stage.I.lr", "inf")
+        write_config(workdir / "diverge.cfg", cfg)
+        out = workdir / "diverge"
+        rc = cli.main(["train", "--stage", "I", "--data", str(generated / "stage_I"),
+                       "--config", str(workdir / "diverge.cfg"), "--out", str(out), "--log-every", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "step 2: loss is nan" in err
+        assert not list(out.glob("*.ckpt"))
+
     def test_case_by_jsonl_index(self, workdir, generated, trained_ckpt):
         records = str(generated / "eval" / "records.jsonl") + ":0"
         rc = cli.main(["edit", "--case", records, "--seed", "3",

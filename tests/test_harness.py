@@ -10,6 +10,7 @@ from planflow.harness import (
     Adam,
     EvalReport,
     ModelBundle,
+    NonFiniteError,
     RunConfig,
     SgdMomentum,
     StageConfig,
@@ -317,6 +318,28 @@ class TestTraining:
         for name in final_a.ema:
             assert np.array_equal(final_a.ema[name], final_b.ema[name]), name
         assert final_a.rng_states == final_b.rng_states
+
+    def test_non_finite_loss_refused(self, tiny_dataset, tmp_path):
+        cfg = tiny_config()
+        bundle = ModelBundle(cfg)
+        bundle.named_params()["planner.ln_f.g"].data[:] = np.nan
+        run = RunConfig.from_config(cfg)
+        with pytest.raises(NonFiniteError, match="step 1: loss is nan"):
+            run_stage(bundle, StageConfig.from_config(cfg, "I"), tiny_dataset, run, seed=3,
+                      checkpoint_dir=tmp_path, checkpoint_every=1)
+        assert not list(tmp_path.iterdir())
+
+    def test_non_finite_weights_not_checkpointed(self, tiny_dataset, tmp_path):
+        """A finite loss whose update overflows the weights stops at the
+        checkpoint, before the file is written."""
+        cfg = tiny_config()
+        bundle = ModelBundle(cfg)
+        run = RunConfig.from_config(cfg)
+        stage = StageConfig.from_config(cfg, "I")
+        stage.lr, stage.steps = float("inf"), 1
+        with pytest.raises(NonFiniteError, match="no checkpoint written"):
+            run_stage(bundle, stage, tiny_dataset, run, seed=3, checkpoint_dir=tmp_path)
+        assert not list(tmp_path.iterdir())
 
     def test_full_pipeline_smoke(self, tiny_dataset, tmp_path):
         cfg = tiny_config()

@@ -19,6 +19,7 @@ from planflow.numerics import (
     matmul,
     narrow,
     no_grad,
+    Rotation,
     rotate_pairs,
     softmax_rows,
     tmean,
@@ -168,6 +169,18 @@ class TestPrimitiveAdjoints:
         a = self.rand((5, 6))
         angles = self.rng.uniform((5, 3)) * np.pi
         _fd_check(lambda: tsum(rotate_pairs(a, angles) * rotate_pairs(a, angles)), [a])
+        rot = Rotation.of(angles)
+        _fd_check(lambda: tsum(rotate_pairs(a, rot) * rotate_pairs(a, rot)), [a])
+        assert np.array_equal(rotate_pairs(a, rot).data, rotate_pairs(a, angles).data)
+
+    def test_layernorm_matches_mean_form(self):
+        """The sum / d form is bit-identical to the textbook mean form."""
+        x, g, b = self.rand((6, 10)), self.rand((1, 10)), self.rand((1, 10))
+        xc = x.data - x.data.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-12)
+        ref = xc * inv * g.data + b.data
+        assert np.array_equal(layernorm(x, g, b).data, ref)
+        _fd_check(lambda: tsum(layernorm(x, g, b) * layernorm(x, g, b)), [x, g, b])
 
     def test_attention_batched_heads_rotary_and_banned_columns(self):
         batch, heads, hd, nq, nk = 2, 2, 4, 3, 5

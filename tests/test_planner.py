@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from planflow import planner as planner_mod
-from planflow.numerics import ContractError, Rng, Tensor, backward, fd_gradient
+from hypothesis import given, settings, strategies as st
+
+from planflow.numerics import ContractError, Rng, Tensor, backward, fd_gradient, no_grad
 from planflow.planner import (
     EmbeddingDecoder,
     PlannerConfig,
@@ -18,7 +20,7 @@ from planflow.planner import (
     train_step_planner,
 )
 from planflow.schedules import masked_count_trace
-from planflow.sequence import VISUAL_TARGET, apply_target_mask, build_mask, describe, serialize
+from planflow.sequence import VISUAL_SOURCE, VISUAL_TARGET, apply_target_mask, build_mask, describe, serialize
 from planflow.toydata import VOCAB
 from util import rel_err
 
@@ -345,9 +347,9 @@ class TestGuidanceVariants:
         calls = {"planner": [], "decoder": []}
         real_planner, real_decoder = planner_mod.planner_forward, planner_mod.decoder_forward
 
-        def count_planner(model, seq, mask=None):
+        def count_planner(model, seq, mask=None, *args, **kwargs):
             calls["planner"].append(1 if mask is None or mask.allow.ndim == 2 else mask.allow.shape[0])
-            return real_planner(model, seq, mask)
+            return real_planner(model, seq, mask, *args, **kwargs)
 
         def count_decoder(decoder, x, t, z):
             calls["decoder"].append(len(z))
@@ -365,8 +367,173 @@ class TestGuidanceVariants:
         revealing = sum(1 for a, b in zip(trace, trace[1:]) if b < a)
         assert revealing < total  # the cosine trace holds steps that reveal nothing
         branches = 3 if sources else 2
-        assert calls["planner"] == [branches] * revealing + [1]
+        # one prefix pass, one pass per revealing step, one final pass
+        assert calls["planner"] == [branches] * (1 + revealing + 1)
         assert len(calls["decoder"]) == revealing * (decoder_steps + 1)
+
+
+def reference_plan(model, decoder, seq, total_steps, decoder_steps, g_text, g_image, rng):
+    """plan() without any cache: every revealing step runs planner_forward on
+    the whole sequence and the decoder prepares its conditioning per call.
+    Returns (embeddings, hidden, masked counts, the target's masked flags
+    before every revealing step and before the final pass)."""
+    seq = seq.copy()
+    t0, t1 = seq.span_of(VISUAL_TARGET)
+    trace = masked_count_trace(total_steps, t1 - t0)
+    guided = not (g_text == 1.0 and g_image == 1.0)
+    names = ["full"]
+    if guided and any(d.kind == VISUAL_SOURCE for d in seq.layout):
+        names = ["uncond", "img", "full"]
+    elif guided and seq.text_len > 0:
+        names = ["uncond", "full"]
+    mask = planner_mod._variant_masks(seq, names)
+    counts, flags = [], []
+    with no_grad():
+        for keep in trace:
+            masked_rel = np.where(seq.masked[t0:t1])[0]
+            n_reveal = len(masked_rel) - keep
+            counts.append(min(keep, len(masked_rel)))
+            if n_reveal <= 0:
+                continue
+            flags.append(seq.masked[t0:t1].copy())
+            z = planner_forward(model, seq, mask).data.reshape(len(names), len(seq), -1)
+            branches = {name: z[b, t0 + masked_rel] for b, name in enumerate(names)}
+            noise = rng.normal((len(masked_rel), CFG.embed_dim))
+            pred = decode_embedding(decoder, branches, decoder_steps, g_text, g_image, noise=noise)
+            term = planner_mod._composed_velocity(
+                decoder, pred, 1.0, planner_mod._branch_condition(decoder, branches), g_text, g_image)
+            order = np.argsort(np.linalg.norm(term, axis=1), kind="stable")
+            chosen = masked_rel[order[:n_reveal]]
+            seq.embeddings[t0 + chosen] = pred[order[:n_reveal]]
+            seq.masked[t0 + chosen] = False
+        flags.append(seq.masked[t0:t1].copy())
+        hidden = planner_forward(model, seq).data
+    return seq.embeddings[t0:t1], hidden, counts, flags
+
+
+LAYOUTS = {
+    "target-only": dict(text_len=0, sources=()),
+    "text-only": dict(text_len=3, sources=()),
+    "one-source": dict(text_len=3, sources=((1, 2, 2),)),
+    "two-sources": dict(text_len=2, sources=((1, 2, 2), (1, 1, 2))),
+}
+
+
+class TestInferenceCaches:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        text_len=st.integers(0, 5),
+        sources=st.lists(st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 3)), max_size=2),
+        target=st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 3)),
+    )
+    def test_rows_before_the_target_never_see_it(self, text_len, sources, target):
+        """The invariant the prefix cache rests on, for every guidance variant."""
+        seq = serialize(text_len, sources, target)
+        t0, t1 = seq.span_of(VISUAL_TARGET)
+        masks = [build_mask(seq).allow[None]]
+        masks += [planner_mod._variant_masks(seq, names).allow
+                  for names in (["full"], ["uncond", "full"], ["uncond", "img", "full"])]
+        for allow in masks:
+            assert not allow[:, :t0, t0:t1].any()
+            assert allow[:, t0:t1, t0:t1].all()
+
+    @pytest.mark.parametrize("guidance", [(1.0, 1.0), (1.5, 1.2)], ids=["unguided", "guided"])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_cached_plan_matches_uncached_reference(self, monkeypatch, layout, guidance):
+        model, decoder = make_models(seed=51)
+        seq = make_seq(target=(1, 2, 3), seed=52, **LAYOUTS[layout])
+        t0, t1 = seq.span_of(VISUAL_TARGET)
+        seq.embeddings[t0:t1] = 0.0
+        seq.masked[t0:t1] = True
+        flags = []
+        real = planner_mod.planner_forward
+
+        def spy(model, seq, mask=None, past=None, keep=None):
+            if mask is not None and len(seq) > t0 and (past is not None or t0 == 0):
+                flags.append(seq.masked[t0:t1].copy())
+            return real(model, seq, mask, past, keep)
+
+        monkeypatch.setattr(planner_mod, "planner_forward", spy)
+        res = plan(model, decoder, seq, 6, 3, *guidance, rng=Rng(53))
+        monkeypatch.undo()
+        emb, hidden, counts, ref_flags = reference_plan(model, decoder, seq, 6, 3, *guidance, Rng(53))
+        assert res.masked_counts == counts
+        assert len(flags) == len(ref_flags) and all(np.array_equal(a, b) for a, b in zip(flags, ref_flags))
+        assert np.abs(res.embeddings - emb).max() < 1e-12
+        assert res.hidden.shape == hidden.shape and np.abs(res.hidden - hidden).max() < 1e-12
+
+    def test_target_rows_against_cache_match_full_forward(self):
+        model, _ = make_models(seed=54)
+        seq = make_seq(text_len=3, sources=((1, 2, 2), (1, 1, 2)), target=(1, 2, 2), seed=55)
+        seq = apply_target_mask(seq, 0.5, Rng(56), model.mask_embedding.data[0])
+        mask = planner_mod._variant_masks(seq, ["uncond", "img", "full"])
+        t0, _ = seq.span_of(VISUAL_TARGET)
+        past = planner_mod.prefix_cache(model, seq, mask, t0)
+        full = planner_forward(model, seq, mask).data.reshape(3, len(seq), -1)
+        tail = planner_forward(model, seq, mask, past).data.reshape(3, len(seq) - t0, -1)
+        assert np.abs(past.states - full[:, :t0]).max() < 1e-12
+        assert np.abs(tail - full[:, t0:]).max() < 1e-12
+
+    def test_cache_refuses_a_prefix_that_sees_later_rows(self):
+        model, _ = make_models()
+        seq = make_seq()
+        t0, _ = seq.span_of(VISUAL_TARGET)
+        allow = build_mask(seq).allow.copy()
+        allow[0, t0] = True
+        with pytest.raises(ContractError):
+            planner_mod.prefix_cache(model, seq, planner_mod.AttentionMask(allow), t0)
+
+    def test_time_terms_once_per_distinct_t(self, monkeypatch):
+        model, decoder = make_models()
+        seq = make_seq(target=(1, 2, 3))
+        t0, t1 = seq.span_of(VISUAL_TARGET)
+        seq.embeddings[t0:t1] = 0.0
+        seq.masked[t0:t1] = True
+        times = []
+        real = planner_mod.nets.time_embedding
+
+        def counting(params, prefix, t, dim):
+            times.append(float(t))
+            return real(params, prefix, t, dim)
+
+        monkeypatch.setattr(planner_mod.nets, "time_embedding", counting)
+        decoder_steps = 4
+        plan(model, decoder, seq, 6, decoder_steps, g_text=1.5, g_image=1.2, rng=Rng(57))
+        assert sorted(times) == [s / decoder_steps for s in range(decoder_steps)] + [1.0]
+
+    def test_decoder_matches_concatenated_input_oracle(self):
+        """The split first layer equals the layer on [ln(h), time embedding,
+        planner state] written out in numpy."""
+        _, decoder = make_models(seed=60)
+        p = {k: v.data for k, v in decoder.params.items()}
+        rng = Rng(61)
+        z, x = rng.normal((4, CFG.hidden_dim)), rng.normal((4, CFG.embed_dim))
+
+        def gelu(a):
+            from scipy.special import erf
+
+            return a * 0.5 * (1 + erf(a / math.sqrt(2)))
+
+        for t in (0.3, rng.uniform((4,))):
+            feats = planner_mod.nets.time_features(np.broadcast_to(t, (4,)), CFG.time_features)
+            temb = gelu(feats @ p["time.w1"] + p["time.b1"]) @ p["time.w2"] + p["time.b2"]
+            h = x @ p["in_proj"] + p["in_bias"]
+            for i in range(CFG.decoder_blocks):
+                pre = f"res{i}."
+                inner = np.concatenate([_ln_np(h, p[pre + "ln.g"], p[pre + "ln.b"]), temb, z], axis=1)
+                h = h + gelu(inner @ p[pre + "w1"] + p[pre + "b1"]) @ p[pre + "w2"] + p[pre + "b2"]
+            expected = _ln_np(h, p["out_ln.g"], p["out_ln.b"]) @ p["out_proj"] + p["out_bias"]
+            assert np.abs(decoder_forward(decoder, Tensor(x), t, z).data - expected).max() < 1e-12
+
+    def test_prepared_condition_matches_raw_states(self):
+        _, decoder = make_models(seed=58)
+        rng = Rng(59)
+        z, x = rng.normal((5, CFG.hidden_dim)), rng.normal((5, CFG.embed_dim))
+        cond = planner_mod.decoder_condition(decoder, z)
+        for t in (0.25, 0.25, np.full(5, 0.6)):
+            raw = decoder_forward(decoder, Tensor(x), t, z).data
+            assert np.array_equal(decoder_forward(decoder, Tensor(x), t, cond).data, raw)
+        assert list(cond.time_terms) == [0.25]
 
 
 class TestToyVit:

@@ -142,8 +142,9 @@ class TestRendererForward:
         assert np.abs(banned - no_src).max() < 1e-12
 
     def test_single_patch_hand_oracle(self):
-        """One target token, one block: replicate the whole forward in numpy."""
-        model = make_model(blocks=1)
+        """One target token, two blocks: replicate the whole forward in numpy."""
+        blocks = 2
+        model = make_model(blocks=blocks)
         rng = Rng(11)
         x_t = rng.normal((1, 2, 2, 4))
         cond_t = build_cond_tokens(model, None, None)  # just the null token
@@ -169,16 +170,17 @@ class TestRendererForward:
         temb = gelu(tf @ p["time.w1"] + p["time.b1"]) @ p["time.w2"] + p["time.b2"]
         x = x + temb
         cond = p["null_cond"]
-        pre = "block0."
-        # self-attention over a single token: weights are 1, rotation at
-        # position (0,0,0) is the identity
-        h = ln(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-        x = x + (h @ p[pre + "wv"]) @ p[pre + "wo"]
-        # cross-attention to a single conditioning token
-        h = ln(x, p[pre + "lnc.g"], p[pre + "lnc.b"])
-        x = x + (cond @ p[pre + "cv"]) @ p[pre + "co"]
-        h = ln(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
-        x = x + gelu(h @ p[pre + "w1"] + p[pre + "b1"]) @ p[pre + "w2"] + p[pre + "b2"]
+        for i in range(blocks):
+            pre = f"block{i}."
+            # self-attention over a single token: weights are 1, rotation at
+            # position (0,0,0) is the identity
+            h = ln(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
+            x = x + (h @ p[pre + "wv"]) @ p[pre + "wo"]
+            # cross-attention to a single conditioning token
+            h = ln(x, p[pre + "lnc.g"], p[pre + "lnc.b"])
+            x = x + (cond @ p[pre + "cv"]) @ p[pre + "co"]
+            h = ln(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
+            x = x + gelu(h @ p[pre + "w1"] + p[pre + "b1"]) @ p[pre + "w2"] + p[pre + "b2"]
         expected = ln(x, p["ln_f.g"], p["ln_f.b"]) @ p["out_proj"] + p["out_bias"]
         assert np.abs(got - expected).max() < 1e-10
 
@@ -362,6 +364,33 @@ class TestRender:
         expected = euler_integrate(per_subset_velocity, noise, 3, 3.0)
         assert np.abs(out - expected).max() < 1e-12
         assert np.abs(out - noise).max() > 1e-3
+
+    def test_hoisted_constants_match_per_step_recomputation(self, monkeypatch):
+        """render() prepares rotary tables, cross-attention keys and values and
+        the source projection once; rebuilding them at every step agrees."""
+        model = make_model(seed=35)
+        rng = Rng(36)
+        model.params["cond_proj"].data[:] = rng.normal(model.params["cond_proj"].shape) * 0.3
+        cond_in = CondInputs(
+            text_ids=np.array([1, 5, 2], dtype=np.intp),
+            planner_states=rng.normal((6, 16)),
+            source_latents=[rng.normal((1, 4, 4, 4)) for _ in range(2)],
+            source_roles=["vid", "img"],
+        )
+        spec = spec_for_conditions({"txt": 4.0, "vid": 1.25, "img": 2.5, "tgt": 1.5},
+                                   has_video=True, has_image=True)
+        hoisted = render(model, cond_in, steps=3, spec=spec, shift=3.0, rng=Rng(37), target_grid=(1, 4, 4))
+        real = renderer_mod.renderer_forward
+        prepared = []
+
+        def per_step(model, x, t, cond, consts, **kwargs):
+            prepared.append(consts)
+            return real(model, x, t, cond, cond_in.source_latents, **kwargs)
+
+        monkeypatch.setattr(renderer_mod, "renderer_forward", per_step)
+        recomputed = render(model, cond_in, steps=3, spec=spec, shift=3.0, rng=Rng(37), target_grid=(1, 4, 4))
+        assert len(prepared) == 3 and all(c is prepared[0] for c in prepared)
+        assert np.abs(hoisted - recomputed).max() < 1e-12
 
     def test_one_forward_per_euler_step(self, monkeypatch):
         model = make_model()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from planflow.config import ConfigError, default_config
+from planflow.harness import RunConfig
 from planflow.numerics import ContractError, Rng
 from planflow.schedules import (
     ALL_TASKS,
@@ -18,6 +20,8 @@ from planflow.schedules import (
     inference_mask_ratio,
     masked_count_trace,
     pair_decay_weight,
+    parse_mask_ratio,
+    parse_timestep,
     sample_mask_ratio,
     sample_timestep,
     sample_timestep_logit_normal,
@@ -215,6 +219,28 @@ class TestTimestepConfig:
             TimestepConfig({TaskKind.T2I: ("mode", (1.0,), 0.5)})
         with pytest.raises(DomainError):
             TimestepConfig({TaskKind.T2I: ("banana", (1.0,), 3.0)})
+        with pytest.raises(DomainError, match="takes 2 parameter"):
+            TimestepConfig({TaskKind.T2I: ("logit-normal", (0.5,), 3.0)})
+
+    def test_malformed_config_text(self):
+        with pytest.raises(ConfigError):
+            parse_timestep("mode,abc,3.0")
+        with pytest.raises(ConfigError):
+            parse_timestep("mode")
+        with pytest.raises(ConfigError):
+            parse_mask_ratio("5.0")
+
+
+class TestDefaultsFromConfig:
+    def test_defaults_are_the_config_defaults(self):
+        run = RunConfig.from_config(default_config())
+        assert DEFAULT_MASK_RATIO == run.mask_ratio.params
+        assert DEFAULT_TIMESTEP == run.timestep.params
+
+    def test_one_domain_error(self):
+        from planflow import renderer
+
+        assert renderer.DomainError is DomainError
 
 
 class TestPairDecay:

@@ -65,6 +65,17 @@ class TestSerialize:
         assert np.array_equal(rebuilt.positions, seq.positions)
         assert np.array_equal(rebuilt.segment_indices, seq.segment_indices)
 
+    def test_head_keeps_whole_segments(self):
+        seq = serialize(3, [(1, 2, 2)], (1, 2, 2))
+        seq.embeddings = np.arange(len(seq) * 2, dtype=np.float64).reshape(-1, 2)
+        head = seq.head(7)
+        assert head.layout == seq.layout[:2] and len(head) == 7
+        assert np.array_equal(head.embeddings, seq.embeddings[:7])
+        head.embeddings[0] = -1.0
+        assert seq.embeddings[0, 0] == 0.0
+        with pytest.raises(DimensionError):
+            seq.head(5)
+
 
 class TestBuildMask:
     def test_text_only_causal(self):
