@@ -19,8 +19,7 @@ from .checkpoint import Checkpoint, CheckpointError
 from .config import Config, ConfigError, load_config
 from .numerics import Rng
 from .schedules import DomainError
-from .sequence import VISUAL_TARGET
-from .toydata import Dataset, EditCase, generate_dataset
+from .toydata import Dataset, EditCase, frames_to_ids, generate_dataset
 
 
 def _common(sub):
@@ -187,14 +186,8 @@ def cmd_plan(args) -> int:
     case = load_case(args.case)
     bundle, ema = _bundle_from_ckpt(cfg, args.ckpt)
     run = harness.RunConfig.from_config(cfg)
-    from .planner import plan
-    seq, _ = harness.planner_sequence(case, bundle.vit)
-    t0, t1 = seq.span_of(VISUAL_TARGET)
-    seq.embeddings[t0:t1] = 0.0
-    seq.masked[t0:t1] = True
     with harness.ema_weights(bundle, ema or {}, enabled=ema is not None and run.use_ema):
-        result = plan(bundle.planner, bundle.decoder, seq, run.plan_steps, run.decoder_steps,
-                      run.g_text, run.g_image, Rng(seed).child(0xED17), run.reveal)
+        result = harness.plan_case(bundle, run, case, Rng(seed).child(0xED17))
     tensorio.write_tensor(out / "embeddings.pft", result.embeddings)
     tensorio.write_tensor(out / "hidden.pft", result.hidden)
     report = {
@@ -215,21 +208,8 @@ def cmd_render(args) -> int:
     case = load_case(args.case)
     bundle, ema = _bundle_from_ckpt(cfg, args.ckpt)
     run = harness.RunConfig.from_config(cfg)
-    from . import guidance as guidance_mod
-    from .renderer import CondInputs, render
-    from .toydata import frames_to_ids
-
-    latents, roles = harness.renderer_sources(case, bundle.vae)
-    key = harness.GUIDANCE_KEY[case.task]
-    spec = guidance_mod.spec_for_conditions(
-        run.guidance_scales[key], has_video="vid" in roles, has_image="img" in roles,
-        has_text=len(case.instruction) > 0, has_target_semantics=False,
-    )
-    cond = CondInputs(np.asarray(case.instruction, dtype=np.intp), None, latents, roles)
     with harness.ema_weights(bundle, ema or {}, enabled=ema is not None and run.use_ema):
-        latent = render(bundle.renderer, cond, run.guidance_steps[key], spec,
-                        run.flow_shift if run.timestep.shift_in_inference else 1.0,
-                        Rng(seed).child(0xD1), case.target.grid)
+        latent = harness.render_case(bundle, run, case, None, Rng(seed).child(0xD1))
     tensorio.write_tensor(out / "latent.pft", latent)
     tensorio.write_tensor(out / "frames.pft", frames_to_ids(bundle.vae.decode(latent)).astype(np.float64))
     print(f"render written to {out}")
@@ -271,9 +251,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check(args) -> int:
-    _load(args)
+    cfg, _ = _load(args)
+    # refuse a config that training or inference would refuse
+    harness.RunConfig.from_config(cfg)
+    for stage in harness.STAGES:
+        harness.StageConfig.from_config(cfg, stage)
     results = harness.invariant_suite()
-    failed = 0
     for name, ok, detail in results:
         mark = "ok  " if ok else "FAIL"
         line = f"{mark} {name}"

@@ -20,7 +20,6 @@ DEFAULTS: list[tuple[str, str, str]] = [
     ("data.grid", "2,8,8", "toy video grid (frames, height, width)"),
     ("data.cases_per_stage", "2200", "generated cases per training stage"),
     ("data.eval_cases", "200", "held-out primary eval cases"),
-    ("data.eval_per_task", "20", "extra held-out cases per secondary task"),
     ("data.eval_families", "recolor,remove", "edit families for the primary eval set"),
     ("data.train_families", "recolor,recolor,recolor,remove,remove,add,replace,move,palette",
      "editing-family sampling pool for train sets (repeating a family weights it)"),
@@ -89,7 +88,6 @@ DEFAULTS: list[tuple[str, str, str]] = [
     ("stage.I.lr_final", "none", "linear decay target; none keeps lr constant"),
     ("stage.I.ema", "0.999", ""),
     ("stage.I.batch", "2", ""),
-    ("stage.I.optimizer", "adam", "adam | sgd"),
     ("stage.I.lambda_text", "0.2", "loss weights (text, visual, renderer)"),
     ("stage.I.lambda_visual", "1.0", ""),
     ("stage.I.lambda_dit", "0.0", ""),
@@ -100,7 +98,6 @@ DEFAULTS: list[tuple[str, str, str]] = [
     ("stage.II.lr_final", "none", "linear decay target; none keeps lr constant"),
     ("stage.II.ema", "0.9995", ""),
     ("stage.II.batch", "2", ""),
-    ("stage.II.optimizer", "adam", ""),
     ("stage.II.lambda_text", "0.0", ""),
     ("stage.II.lambda_visual", "0.0", ""),
     ("stage.II.lambda_dit", "1.0", ""),
@@ -111,7 +108,6 @@ DEFAULTS: list[tuple[str, str, str]] = [
     ("stage.III.lr_final", "none", "linear decay target; none keeps lr constant"),
     ("stage.III.ema", "0.9995", ""),
     ("stage.III.batch", "2", ""),
-    ("stage.III.optimizer", "adam", ""),
     ("stage.III.lambda_text", "0.2", ""),
     ("stage.III.lambda_visual", "1.0", ""),
     ("stage.III.lambda_dit", "1.0", ""),
@@ -146,11 +142,7 @@ class Config:
     def validate(self) -> None:
         """Refuse model sizes the networks cannot be built with."""
         for key in _DIMENSIONS:
-            try:
-                dims = self.get_ints(key)
-            except ValueError:
-                raise ConfigError(f"{key}: expected integers, got {self.values[key]!r}") from None
-            if min(dims) < 1:
+            if min(self.get_ints(key)) < 1:
                 raise ConfigError(f"{key}: dimensions must be positive, got {self.values[key]!r}")
         for model in ("planner", "renderer"):
             width, heads = self.get_int(f"{model}.hidden_dim"), self.get_int(f"{model}.heads")
@@ -167,11 +159,20 @@ class Config:
         except KeyError:
             raise ConfigError(f"unknown config key {key!r}") from None
 
+    def _parse(self, key: str, kind: type, many: bool):
+        """The value as one `kind`, or as a tuple of comma-separated ones."""
+        raw = self.get(key)
+        try:
+            return tuple(kind(x) for x in raw.split(",")) if many else kind(raw)
+        except ValueError:
+            noun = "integer" if kind is int else "number"
+            raise ConfigError(f"{key}: expected {noun}{'s' if many else ''}, got {raw!r}") from None
+
     def get_int(self, key: str) -> int:
-        return int(self.get(key))
+        return self._parse(key, int, many=False)
 
     def get_float(self, key: str) -> float:
-        return float(self.get(key))
+        return self._parse(key, float, many=False)
 
     def get_bool(self, key: str) -> bool:
         v = self.get(key).strip().lower()
@@ -182,10 +183,10 @@ class Config:
         raise ConfigError(f"{key}: expected a boolean, got {v!r}")
 
     def get_ints(self, key: str) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.get(key).split(","))
+        return self._parse(key, int, many=True)
 
     def get_floats(self, key: str) -> tuple[float, ...]:
-        return tuple(float(x) for x in self.get(key).split(","))
+        return self._parse(key, float, many=True)
 
     def get_strs(self, key: str) -> tuple[str, ...]:
         return tuple(x.strip() for x in self.get(key).split(",") if x.strip())
@@ -197,10 +198,13 @@ class Config:
             part = part.strip()
             if not part:
                 continue
-            name, _, w = part.partition(":")
-            if not _:
-                raise ConfigError(f"{key}: expected name:weight entries, got {part!r}")
-            out[name.strip()] = float(w)
+            name, sep, w = part.partition(":")
+            try:
+                if not sep:
+                    raise ValueError
+                out[name.strip()] = float(w)
+            except ValueError:
+                raise ConfigError(f"{key}: expected name:weight entries, got {part!r}") from None
         return out
 
     def set(self, key: str, value) -> None:

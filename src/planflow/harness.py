@@ -17,12 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import guidance as guidance_mod
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, CheckpointError
 from .config import Config, ConfigError
 from .numerics import Rng, Tensor, add, backward, matmul, narrow
 from .numerics import embedding as gather_rows
 from .planner import (
     EmbeddingDecoder,
+    PlanResult,
     PlannerConfig,
     PlannerModel,
     ToyVit,
@@ -220,7 +221,7 @@ class ModelBundle:
 
 
 # ---------------------------------------------------------------------------
-# optimizers / EMA
+# optimizer / EMA
 # ---------------------------------------------------------------------------
 
 class Adam:
@@ -250,36 +251,6 @@ class Adam:
 
     def meta(self) -> dict:
         return {"kind": "adam", "t": self.t, "lr": self.lr}
-
-
-class SgdMomentum:
-    def __init__(self, lr: float, momentum: float = 0.9):
-        self.lr, self.momentum = lr, momentum
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}  # unused; kept for checkpoint symmetry
-        self.t = 0
-
-    def step(self, params: dict[str, Tensor]) -> None:
-        self.t += 1
-        for name in sorted(params):
-            p = params[name]
-            if p.grad is None:
-                continue
-            buf = self.m.get(name)
-            buf = p.grad if buf is None else self.momentum * buf + p.grad
-            self.m[name] = buf
-            p.data = p.data - self.lr * buf
-
-    def meta(self) -> dict:
-        return {"kind": "sgd", "t": self.t, "lr": self.lr}
-
-
-def make_optimizer(kind: str, lr: float):
-    if kind == "adam":
-        return Adam(lr)
-    if kind == "sgd":
-        return SgdMomentum(lr)
-    raise ConfigError(f"unknown optimizer {kind!r}")
 
 
 def ema_update(shadow: dict[str, np.ndarray], params: dict[str, Tensor], decay: float) -> None:
@@ -325,7 +296,6 @@ class StageConfig:
     lr_final: float | None = None  # linear decay target; None keeps lr constant
     ema_decay: float = 0.999
     batch_size: int = 1
-    optimizer: str = "adam"
     lambda_text: float = 0.0
     lambda_visual: float = 0.0
     lambda_dit: float = 0.0
@@ -361,10 +331,9 @@ class StageConfig:
             name=name,
             steps=cfg.get_int(f"stage.{name}.steps"),
             lr=cfg.get_float(f"stage.{name}.lr"),
-            lr_final=float(raw_final) if raw_final and raw_final != "none" else None,
+            lr_final=cfg.get_float(f"stage.{name}.lr_final") if raw_final and raw_final != "none" else None,
             ema_decay=cfg.get_float(f"stage.{name}.ema"),
             batch_size=cfg.get_int(f"stage.{name}.batch"),
-            optimizer=cfg.get(f"stage.{name}.optimizer"),
             lambda_text=cfg.get_float(f"stage.{name}.lambda_text"),
             lambda_visual=cfg.get_float(f"stage.{name}.lambda_visual"),
             lambda_dit=cfg.get_float(f"stage.{name}.lambda_dit"),
@@ -451,7 +420,7 @@ def pair_case(record: dict) -> EditCase:
 @dataclass
 class TrainState:
     step: int
-    opt: Adam | SgdMomentum
+    opt: Adam
     ema: dict[str, np.ndarray]
     rngs: dict[str, Rng]
     stages_done: list[str]
@@ -565,7 +534,10 @@ def run_stage(
         and resume.step > 0
     )
     if mid_resume:
-        opt = make_optimizer(resume.opt_meta.get("kind", stage_cfg.optimizer), stage_cfg.lr)
+        kind = resume.opt_meta.get("kind", "adam")
+        if kind != "adam":
+            raise CheckpointError(f"checkpoint holds {kind!r} optimizer state; training resumes Adam state only")
+        opt = Adam(stage_cfg.lr)
         opt.t = int(resume.opt_meta.get("t", 0))
         opt.m = {k: v.copy() for k, v in resume.opt_m.items()}
         opt.v = {k: v.copy() for k, v in resume.opt_v.items()}
@@ -576,8 +548,7 @@ def run_stage(
         ema = {} if resume is None else {k: v.copy() for k, v in resume.ema.items()}
         for name, p in trainable.items():
             ema.setdefault(name, p.data.copy())
-        state = TrainState(0, make_optimizer(stage_cfg.optimizer, stage_cfg.lr), ema,
-                           _fresh_streams(seed, stage), stages_done)
+        state = TrainState(0, Adam(stage_cfg.lr), ema, _fresh_streams(seed, stage), stages_done)
 
     lambdas = (stage_cfg.lambda_text, stage_cfg.lambda_visual, stage_cfg.lambda_dit)
     while state.step < stage_cfg.steps:
@@ -681,17 +652,23 @@ def dataset_counts(cfg: Config, stage: str) -> dict[str, int]:
 # inference pipeline and evaluation
 # ---------------------------------------------------------------------------
 
-def run_pipeline(bundle: ModelBundle, run: RunConfig, case: EditCase, rng: Rng) -> np.ndarray:
-    """plan -> render -> decoded palette frames for one case."""
+def plan_case(bundle: ModelBundle, run: RunConfig, case: EditCase, rng: Rng) -> PlanResult:
+    """Plan one case with every target token masked."""
     seq, _ = planner_sequence(case, bundle.vit)
     t0, t1 = seq.span_of(VISUAL_TARGET)
     seq.embeddings[t0:t1] = 0.0
     seq.masked[t0:t1] = True
-    result = plan(
+    return plan(
         bundle.planner, bundle.decoder, seq,
         total_steps=run.plan_steps, decoder_steps=run.decoder_steps,
-        g_text=run.g_text, g_image=run.g_image, rng=rng.child(1), reveal=run.reveal,
+        g_text=run.g_text, g_image=run.g_image, rng=rng, reveal=run.reveal,
     )
+
+
+def render_case(bundle: ModelBundle, run: RunConfig, case: EditCase, states: np.ndarray | None,
+                rng: Rng) -> np.ndarray:
+    """Guided render of one case's target latent, conditioned on the planner
+    hidden states `states` when given."""
     latents, roles = renderer_sources(case, bundle.vae)
     key = GUIDANCE_KEY[case.task]
     spec = guidance_mod.spec_for_conditions(
@@ -699,20 +676,25 @@ def run_pipeline(bundle: ModelBundle, run: RunConfig, case: EditCase, rng: Rng) 
         has_video="vid" in roles,
         has_image="img" in roles,
         has_text=len(case.instruction) > 0,
-        has_target_semantics=True,
+        has_target_semantics=states is not None,
     )
     cond = CondInputs(
         text_ids=np.asarray(case.instruction, dtype=np.intp),
-        planner_states=result.hidden,
+        planner_states=states,
         source_latents=latents,
         source_roles=roles,
     )
-    latent = render(
+    return render(
         bundle.renderer, cond, steps=run.guidance_steps[key], spec=spec,
         shift=run.flow_shift if run.timestep.shift_in_inference else 1.0,
-        rng=rng.child(2), target_grid=case.target.grid,
+        rng=rng, target_grid=case.target.grid,
     )
-    return frames_to_ids(bundle.vae.decode(latent))
+
+
+def run_pipeline(bundle: ModelBundle, run: RunConfig, case: EditCase, rng: Rng) -> np.ndarray:
+    """plan -> render -> decoded palette frames for one case."""
+    states = plan_case(bundle, run, case, rng.child(1)).hidden
+    return frames_to_ids(bundle.vae.decode(render_case(bundle, run, case, states, rng.child(2))))
 
 
 @dataclass

@@ -7,6 +7,8 @@ i * segment_base**(-2j/head_dim) on every pair, so two tokens sharing (t, h, w)
 but living in different segments get distinct rotations; segment index 0
 contributes nothing and reduces to the plain 3D rotation. Phases compose by
 addition because applying two rotations multiplies unit complex numbers.
+The planner and the renderer both take their angles from `token_angles` over
+a `sequence.serialize` layout.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError
-from .numerics import DimensionError, Tensor, add, embedding, narrow, rotate_pairs
-from .sequence import TEXT, TokenSequence
+from .numerics import DimensionError, Tensor, rotate_pairs
+from .sequence import TokenSequence, grid_positions
 
 
 def default_axis_split(head_dim: int) -> tuple[int, int, int]:
@@ -31,7 +33,6 @@ def default_axis_split(head_dim: int) -> tuple[int, int, int]:
 @dataclass(frozen=True)
 class RopeConfig:
     head_dim: int
-    axis_split: tuple[int, int, int] | None = None
     base: float = 10000.0
     segment_base: float = 10000.0
 
@@ -40,13 +41,9 @@ class RopeConfig:
             raise ConfigError(f"head_dim must be a positive even integer, got {self.head_dim}")
         if self.base <= 0 or self.segment_base <= 0:
             raise ConfigError("rotary bases must be positive")
-        if self.axis_split is not None and sum(self.axis_split) != self.head_dim // 2:
-            raise ConfigError(
-                f"axis_split {self.axis_split} must sum to head_dim/2 = {self.head_dim // 2}"
-            )
 
     def split(self) -> tuple[int, int, int]:
-        return self.axis_split if self.axis_split is not None else default_axis_split(self.head_dim)
+        return default_axis_split(self.head_dim)
 
     def axis_frequencies(self) -> list[np.ndarray]:
         out = []
@@ -86,11 +83,8 @@ def build_phase_table(cfg: RopeConfig, grid: tuple[int, int, int], segment_index
         raise DimensionError(f"build_phase_table: grid {grid} has empty axes")
     if segment_index < 0:
         raise ConfigError(f"segment_index must be >= 0, got {segment_index}")
-    t, h, w = grid
-    tt, hh, ww = np.meshgrid(np.arange(t), np.arange(h), np.arange(w), indexing="ij")
-    positions = np.stack([tt.ravel(), hh.ravel(), ww.ravel()], axis=1)
     return PhaseTable(
-        spatial=spatial_angles(cfg, positions),
+        spatial=spatial_angles(cfg, grid_positions(grid)),
         segment=segment_index * cfg.segment_frequencies(),
         segment_index=segment_index,
     )
@@ -104,14 +98,12 @@ def token_angles(
     """Rotation angles for every token of a canonical sequence.
 
     Text tokens rotate on their 1-D index via the temporal axis and never carry
-    a segment phase.
+    a segment phase: their index -1 clips to 0, the target's own index.
     """
     angles = spatial_angles(cfg, seq.positions)
     if use_segment_phases:
-        seg_freq = cfg.segment_frequencies()
-        visual = np.array([k != TEXT for k in seq.kinds])
-        idx = np.where(visual, seq.segment_indices, 0).astype(np.float64)
-        angles = angles + idx[:, None] * seg_freq[None, :]
+        idx = np.maximum(seq.segment_indices, 0).astype(np.float64)
+        angles = angles + idx[:, None] * cfg.segment_frequencies()[None, :]
     return angles
 
 
@@ -129,18 +121,3 @@ def apply_rope(x: Tensor | np.ndarray, table: PhaseTable | np.ndarray) -> Tensor
         )
     return rotate_pairs(x, angles)
 
-
-def segment_embedding_baseline(hidden: Tensor, segment_index: int, table: Tensor) -> Tensor:
-    """Ablation baseline: add a learnable per-segment vector to the hidden states."""
-    if not 0 <= segment_index < table.shape[0]:
-        raise IndexError(
-            f"segment index {segment_index} out of range for {table.shape[0]} embeddings"
-        )
-    row = narrow(table, 0, segment_index, 1)
-    return add(hidden, row)
-
-
-def segment_embedding_lookup(hidden: Tensor, segment_indices: np.ndarray, table: Tensor) -> Tensor:
-    """Vectorized form of the baseline for a whole token stream."""
-    rows = embedding(table, np.asarray(segment_indices, dtype=np.intp))
-    return add(hidden, rows)

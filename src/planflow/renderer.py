@@ -3,13 +3,14 @@
 The toy VAE maps each pixel value onto a polyline through six well-separated
 palette codewords, exactly invertible on every value in [0, 1]. The renderer
 patchifies the noisy target latent plus any source latents into one visual
-token stream (sources as extra segments with their own rotary segment
-phases), runs self-attention + cross-attention blocks over text features that
-carry learned word positions, and reads a velocity field off the target
-tokens. Sampling is plain Euler from noise at t=0 to data at t=1 on a
-shift-warped time grid. Every guidance condition subset is one entry of a
-batched forward, so each step makes a single forward whose per-subset slices
-the guidance module composes.
+token stream, laid out and rotated exactly as the planner's visual segments
+(sources 1..N with their segment phases, then the target as segment 0). It
+runs self-attention + cross-attention blocks over text features that carry
+learned word positions and reads a velocity field off the target tokens.
+Sampling is plain Euler from noise at t=0 to data at t=1 on a shift-warped
+time grid. Every guidance condition subset is one entry of a batched forward,
+so each step makes a single forward whose per-subset slices the guidance
+module composes.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from . import nets
 from .config import ConfigError
 from .guidance import GuidanceSpec, compose
 from .numerics import DimensionError, ContractError, Rng, Rotation, Tensor, add, concat, embedding, matmul, mul, narrow, no_grad, sub, tmean
-from .posenc import RopeConfig, spatial_angles
+from .posenc import RopeConfig, token_angles
 from .schedules import DomainError, sample_timestep, shift_toward_noise
-from .sequence import NEG_BIAS
+from .sequence import NEG_BIAS, TokenSequence, serialize
 from .toydata import VOCAB
 
 
@@ -230,42 +231,22 @@ class VisualStream:
     Built once per render; only the noisy target tokens change between steps.
     """
 
-    sources: np.ndarray                  # (n_src, patch_dim) source tokens
-    source_spans: list[tuple[int, int]]  # row span of each source latent
-    angles: np.ndarray                   # (n_src + n_target, head_dim // 2)
+    sources: np.ndarray  # (n_src, patch_dim) source tokens
+    seq: TokenSequence   # canonical layout: sources 1..N, then the target
+    angles: np.ndarray   # (n_src + n_target, head_dim // 2)
 
 
-def visual_stream(cfg: RendererConfig, source_latents: list[np.ndarray],
-                  source_segment_indices: list[int] | None, target_shape) -> VisualStream:
-    """Patchify the sources and lay out rotary angles for sources + target."""
-    if source_segment_indices is None:
-        source_segment_indices = list(range(1, len(source_latents) + 1))
-    if len(source_segment_indices) != len(source_latents):
-        raise LayoutError("one segment index per source latent required")
-    if len(set(source_segment_indices)) != len(source_segment_indices) or 0 in source_segment_indices:
-        raise LayoutError(f"segment index collision in {source_segment_indices} (0 is the target)")
-    rope = cfg.rope()
-    seg_freq = rope.segment_frequencies()
-    rows, spans, angles = [], [], []
-    offset = 0
-    for latent, seg in zip(source_latents, source_segment_indices):
+def visual_stream(cfg: RendererConfig, source_latents: list[np.ndarray], target_shape) -> VisualStream:
+    """Patchify the sources; lay out and rotate sources + target as the planner does."""
+    grids, rows = [], []
+    for latent in source_latents:
         grid, toks = patchify(np.asarray(latent, dtype=np.float64), cfg.patch)
+        grids.append(grid)
         rows.append(toks)
-        spans.append((offset, offset + len(toks)))
-        offset += len(toks)
-        ang = spatial_angles(rope, _grid_pos(grid))
-        if cfg.segment_phases:
-            ang = ang + seg * seg_freq[None, :]
-        angles.append(ang)
     tgt_grid = tuple(d // q for d, q in zip(target_shape, cfg.patch))  # patchify checks divisibility
-    angles.append(spatial_angles(rope, _grid_pos(tgt_grid)))  # segment 0: no extra phase
+    seq = serialize(0, grids, tgt_grid)
     sources = np.concatenate(rows, axis=0) if rows else np.zeros((0, cfg.patch_dim))
-    return VisualStream(sources, spans, np.concatenate(angles, axis=0))
-
-
-def _grid_pos(grid: tuple[int, int, int]) -> np.ndarray:
-    tt, hh, ww = np.meshgrid(np.arange(grid[0]), np.arange(grid[1]), np.arange(grid[2]), indexing="ij")
-    return np.stack([tt.ravel(), hh.ravel(), ww.ravel()], axis=1)
+    return VisualStream(sources, seq, token_angles(cfg.rope(), seq, cfg.segment_phases))
 
 
 @dataclass(frozen=True)
@@ -302,7 +283,6 @@ def renderer_forward(
     t: float,
     cond: Tensor,
     source_latents: list[np.ndarray] | None = None,
-    source_segment_indices: list[int] | None = None,
     attn_bias: np.ndarray | None = None,
     *,
     batch: int = 1,
@@ -324,7 +304,7 @@ def renderer_forward(
     p = model.params
     x_t = np.asarray(x_t, dtype=np.float64)
     if consts is None:
-        stream = visual_stream(cfg, source_latents or [], source_segment_indices, x_t.shape)
+        stream = visual_stream(cfg, source_latents or [], x_t.shape)
         consts = render_constants(model, stream, cond, batch)
     if consts.batch != batch:
         raise DimensionError(f"render constants hold {consts.batch} batch entries, not {batch}")
@@ -427,12 +407,13 @@ def render(
     batch = len(chain)
     t_len, h, w = target_grid
     with no_grad():
-        stream = visual_stream(cfg, cond_inputs.source_latents, None, (t_len, h, w))
+        stream = visual_stream(cfg, cond_inputs.source_latents, (t_len, h, w))
         n = len(stream.angles)
         col_bias = np.zeros((batch, 1, 1, n))
         conds = []
         for b, subset in enumerate(chain):
-            for (lo, hi), role in zip(stream.source_spans, cond_inputs.source_roles):
+            # the source spans come first, one per role; the target span is last
+            for (_, lo, hi), role in zip(stream.seq.spans(), cond_inputs.source_roles):
                 if role not in subset:
                     col_bias[b, ..., lo:hi] = NEG_BIAS
             text = cond_inputs.text_ids if "txt" in subset else None

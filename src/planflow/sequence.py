@@ -103,7 +103,8 @@ class AttentionMask:
         return np.where(self.allow, 0.0, NEG_BIAS)
 
 
-def _grid_positions(grid: tuple[int, int, int]) -> np.ndarray:
+def grid_positions(grid: tuple[int, int, int]) -> np.ndarray:
+    """(t, h, w) coordinates of every cell of a grid, in row-major order."""
     t, h, w = grid
     tt, hh, ww = np.meshgrid(np.arange(t), np.arange(h), np.arange(w), indexing="ij")
     return np.stack([tt.ravel(), hh.ravel(), ww.ravel()], axis=1)
@@ -138,7 +139,7 @@ def serialize(
             pos = np.zeros((desc.length, 3), dtype=np.int64)
             pos[:, 0] = np.arange(desc.length)
         else:
-            pos = _grid_positions(desc.grid)
+            pos = grid_positions(desc.grid)
         positions.append(pos)
         kinds.extend([desc.kind] * desc.length)
         seg_idx.extend([desc.segment_index] * desc.length)

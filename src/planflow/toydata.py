@@ -531,14 +531,12 @@ def gen_text_record(rng: Rng, grid) -> dict:
 def generate_dataset(out_dir: str | Path, seed: int, counts: dict[str, int],
                      grid: tuple[int, int, int] = (2, 8, 8),
                      v2v_families: tuple[str, ...] | None = None) -> dict:
-    """Write records.jsonl + frame blobs + manifest.json; returns the manifest."""
+    """Write records.jsonl + manifest.json; returns the manifest. Frames are
+    rasterized from the records, so no pixel data is stored."""
     import json
 
-    from . import tensorio
-
     out_dir = Path(out_dir)
-    blob_dir = out_dir / "blobs"
-    blob_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
     root = Rng(seed)
     records = []
     index = 0
@@ -566,17 +564,6 @@ def generate_dataset(out_dir: str | Path, seed: int, counts: dict[str, int],
                 fams = v2v_families if task in (TaskKind.V2V, TaskKind.I2I) else None
                 case = gen_edit_case(rng, task, grid, families=fams)
                 rec = {"kind": "case", **case.to_dict()}
-                blob = f"blobs/{index:06d}_tgt.pft"
-                tensorio.write_tensor(out_dir / blob, case.target.normalized())
-                rec["blobs"] = {"target": blob}
-                if case.source is not None:
-                    blob = f"blobs/{index:06d}_src.pft"
-                    tensorio.write_tensor(out_dir / blob, case.source.normalized())
-                    rec["blobs"]["source"] = blob
-                if case.reference is not None:
-                    blob = f"blobs/{index:06d}_ref.pft"
-                    tensorio.write_tensor(out_dir / blob, case.reference.normalized())
-                    rec["blobs"]["reference"] = blob
             rec["index"] = index
             records.append(rec)
             index += 1
@@ -621,9 +608,3 @@ class Dataset:
         if rec["kind"] != "case":
             raise ValueError(f"record {i} is a {rec['kind']} record, not a case")
         return EditCase.from_dict(rec)
-
-    def frames(self, i: int, which: str = "target") -> np.ndarray:
-        from . import tensorio
-
-        rec = self.records[i]
-        return tensorio.read_tensor(self.root / rec["blobs"][which])

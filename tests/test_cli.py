@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from planflow import cli
+from planflow.checkpoint import Checkpoint
 from planflow.config import write_config, Config
 
 from test_harness import TINY_OVERRIDES
@@ -80,6 +81,36 @@ class TestTrainErrors:
                        "--config", str(workdir / "tiny.cfg"), "--out", str(workdir / "x"),
                        "--seed", "0"])
         assert rc == 1
+
+    def test_resume_with_foreign_optimizer_state_exits_1(self, workdir, generated, trained_ckpt, capsys):
+        ck = Checkpoint.load(trained_ckpt)
+        ck.stages_done = []  # a mid-stage checkpoint, so its optimizer state is resumed
+        ck.opt_meta = {**ck.opt_meta, "kind": "sgd"}
+        ck.save(workdir / "sgd.ckpt")
+        rc = cli.main(["train", "--stage", "I", "--data", str(generated / "stage_I"),
+                       "--config", str(workdir / "tiny.cfg"), "--out", str(workdir / "sgd_out"),
+                       "--resume", str(workdir / "sgd.ckpt"), "--log-every", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "'sgd'" in err
+
+    def test_non_numeric_config_value_exits_1(self, workdir, generated, capsys):
+        bad = workdir / "bad_steps.cfg"
+        bad.write_text("infer.plan_steps = abc\n")
+        rc = cli.main(["eval", "--data", str(generated / "eval"), "--config", str(bad),
+                       "--out", str(workdir / "bad_steps"), "--max-cases", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "infer.plan_steps" in err and "'abc'" in err
+
+    def test_check_refuses_unknown_timestep_weighting(self, workdir, capsys):
+        bad = workdir / "check_bad_timestep.cfg"
+        bad.write_text("schedules.timestep.t2i = bogus,0.5,1.0,3.0\n")
+        assert cli.main(["check", "--config", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "invariants hold" not in captured.out
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1 and "bogus" in captured.err
 
 
 class TestEditDeterminism:

@@ -10,11 +10,9 @@ from planflow.posenc import (
     apply_rope,
     build_phase_table,
     default_axis_split,
-    segment_embedding_baseline,
-    segment_embedding_lookup,
     token_angles,
 )
-from planflow.sequence import serialize
+from planflow.sequence import VISUAL_SOURCE, VISUAL_TARGET, serialize
 
 
 class TestConfig:
@@ -26,8 +24,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             RopeConfig(head_dim=7)
-        with pytest.raises(ConfigError):
-            RopeConfig(head_dim=8, axis_split=(1, 1, 1))
         with pytest.raises(ConfigError):
             RopeConfig(head_dim=8, base=-1.0)
 
@@ -161,36 +157,18 @@ class TestTokenAngles:
         assert np.array_equal(ang_on[4:], ang_off[4:])     # target rows: segment 0
         assert not np.array_equal(ang_on[3], ang_off[3])   # source row: segment 1
 
-
-class TestSegmentEmbeddingBaseline:
-    def test_zero_embedding_is_identity(self):
-        table = Tensor(np.zeros((3, 4)))
-        h = Tensor(Rng(1).normal((5, 4)))
-        out = segment_embedding_baseline(h, 1, table)
-        assert np.array_equal(out.data, h.data)
-
-    def test_addition_definition(self):
-        table = Tensor(Rng(2).normal((3, 4)))
-        h = Tensor(Rng(3).normal((5, 4)))
-        out = segment_embedding_baseline(h, 1, table)
-        assert np.array_equal(out.data, h.data + table.data[1])
-
-    def test_two_segments_differ_by_embedding_difference(self):
-        table = Tensor(Rng(4).normal((3, 4)))
-        h = Tensor(Rng(5).normal((5, 4)))
-        out1 = segment_embedding_baseline(h, 1, table).data
-        out2 = segment_embedding_baseline(h, 2, table).data
-        expected = np.broadcast_to(table.data[1] - table.data[2], (5, 4))
-        assert np.abs((out1 - out2) - expected).max() < 1e-12
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            segment_embedding_baseline(Tensor(np.zeros((2, 4))), 5, Tensor(np.zeros((3, 4))))
-
-    def test_vectorized_lookup_matches(self):
-        table = Tensor(Rng(6).normal((3, 4)))
-        h = Tensor(Rng(7).normal((4, 4)))
-        idx = np.array([0, 1, 1, 2])
-        out = segment_embedding_lookup(h, idx, table).data
-        for i, s in enumerate(idx):
-            assert np.array_equal(out[i], h.data[i] + table.data[s])
+    @pytest.mark.parametrize("segment_phases", [True, False])
+    def test_serialized_layout_matches_phase_tables(self, segment_phases):
+        """Source segment i of a serialized layout rotates exactly as the
+        phase table of its grid at index i, and the target as index 0, so the
+        phase-table identities hold on the angles both models use."""
+        cfg = RopeConfig(head_dim=16)
+        grids = [(2, 2, 3), (1, 3, 2)]
+        seq = serialize(4, grids, (2, 3, 3))
+        angles = token_angles(cfg, seq, segment_phases)
+        for i, grid in enumerate(grids, start=1):
+            start, stop = seq.span_of(VISUAL_SOURCE, i)
+            expected = build_phase_table(cfg, grid, i if segment_phases else 0).angles
+            assert np.array_equal(angles[start:stop], expected)
+        start, stop = seq.span_of(VISUAL_TARGET)
+        assert np.array_equal(angles[start:stop], build_phase_table(cfg, (2, 3, 3), 0).angles)

@@ -199,17 +199,6 @@ class TestRendererForward:
         with pytest.raises(DimensionError, match=str(MAX_TEXT_TOKENS)):
             build_cond_tokens(model, np.ones(MAX_TEXT_TOKENS + 1, dtype=np.intp), None)
 
-    def test_segment_index_collision(self):
-        model = make_model()
-        rng = Rng(12)
-        x_t = rng.normal((1, 4, 4, 4))
-        src = [rng.normal((1, 4, 4, 4)), rng.normal((1, 4, 4, 4))]
-        cond = build_cond_tokens(model, None, None)
-        with pytest.raises(LayoutError):
-            renderer_forward(model, x_t, 0.1, cond, src, source_segment_indices=[1, 1])
-        with pytest.raises(LayoutError):
-            renderer_forward(model, x_t, 0.1, cond, src, source_segment_indices=[0, 1])
-
     def test_swap_ablation_property(self):
         """Two sources sharing a grid: swapping contents is detectable with
         segment phases on and invisible with them off."""
@@ -322,7 +311,7 @@ class TestRender:
         noise = Rng(25).normal((1, 4, 4, CFG.channels))
 
         def velocity(x, t):
-            tok = renderer_forward(model, x, t, cond_full, cond_in.source_latents, [1])
+            tok = renderer_forward(model, x, t, cond_full, cond_in.source_latents)
             grid, _ = patchify(x, CFG.patch)
             return unpatchify(tok.data, grid, CFG.patch, CFG.channels)
 
@@ -353,8 +342,7 @@ class TestRender:
                 cond = build_cond_tokens(model, cond_in.text_ids if "txt" in subset else None,
                                          cond_in.planner_states if "tgt" in subset else None)
                 held = [i for i, role in enumerate(cond_in.source_roles) if role in subset]
-                tok = renderer_forward(model, x, t, cond, [cond_in.source_latents[i] for i in held],
-                                       [i + 1 for i in held] or None).data
+                tok = renderer_forward(model, x, t, cond, [cond_in.source_latents[i] for i in held]).data
                 grid, _ = patchify(x, CFG.patch)
                 forwards[subset] = unpatchify(tok, grid, CFG.patch, CFG.channels)
             return compose(spec, forwards)
