@@ -165,6 +165,37 @@ def _zero_init_conditioning():
     assert np.abs(out_a - out_b).max() < 1e-12, "zero-initialized projector must ignore planner states"
 
 
+def _ragged_guidance_batch():
+    from .renderer import (CondInputs, RendererConfig, RendererModel, build_cond_tokens, euler_integrate,
+                           patchify, render, renderer_forward, unpatchify)
+
+    rng = Rng(59)
+    cfg = RendererConfig(hidden_dim=16, blocks=2, heads=2, patch=(1, 2, 2), planner_dim=16)
+    model = RendererModel(cfg, rng.child(0))
+    model.params["cond_proj"].data[:] = rng.normal((16, 16)) * 0.3  # let the planner states count
+    cond_in = CondInputs(text_ids=np.array([1, 3], dtype=np.intp), planner_states=rng.normal((4, 16)),
+                         source_latents=[rng.normal((2, 4, 4, 4)), rng.normal((1, 4, 4, 4))],
+                         source_roles=["vid", "img"])
+    spec = guidance.spec_for_conditions({"txt": 4.0, "vid": 1.25, "img": 2.5, "tgt": 1.5},
+                                        has_video=True, has_image=True)
+
+    def per_subset(x, t):
+        grid, _ = patchify(x, cfg.patch)
+        forwards = {}
+        for subset in spec.subset_chain():
+            cond = build_cond_tokens(model, cond_in.text_ids if "txt" in subset else None,
+                                     cond_in.planner_states if "tgt" in subset else None)
+            held = [lat for lat, role in zip(cond_in.source_latents, cond_in.source_roles) if role in subset]
+            forwards[subset] = unpatchify(renderer_forward(model, x, t, cond, held).data, grid, cfg.patch, cfg.channels)
+        return guidance.compose(spec, forwards)
+
+    with numerics.no_grad():
+        out = render(model, cond_in, 2, spec, 3.0, Rng(60), (2, 4, 4))
+        expected = euler_integrate(per_subset, Rng(60).normal((2, 4, 4, cfg.channels)), 2, 3.0)
+    err = np.abs(out - expected).max()
+    assert err < 1e-12, f"batched render departs from per-subset forwards by {err:.2e}"
+
+
 def _generator_oracle():
     rng = Rng(53)
     for i in range(20):
@@ -191,6 +222,7 @@ def run_all(quick: bool = False, seed: int = 0) -> list[tuple[str, bool, str]]:
         ("flow-sample-endpoints", _flow_endpoints),
         ("mask-count-trace", _trace_conformance),
         ("zero-init-conditioning", _zero_init_conditioning),
+        ("ragged-guidance-batch", _ragged_guidance_batch),
     ]
     if not quick:
         checks += [

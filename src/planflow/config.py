@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .guidance import BRANCHES
+
 
 class ConfigError(ValueError):
     pass
@@ -129,6 +131,12 @@ _DIMENSIONS = (
     "renderer.channels", "renderer.time_features",
 )
 
+# (frames, height, width) triples
+_TRIPLES = ("data.grid", "vit.patch", "renderer.patch")
+
+# per-task guidance scales, `branch:weight` lists
+_GUIDANCE_SCALES = ("guidance.t2v", "guidance.s2v", "guidance.v2v", "guidance.rv2v")
+
 
 class Config:
     def __init__(self, overrides: dict[str, str] | None = None):
@@ -140,7 +148,16 @@ class Config:
         self.validate()
 
     def validate(self) -> None:
-        """Refuse model sizes the networks cannot be built with."""
+        """Refuse model sizes the networks cannot be built with, grids that
+        are not triples and unknown guidance branches."""
+        for key in _TRIPLES:
+            if len(self.get(key).split(",")) != 3:
+                raise ConfigError(f"{key}: expected three values (frames, height, width), got {self.values[key]!r}")
+        for key in _GUIDANCE_SCALES:
+            for part in self.get(key).split(","):
+                name = part.partition(":")[0].strip()
+                if part.strip() and name not in BRANCHES:
+                    raise ConfigError(f"{key}: unknown guidance branch {name!r}; expected one of {', '.join(BRANCHES)}")
         for key in _DIMENSIONS:
             if min(self.get_ints(key)) < 1:
                 raise ConfigError(f"{key}: dimensions must be positive, got {self.values[key]!r}")

@@ -11,6 +11,7 @@ import numpy as np
 from .numerics import (
     Rng,
     Rotation,
+    Run,
     Tensor,
     add,
     attention,
@@ -72,9 +73,10 @@ def self_attention(
     heads: int,
     bias: np.ndarray | None = None,
     rotation: Rotation | None = None,
-    batch: int = 1,
+    batch: int | list[Run] = 1,
     past: tuple[Tensor, Tensor] | None = None,
     keep: list | None = None,
+    queries: np.ndarray | None = None,
 ) -> Tensor:
     """Multi-head attention over `batch` independent token streams.
 
@@ -85,12 +87,16 @@ def self_attention(
     and values of p earlier rows per stream, each (batch*p, d); the rows of x
     then attend to those p rows followed by their own n, so n_keys = p + n.
     `keep`, a list, receives this call's rotated (keys, values).
+
+    Streams of unequal length pass `batch` as a list of `numerics.Run`s, and
+    `queries`, row indices of x, makes only those rows queries: the output
+    then has one row per query.
     """
-    q = matmul(x, params[prefix + "wq"])
+    q = matmul(x if queries is None else embedding(x, queries), params[prefix + "wq"])
     k = matmul(x, params[prefix + "wk"])
     v = matmul(x, params[prefix + "wv"])
     if rotation is not None:
-        q = rotate_pairs(q, rotation)
+        q = rotate_pairs(q, rotation if queries is None else Rotation(rotation.cos[queries], rotation.sin[queries]))
         k = rotate_pairs(k, rotation)
     if keep is not None:
         keep.append((k, v))
@@ -110,14 +116,15 @@ def cross_attention(
     x: Tensor,
     kv: tuple[Tensor, Tensor],
     heads: int,
-    batch: int = 1,
+    batch: int | list[Run] = 1,
     bias: np.ndarray | None = None,
 ) -> Tensor:
     """Queries from the token stream, keys/values (from `cross_kv`) from the
     conditioning stream.
 
     Stream b of x attends to block b of the conditioning rows, (batch*m, d);
-    `bias` (broadcastable to (batch, heads, n, m)) bans padding keys.
+    `bias` (broadcastable to (batch, heads, n, m)) bans padding keys. A list
+    of `numerics.Run`s as `batch` pairs streams and blocks of unequal size.
     """
     q = matmul(x, params[prefix + "cq"])
     return matmul(attention(q, kv[0], kv[1], heads, batch, bias), params[prefix + "co"])

@@ -342,53 +342,78 @@ def rotate_pairs(a, angles: np.ndarray | Rotation) -> Tensor:
     return _record(data, (a,), vjp)
 
 
-def attention(q, k, v, heads: int, batch: int = 1, bias: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention, block-diagonal over `batch` entries.
+class Run(NamedTuple):
+    """`batch` consecutive entries of a ragged attention that share their
+    shape: each has nq query rows and nk key rows. `bias` is a constant
+    broadcastable to (batch, heads, nq, nk), added to the scaled logits."""
+
+    batch: int
+    nq: int
+    nk: int
+    bias: np.ndarray | None = None
+
+
+def attention(q, k, v, heads: int, batch: int | Sequence[Run] = 1, bias: np.ndarray | None = None) -> Tensor:
+    """Scaled dot-product attention, block-diagonal over batch entries.
 
     q has shape (batch*nq, heads*hd); k and v have shape (batch*nk, heads*hd).
     Rows are batch-major and each head owns a contiguous block of hd columns.
     `bias` is a constant broadcastable to (batch, heads, nq, nk) and is added
     to the scaled logits; a column whose bias underflows gets weight exactly
     0. The output, shape (batch*nq, heads*hd), merges the heads back.
+
+    `batch` may instead list `Run`s of entries of unequal size (then `bias`
+    is unused: each run carries its own). The runs take the rows of q and of
+    k in order.
     """
     q, k, v = _lift(q), _lift(k), _lift(v)
     if q.data.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]:
         raise DimensionError(f"attention: incompatible shapes q {q.shape}, k {k.shape}, v {v.shape}")
     width = q.shape[1]
-    if width % heads or q.shape[0] % batch or k.shape[0] % batch:
-        raise DimensionError(
-            f"attention: q {q.shape}, k {k.shape} do not split into {batch} batches of {heads} heads"
-        )
+    if isinstance(batch, int):
+        if q.shape[0] % batch or k.shape[0] % batch:
+            raise DimensionError(f"attention: q {q.shape}, k {k.shape} do not split into {batch} batches")
+        batch = [Run(batch, q.shape[0] // batch, k.shape[0] // batch, bias)]
+    if width % heads or sum(r.batch * r.nq for r in batch) != q.shape[0] \
+            or sum(r.batch * r.nk for r in batch) != k.shape[0]:
+        raise DimensionError(f"attention: q {q.shape}, k {k.shape} do not split into runs {batch} of {heads} heads")
     hd = width // heads
-    nq, nk = q.shape[0] // batch, k.shape[0] // batch
-
-    def split(x, n):  # (batch*n, heads*hd) -> (batch, heads, n, hd)
-        return x.reshape(batch, n, heads, hd).transpose(0, 2, 1, 3)
-
-    def merge(x, n):  # inverse of split
-        return x.transpose(0, 2, 1, 3).reshape(batch * n, width)
-
-    qh, kh, vh = split(q.data, nq), split(k.data, nk), split(v.data, nk)
     scale = 1.0 / math.sqrt(hd)
-    # softmax computed in place in one (batch, heads, nq, nk) buffer
-    s = qh @ kh.swapaxes(-1, -2)
-    s *= scale
-    if bias is not None:
-        s += bias
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    data = merge(s @ vh, nq)
+
+    def split(x, n):  # (b*n, heads*hd) -> (b, heads, n, hd)
+        return x.reshape(-1, n, heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(x):  # inverse of split
+        return x.transpose(0, 2, 1, 3).reshape(-1, width)
+
+    data = np.empty(q.shape)
+    saved = []
+    q0 = k0 = 0
+    for run in batch:
+        rq, rk = slice(q0, q0 + run.batch * run.nq), slice(k0, k0 + run.batch * run.nk)
+        q0, k0 = rq.stop, rk.stop
+        qh, kh, vh = split(q.data[rq], run.nq), split(k.data[rk], run.nk), split(v.data[rk], run.nk)
+        # softmax computed in place in one (batch, heads, nq, nk) buffer
+        s = qh @ kh.swapaxes(-1, -2)
+        s *= scale
+        if run.bias is not None:
+            s += run.bias
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        data[rq] = merge(s @ vh)
+        saved.append((rq, rk, qh, kh, vh, s))
 
     def vjp(g):
-        gh = split(g, nq)
-        ds = gh @ vh.swapaxes(-1, -2)
-        dlogits = s * (ds - (ds * s).sum(axis=-1, keepdims=True)) * scale
-        return (
-            merge(dlogits @ kh, nq),
-            merge(dlogits.swapaxes(-1, -2) @ qh, nk),
-            merge(s.swapaxes(-1, -2) @ gh, nk),
-        )
+        dq, dk, dv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+        for rq, rk, qh, kh, vh, s in saved:
+            gh = split(g[rq], s.shape[2])
+            ds = gh @ vh.swapaxes(-1, -2)
+            dlogits = s * (ds - (ds * s).sum(axis=-1, keepdims=True)) * scale
+            dq[rq] = merge(dlogits @ kh)
+            dk[rk] = merge(dlogits.swapaxes(-1, -2) @ qh)
+            dv[rk] = merge(s.swapaxes(-1, -2) @ gh)
+        return dq, dk, dv
 
     return _record(data, (q, k, v), vjp)
 

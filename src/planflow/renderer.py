@@ -15,15 +15,15 @@ module composes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import nets
 from .config import ConfigError
 from .guidance import GuidanceSpec, compose
-from .numerics import DimensionError, ContractError, Rng, Rotation, Tensor, add, concat, embedding, matmul, mul, narrow, no_grad, sub, tmean
+from .numerics import DimensionError, ContractError, Rng, Rotation, Run, Tensor, add, concat, embedding, matmul, mul, narrow, no_grad, sub, tmean
 from .posenc import RopeConfig, token_angles
 from .schedules import DomainError, sample_timestep, shift_toward_noise
 from .sequence import NEG_BIAS, TokenSequence, serialize
@@ -250,30 +250,133 @@ def visual_stream(cfg: RendererConfig, source_latents: list[np.ndarray], target_
 
 
 @dataclass(frozen=True)
+class BatchLayout:
+    """The entries of one batched renderer forward.
+
+    Entry e holds the source latents `held[e]` (ascending indices) and the
+    target, and cross-attends to the next `cond_lens[e]` rows of the
+    conditioning stream, which stacks the entries' tokens in entry order.
+    """
+
+    held: tuple[tuple[int, ...], ...]
+    cond_lens: tuple[int, ...]
+
+
+class Stacking(NamedTuple):
+    """Copies of the visual stream stacked row-wise, each holding some of the
+    sources and then the target. An index of None means every row once, in
+    order; pairs are indexed by whether only the target rows are queries."""
+
+    rows: np.ndarray | None                  # row of [sources, target] behind each stacked row
+    targets: np.ndarray | None               # stacked rows of the target tokens
+    runs: tuple[list[Run], list[Run]]        # self-attention over each copy's own rows
+    rotation: Rotation                       # rotary cos/sin per stacked row, tiled over heads
+
+
+def _gather(x: Tensor, index: np.ndarray | None) -> Tensor:
+    return x if index is None else embedding(x, index)
+
+
+def _runs(sizes: list[int]) -> list[Run]:
+    """One run per stretch of consecutive copies of equal size."""
+    runs: list[Run] = []
+    for n in sizes:
+        if runs and runs[-1].nk == n:
+            runs[-1] = runs[-1]._replace(batch=runs[-1].batch + 1)
+        else:
+            runs.append(Run(1, n, n))
+    return runs
+
+
+def _stacking(stream: VisualStream, copies: list[np.ndarray], heads: int) -> Stacking:
+    """Stack `copies`, each a list of stream rows: its sources in stream
+    order, then the target rows."""
+    n_tgt = len(stream.angles) - len(stream.sources)
+    sizes = [len(c) for c in copies]
+    rows = np.concatenate(copies)
+    targets = np.concatenate([np.arange(end - n_tgt, end) for end in np.cumsum(sizes)])
+    runs = _runs(sizes)
+    return Stacking(None if len(copies) == 1 and len(rows) == len(stream.angles) else rows,
+                    None if len(targets) == len(rows) else targets,
+                    (runs, [r._replace(nq=n_tgt) for r in runs]), nets.rotary(stream.angles[rows], heads))
+
+
+@dataclass(frozen=True)
 class RenderConstants:
     """Everything in renderer_forward that depends on neither x_t nor t.
 
     Built once per render (and per call in training); only valid for the
-    weights it was built with.
+    weights it was built with. Entries that hold the same sources have equal
+    inputs, so block 0's self-attention runs once per run of such entries
+    (`groups`). The conditioning is cut into pieces: runs of entries that
+    hold the same sources and whose lengths differ by at most
+    1 + MAX_TEXT_TOKENS. Each piece is padded to its longest entry, with the
+    padding banned. Pairs are indexed by whether only target rows are queries.
     """
 
     stream: VisualStream
-    batch: int
-    rotation: Rotation                      # rotary cos/sin tiled over batch and heads
-    sources: Tensor                         # (n_src, hidden_dim) patch projection of the sources
-    cross_kv: list[tuple[Tensor, Tensor]]   # per block: keys and values of the cond stream
+    layout: BatchLayout
+    sources: Tensor                                          # (n_src, hidden_dim) patch projection of the sources
+    groups: Stacking                                         # block 0: one copy per group
+    entries: Stacking                                        # later blocks: one copy per entry
+    to_entries: tuple[np.ndarray | None, np.ndarray | None]  # row of `groups` behind each entry row
+    cross_kv: list[tuple[Tensor, Tensor]]                    # per block: keys and values of the padded pieces
+    cross_runs: tuple[list[Run], list[Run]]                  # one run per piece
 
 
-def render_constants(model: RendererModel, stream: VisualStream, cond: Tensor, batch: int = 1) -> RenderConstants:
-    """Prepare the constants of `batch` copies of `stream` cross-attending to `cond`."""
+def render_constants(model: RendererModel, stream: VisualStream, cond: Tensor, layout: BatchLayout) -> RenderConstants:
+    """Prepare the constants of the `layout` entries of `stream`, which
+    cross-attend to the rows of `cond`."""
     p = model.params
     cfg = model.cfg
+    held, lens = layout.held, layout.cond_lens
+    if len(lens) != len(held) or sum(lens) != cond.shape[0]:
+        raise DimensionError(f"a layout of {len(held)} entries over {sum(lens)} conditioning rows "
+                             f"does not fit {cond.shape[0]} rows")
+    # an entry sees its own sources (segments 1..N), in stream order, then the target (segment 0)
+    seg = stream.seq.segment_indices
+    target = np.flatnonzero(seg == 0)
+    copies = [np.concatenate([np.flatnonzero(seg == i + 1) for i in h] + [target]) for h in held]
+    firsts = [e for e in range(len(held)) if e == 0 or held[e] != held[e - 1]]
+    entries = groups = _stacking(stream, copies, cfg.heads)
+    to_entries = (None, None)
+    if len(firsts) < len(held):
+        groups = _stacking(stream, [copies[e] for e in firsts], cfg.heads)
+        group = np.cumsum([e in firsts for e in range(len(held))]) - 1
+
+        def per_entry(sizes):  # rows of the group stacking behind each entry's rows
+            starts = np.cumsum([0, *sizes[:-1]])
+            return np.concatenate([starts[g] + np.arange(sizes[g]) for g in group])
+
+        to_entries = (per_entry([len(copies[e]) for e in firsts]), per_entry([len(target)] * len(firsts)))
+
+    pieces: list[list[int]] = []
+    for e in range(len(held)):
+        span = [lens[i] for i in pieces[-1] + [e]] if e not in firsts else []
+        if span and max(span) - min(span) <= 1 + MAX_TEXT_TOKENS:
+            pieces[-1].append(e)
+        else:
+            pieces.append([e])
+    runs = []
+    for piece in pieces:
+        n = [lens[e] for e in piece]
+        m = max(n)
+        bias = None if min(n) == m else np.where(np.arange(m) < np.array(n)[:, None], 0.0, NEG_BIAS)[:, None, None]
+        runs.append(Run(len(piece), len(copies[piece[0]]), m, bias))
+    if any(r.bias is not None for r in runs):
+        # padding repeats an entry's last row, and the bias bans it
+        offsets = np.cumsum([0, *lens])
+        cond = embedding(cond, np.concatenate([offsets[e] + np.minimum(np.arange(r.nk), lens[e] - 1)
+                                               for piece, r in zip(pieces, runs) for e in piece]))
     return RenderConstants(
         stream=stream,
-        batch=batch,
-        rotation=nets.rotary(stream.angles, cfg.heads, batch),
+        layout=layout,
         sources=add(matmul(Tensor(stream.sources), p["patch_proj"]), p["patch_bias"]),
+        groups=groups,
+        entries=entries,
+        to_entries=to_entries,
         cross_kv=[nets.cross_kv(p, f"block{i}.", cond) for i in range(cfg.blocks)],
+        cross_runs=(runs, [r._replace(nq=len(target)) for r in runs]),
     )
 
 
@@ -283,45 +386,45 @@ def renderer_forward(
     t: float,
     cond: Tensor,
     source_latents: list[np.ndarray] | None = None,
-    attn_bias: np.ndarray | None = None,
-    *,
-    batch: int = 1,
-    cond_bias: np.ndarray | None = None,
+    layout: BatchLayout | None = None,
     consts: RenderConstants | None = None,
 ) -> Tensor:
-    """Velocity prediction on the target tokens, shape (batch * n_target, patch_dim).
+    """Velocity prediction on the target tokens, shape (entries * n_target, patch_dim).
 
-    Evaluates `batch` copies of the visual stream (sources first, target
-    last) that share x_t, t and the sources; copy b cross-attends to rows
-    [b*m, (b+1)*m) of `cond`. `attn_bias` and `cond_bias` are additive
-    biases broadcastable to (batch, heads, n, n) and (batch, heads, n, m):
-    they ban self-attention columns (absent sources) and conditioning
-    padding per copy. `consts` holds the work prepared from the layout,
-    `cond` and the weights by `render_constants`; without it that work is
-    done here from `source_latents` and `cond`.
+    Evaluates the entries of `layout` (by default one entry that holds every
+    source and all rows of `cond`). They share x_t, t and the sources; each
+    sees only its own sources and the target, placed and rotated as in the
+    full stream (sources first, target last). `consts` holds the work
+    prepared from the layout, `cond` and the weights by `render_constants`;
+    without it that work is done here from `source_latents` and `cond`.
     """
     cfg = model.cfg
     p = model.params
     x_t = np.asarray(x_t, dtype=np.float64)
     if consts is None:
-        stream = visual_stream(cfg, source_latents or [], x_t.shape)
-        consts = render_constants(model, stream, cond, batch)
-    if consts.batch != batch:
-        raise DimensionError(f"render constants hold {consts.batch} batch entries, not {batch}")
+        sources = source_latents or []
+        layout = layout or BatchLayout((tuple(range(len(sources))),), (cond.shape[0],))
+        consts = render_constants(model, visual_stream(cfg, sources, x_t.shape), cond, layout)
     _, tgt_tokens = patchify(x_t, cfg.patch)
-    n_src, n = len(consts.stream.sources), len(consts.stream.angles)
     target = add(matmul(Tensor(tgt_tokens), p["patch_proj"]), p["patch_bias"])
     # time conditioning applies to the noisy target tokens; sources are clean
     target = add(target, nets.time_embedding(p, "time.", float(t), cfg.time_features))
-    x = concat([consts.sources, target] * batch, axis=0)
+    rows = consts.groups
+    x = _gather(concat([consts.sources, target], axis=0), rows.rows)
     for i in range(cfg.blocks):
         pre = f"block{i}."
-        x = add(x, nets.self_attention(p, pre, nets.ln(p, pre + "ln1.", x), cfg.heads, attn_bias, consts.rotation, batch))
-        if i == cfg.blocks - 1:
-            # only target rows are read out, and the layers after the last
-            # self-attention act row by row: drop the source rows here
-            x = embedding(x, (np.arange(batch)[:, None] * n + np.arange(n_src, n)).ravel())
-        x = add(x, nets.cross_attention(p, pre, nets.ln(p, pre + "lnc.", x), consts.cross_kv[i], cfg.heads, batch, cond_bias))
+        # only target rows are read out, and the layers after the last
+        # self-attention act row by row: there only target rows are queries
+        last = i == cfg.blocks - 1
+        queries = rows.targets if last else None
+        attn = nets.self_attention(p, pre, nets.ln(p, pre + "ln1.", x), cfg.heads, None, rows.rotation,
+                                   rows.runs[last], queries=queries)
+        x = add(_gather(x, queries), attn)
+        if i == 0:
+            x = _gather(x, consts.to_entries[last])
+            rows = consts.entries
+        x = add(x, nets.cross_attention(p, pre, nets.ln(p, pre + "lnc.", x), consts.cross_kv[i], cfg.heads,
+                                        consts.cross_runs[last]))
         x = add(x, nets.mlp(p, pre, nets.ln(p, pre + "ln2.", x)))
     return add(matmul(nets.ln(p, "ln_f.", x), p["out_proj"]), p["out_bias"])
 
@@ -386,11 +489,11 @@ def render(
 ) -> np.ndarray:
     """Sample a target latent by guided Euler integration from pure noise.
 
-    Every condition subset in the spec's chain is one batch entry: all
-    entries see every source, with the columns of the sources a subset lacks
-    banned, and cross-attend to that subset's conditioning tokens, padded to
-    a common length. Every step makes one batched forward and composes its
-    per-subset slices into the guided velocity.
+    Every condition subset in the spec's chain is one entry of a ragged
+    batch (`BatchLayout`): it holds only the sources of its subset and the
+    target, and cross-attends to that subset's conditioning tokens. Every
+    step makes one batched forward and composes its per-subset slices into
+    the guided velocity.
     """
     cfg = model.cfg
     for b in spec.present:
@@ -404,36 +507,24 @@ def render(
             raise LayoutError("guidance spec includes a target-semantics branch but no planner states")
 
     chain = spec.subset_chain()
-    batch = len(chain)
     t_len, h, w = target_grid
     with no_grad():
         stream = visual_stream(cfg, cond_inputs.source_latents, (t_len, h, w))
-        n = len(stream.angles)
-        col_bias = np.zeros((batch, 1, 1, n))
-        conds = []
-        for b, subset in enumerate(chain):
-            # the source spans come first, one per role; the target span is last
-            for (_, lo, hi), role in zip(stream.seq.spans(), cond_inputs.source_roles):
-                if role not in subset:
-                    col_bias[b, ..., lo:hi] = NEG_BIAS
-            text = cond_inputs.text_ids if "txt" in subset else None
-            states = cond_inputs.planner_states if "tgt" in subset else None
-            conds.append(build_cond_tokens(model, text, states).data)
-        m = max(len(c) for c in conds)
-        cond = np.zeros((batch * m, cfg.hidden_dim))
-        cond_bias = np.full((batch, 1, 1, m), NEG_BIAS)
-        for b, c in enumerate(conds):
-            cond[b * m : b * m + len(c)] = c
-            cond_bias[b, ..., : len(c)] = 0.0
-        cond = Tensor(cond)
-        consts = render_constants(model, stream, cond, batch)
+        conds = [build_cond_tokens(model, cond_inputs.text_ids if "txt" in subset else None,
+                                   cond_inputs.planner_states if "tgt" in subset else None) for subset in chain]
+        layout = BatchLayout(
+            held=tuple(tuple(i for i, role in enumerate(cond_inputs.source_roles) if role in subset)
+                       for subset in chain),
+            cond_lens=tuple(c.shape[0] for c in conds),
+        )
+        cond = concat(conds, axis=0)
+        consts = render_constants(model, stream, cond, layout)
         noise = rng.normal((t_len, h, w, cfg.channels))
 
         def velocity(x, t):
-            tok = renderer_forward(model, x, t, cond, attn_bias=col_bias, batch=batch,
-                                   cond_bias=cond_bias, consts=consts).data
+            tok = renderer_forward(model, x, t, cond, consts=consts).data
             grid, _ = patchify(x, cfg.patch)
-            per_subset = tok.reshape(batch, -1, cfg.patch_dim)
+            per_subset = tok.reshape(len(chain), -1, cfg.patch_dim)
             forwards = {s: unpatchify(v, grid, cfg.patch, cfg.channels) for s, v in zip(chain, per_subset)}
             return compose(spec, forwards)
 

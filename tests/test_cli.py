@@ -113,6 +113,18 @@ class TestTrainErrors:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1 and "bogus" in captured.err
 
 
+    @pytest.mark.parametrize("line", ["data.grid = 2,8", "renderer.patch = 1,2"])
+    def test_check_refuses_grid_without_three_values(self, workdir, capsys, line):
+        bad = workdir / "check_bad_triple.cfg"
+        bad.write_text(line + "\n")
+        assert cli.main(["check", "--config", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "invariants hold" not in captured.out
+        key = line.split(" ")[0]
+        assert captured.err.startswith(f"error: {key}:") and captured.err.count("\n") == 1
+        assert "three values" in captured.err
+
+
 class TestEditDeterminism:
     def test_edit_twice_byte_identical(self, workdir, generated, trained_ckpt):
         case = str(generated / "eval" / "cases" / "case_00000.json")

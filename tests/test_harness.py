@@ -449,6 +449,18 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: .*{re.escape(bad)}"):
             getattr(cfg, getter)(key)
 
+    @pytest.mark.parametrize("key, value, name", [
+        ("guidance.v2v", "txt:4.0,vdi:1.25", "vdi"),
+        ("guidance.t2v", "foo:1.0", "foo"),
+    ])
+    def test_unknown_guidance_branch_refused_at_load(self, key, value, name):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: .*'{name}'"):
+            Config({key: value})
+
+    def test_mixtures_take_task_names(self):
+        cfg = Config({"stage.I.mixture": "text:0.5,v2v:0.25,iv2v:0.25"})
+        assert cfg.get_weighted("stage.I.mixture") == {"text": 0.5, "v2v": 0.25, "iv2v": 0.25}
+
     def test_set_validates(self):
         cfg = default_config()
         with pytest.raises(ConfigError, match="renderer.heads"):

@@ -367,8 +367,10 @@ class TestGuidanceVariants:
         revealing = sum(1 for a, b in zip(trace, trace[1:]) if b < a)
         assert revealing < total  # the cosine trace holds steps that reveal nothing
         branches = 3 if sources else 2
-        # one prefix pass, one pass per revealing step, one final pass
-        assert calls["planner"] == [branches] * (1 + revealing + 1)
+        # one prefix pass per distinct prefix mask ("uncond" and "img" agree
+        # before the target, and without sources every variant does), then
+        # one pass per revealing step and one final pass
+        assert calls["planner"] == [2 if sources else 1] + [branches] * (revealing + 1)
         assert len(calls["decoder"]) == revealing * (decoder_steps + 1)
 
 
@@ -473,6 +475,35 @@ class TestInferenceCaches:
         tail = planner_forward(model, seq, mask, past).data.reshape(3, len(seq) - t0, -1)
         assert np.abs(past.states - full[:, :t0]).max() < 1e-12
         assert np.abs(tail - full[:, t0:]).max() < 1e-12
+
+    def test_prefix_runs_once_per_distinct_mask(self, monkeypatch):
+        """"uncond" and "img" agree on every row before the target, so the
+        prefix forward gets 2 entries, not 3, and the cache equals the one
+        built from each variant's mask on its own."""
+        model, _ = make_models(seed=57)
+        seq = make_seq(text_len=3, sources=((1, 2, 2), (1, 1, 2)), target=(1, 2, 2), seed=58)
+        names = ["uncond", "img", "full"]
+        mask = planner_mod._variant_masks(seq, names)
+        t0, _ = seq.span_of(VISUAL_TARGET)
+        entries = []
+        real = planner_mod.planner_forward
+
+        def counting(model, seq, mask=None, *args, **kwargs):
+            entries.append(mask.allow.shape[0])
+            return real(model, seq, mask, *args, **kwargs)
+
+        monkeypatch.setattr(planner_mod, "planner_forward", counting)
+        with no_grad():
+            past = planner_mod.prefix_cache(model, seq, mask, t0)
+        assert entries == [2]
+        monkeypatch.undo()
+        with no_grad():
+            for b, name in enumerate(names):
+                own = planner_mod.prefix_cache(model, seq, planner_mod._variant_masks(seq, [name]), t0)
+                assert np.array_equal(past.states[b], own.states[0]), name
+                for (k, v), (k1, v1) in zip(past.kv, own.kv):
+                    assert np.array_equal(k.data[b * t0 : (b + 1) * t0], k1.data)
+                    assert np.array_equal(v.data[b * t0 : (b + 1) * t0], v1.data)
 
     def test_cache_refuses_a_prefix_that_sees_later_rows(self):
         model, _ = make_models()

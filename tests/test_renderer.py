@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from planflow.config import ConfigError
-from planflow import renderer as renderer_mod
+from planflow import nets, renderer as renderer_mod
 from planflow.guidance import GuidanceSpec, compose, spec_for_conditions
-from planflow.numerics import ContractError, DimensionError, Rng, Tensor, backward, fd_gradient
+from planflow.numerics import ContractError, DimensionError, Rng, Tensor, backward, concat, fd_gradient
 from planflow.renderer import (
+    BatchLayout,
     CondInputs,
     DomainError,
     FlowSample,
@@ -26,12 +27,21 @@ from planflow.renderer import (
     unpatchify,
 )
 from planflow.schedules import TimestepConfig, TaskKind
-from planflow.sequence import NEG_BIAS
 from planflow.toydata import PALETTE_SIZE, encode, frames_to_ids
 from util import rel_err
 
 
 CFG = RendererConfig(hidden_dim=16, blocks=2, heads=2, patch=(1, 2, 2), channels=4, planner_dim=16)
+
+# the six task layouts: (source role, source grid) per source, and the target grid
+LAYOUTS = {
+    "t2i": ([], (1, 4, 4)),
+    "t2v": ([], (2, 4, 4)),
+    "i2i": ([("img", (1, 4, 4))], (1, 4, 4)),
+    "i2v": ([("img", (1, 4, 4))], (2, 4, 4)),
+    "v2v": ([("vid", (2, 4, 4))], (2, 4, 4)),
+    "iv2v": ([("vid", (2, 4, 4)), ("img", (1, 4, 4))], (2, 4, 4)),
+}
 
 
 def make_model(seed=3, **kw):
@@ -127,19 +137,40 @@ class TestRendererForward:
         assert np.abs(out1 - out2).max() < 1e-12
 
     def test_forced_masked_sources_equal_no_source_path(self):
-        """Banning all source key columns reproduces the source-free forward."""
+        """An entry that holds no sources reproduces the source-free forward,
+        and the entry beside it that holds the source the one-entry forward."""
         model = make_model()
         rng = Rng(10)
         x_t = rng.normal((1, 4, 4, 4))
         src = rng.normal((1, 4, 4, 4))
         cond = build_cond_tokens(model, np.array([1], dtype=np.intp), None)
         no_src = renderer_forward(model, x_t, 0.3, cond, []).data
-        _, src_tokens = patchify(src, CFG.patch)
-        n_src, n_tgt = src_tokens.shape[0], no_src.shape[0]
-        bias = np.zeros((n_src + n_tgt, n_src + n_tgt))
-        bias[:, :n_src] = NEG_BIAS
-        banned = renderer_forward(model, x_t, 0.3, cond, [src], attn_bias=bias).data
-        assert np.abs(banned - no_src).max() < 1e-12
+        with_src = renderer_forward(model, x_t, 0.3, cond, [src]).data
+        layout = BatchLayout(held=((), (0,)), cond_lens=(cond.shape[0],) * 2)
+        both = renderer_forward(model, x_t, 0.3, concat([cond, cond]), [src], layout).data
+        assert np.abs(both[: len(no_src)] - no_src).max() < 1e-12
+        assert np.abs(both[len(no_src) :] - with_src).max() < 1e-12
+        assert np.abs(no_src - with_src).max() > 1e-6
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_ragged_layout_matches_one_entry_forwards(self, blocks):
+        """Each entry of a ragged batch (shared sources, padded pieces, a
+        planner-state entry) equals its own one-entry forward, also when
+        block 0 is the last block and when blocks lie between them."""
+        model = make_model(seed=16, blocks=blocks)
+        rng = Rng(17)
+        model.params["cond_proj"].data[:] = rng.normal(model.params["cond_proj"].shape) * 0.3
+        sources = [rng.normal((2, 4, 4, 4)), rng.normal((1, 4, 4, 4))]
+        x_t = rng.normal((2, 4, 4, 4))
+        text = np.array([1, 2, 3], dtype=np.intp)
+        conds = [build_cond_tokens(model, None, None)] * 3 + [build_cond_tokens(model, text, None),
+                                                               build_cond_tokens(model, text, rng.normal((30, 16)))]
+        held = ((), (0,), (0, 1), (0, 1), (0, 1))
+        layout = BatchLayout(held, tuple(c.shape[0] for c in conds))
+        out = renderer_forward(model, x_t, 0.4, concat(conds), sources, layout).data.reshape(len(held), -1, CFG.patch_dim)
+        for e, (h, cond) in enumerate(zip(held, conds)):
+            own = renderer_forward(model, x_t, 0.4, cond, [sources[i] for i in h]).data
+            assert np.abs(out[e] - own).max() < 1e-12, e
 
     def test_single_patch_hand_oracle(self):
         """One target token, two blocks: replicate the whole forward in numpy."""
@@ -216,6 +247,53 @@ class TestRendererForward:
                 assert diff > 1e-6, "segment phases must expose the swap"
             else:
                 assert diff < 1e-10, "plain 3D rotation must be blind to the swap"
+
+
+class TestPatchBias:
+    """patch_bias = delta @ patch_proj is the same as shifting every source
+    and target patch token by delta, so the bias must reach both kinds of row."""
+
+    def _setup(self):
+        model = make_model(seed=60)
+        rng = Rng(61)
+        delta = rng.normal((1, CFG.patch_dim))
+
+        def shifted(latent):
+            grid, tokens = patchify(latent, CFG.patch)
+            return unpatchify(tokens + delta, grid, CFG.patch, CFG.channels)
+
+        return model, rng, delta @ model.params["patch_proj"].data, shifted
+
+    def test_one_entry_forward(self):
+        model, rng, bias, shifted = self._setup()
+        x_t = rng.normal((2, 4, 4, 4))
+        sources = [rng.normal((2, 4, 4, 4)), rng.normal((1, 4, 4, 4))]
+        cond = build_cond_tokens(model, np.array([1, 5, 2], dtype=np.intp), None)
+        moved = renderer_forward(model, shifted(x_t), 0.4, cond, [shifted(s) for s in sources]).data
+        model.params["patch_bias"].data[:] = bias
+        biased = renderer_forward(model, x_t, 0.4, cond, sources).data
+        assert np.abs(biased - moved).max() < 1e-12
+        assert np.abs(biased - renderer_forward(model, shifted(x_t), 0.4, cond, sources).data).max() > 1e-6
+
+    def test_batched_render(self, monkeypatch):
+        model, rng, bias, shifted = self._setup()
+        cond_in = CondInputs(
+            text_ids=np.array([1, 5, 2], dtype=np.intp),
+            planner_states=rng.normal((6, 16)),
+            source_latents=[rng.normal((2, 4, 4, 4)), rng.normal((1, 4, 4, 4))],
+            source_roles=["vid", "img"],
+        )
+        spec = spec_for_conditions({"txt": 4.0, "vid": 1.25, "img": 2.5, "tgt": 1.5}, has_video=True, has_image=True)
+        real = renderer_mod.renderer_forward
+        monkeypatch.setattr(renderer_mod, "renderer_forward",
+                            lambda model, x, t, cond, **kwargs: real(model, shifted(x), t, cond, **kwargs))
+        moved_in = CondInputs(cond_in.text_ids, cond_in.planner_states,
+                              [shifted(s) for s in cond_in.source_latents], cond_in.source_roles)
+        moved = render(model, moved_in, steps=3, spec=spec, shift=3.0, rng=Rng(62), target_grid=(2, 4, 4))
+        monkeypatch.undo()
+        model.params["patch_bias"].data[:] = bias
+        biased = render(model, cond_in, steps=3, spec=spec, shift=3.0, rng=Rng(62), target_grid=(2, 4, 4))
+        assert np.abs(biased - moved).max() < 1e-12
 
 
 class TestTrainStep:
@@ -318,23 +396,26 @@ class TestRender:
         expected = euler_integrate(velocity, noise, 3, 2.0)
         assert np.abs(out - expected).max() < 1e-10
 
-    @pytest.mark.parametrize("roles", [["vid"], ["vid", "img"]], ids=["v2v", "iv2v"])
-    def test_batched_subsets_match_per_subset_forwards(self, roles):
+    @pytest.mark.parametrize("task,states", [(task, states) for states in (True, False) for task in LAYOUTS],
+                             ids=[task + ("" if states else "-no-states") for states in (True, False) for task in LAYOUTS])
+    def test_batched_subsets_match_per_subset_forwards(self, task, states):
         """One batched forward per step equals one forward per condition
         subset, each over only the sources that subset holds."""
         model = make_model(seed=30)
         rng = Rng(31)
         # a trained-looking projector, so the target-semantics branch matters
         model.params["cond_proj"].data[:] = rng.normal(model.params["cond_proj"].shape) * 0.3
+        sources, target_grid = LAYOUTS[task]
         cond_in = CondInputs(
             text_ids=np.array([1, 5, 2], dtype=np.intp),
-            planner_states=rng.normal((6, 16)),
-            source_latents=[rng.normal((1, 4, 4, 4)) for _ in roles],
-            source_roles=list(roles),
+            planner_states=rng.normal((6, 16)) if states else None,
+            source_latents=[rng.normal((*grid, 4)) for _, grid in sources],
+            source_roles=[role for role, _ in sources],
         )
         spec = spec_for_conditions({"txt": 4.0, "vid": 1.25, "img": 2.5, "tgt": 1.5},
-                                   has_video=True, has_image="img" in roles)
-        assert len(spec.subset_chain()) == len(roles) + 3
+                                   has_video="vid" in cond_in.source_roles, has_image="img" in cond_in.source_roles,
+                                   has_target_semantics=states)
+        assert len(spec.subset_chain()) == len(sources) + 2 + states
 
         def per_subset_velocity(x, t):
             forwards = {}
@@ -347,38 +428,64 @@ class TestRender:
                 forwards[subset] = unpatchify(tok, grid, CFG.patch, CFG.channels)
             return compose(spec, forwards)
 
-        out = render(model, cond_in, steps=3, spec=spec, shift=3.0, rng=Rng(32), target_grid=(1, 4, 4))
-        noise = Rng(32).normal((1, 4, 4, CFG.channels))
+        out = render(model, cond_in, steps=3, spec=spec, shift=3.0, rng=Rng(32), target_grid=target_grid)
+        noise = Rng(32).normal((*target_grid, CFG.channels))
         expected = euler_integrate(per_subset_velocity, noise, 3, 3.0)
         assert np.abs(out - expected).max() < 1e-12
         assert np.abs(out - noise).max() > 1e-3
 
-    def test_hoisted_constants_match_per_step_recomputation(self, monkeypatch):
-        """render() prepares rotary tables, cross-attention keys and values and
-        the source projection once; rebuilding them at every step agrees."""
+    def _iv2v(self, rng):
         model = make_model(seed=35)
-        rng = Rng(36)
         model.params["cond_proj"].data[:] = rng.normal(model.params["cond_proj"].shape) * 0.3
         cond_in = CondInputs(
             text_ids=np.array([1, 5, 2], dtype=np.intp),
             planner_states=rng.normal((6, 16)),
-            source_latents=[rng.normal((1, 4, 4, 4)) for _ in range(2)],
+            source_latents=[rng.normal((2, 4, 4, 4)), rng.normal((1, 4, 4, 4))],
             source_roles=["vid", "img"],
         )
         spec = spec_for_conditions({"txt": 4.0, "vid": 1.25, "img": 2.5, "tgt": 1.5},
                                    has_video=True, has_image=True)
-        hoisted = render(model, cond_in, steps=3, spec=spec, shift=3.0, rng=Rng(37), target_grid=(1, 4, 4))
+        return model, cond_in, spec
+
+    def test_hoisted_constants_match_per_step_recomputation(self, monkeypatch):
+        """render() prepares the layout's index tables, rotary tables,
+        cross-attention keys and values and the source projection once;
+        rebuilding them at every step agrees."""
+        model, cond_in, spec = self._iv2v(Rng(36))
+        hoisted = render(model, cond_in, steps=3, spec=spec, shift=3.0, rng=Rng(37), target_grid=(2, 4, 4))
         real = renderer_mod.renderer_forward
         prepared = []
 
-        def per_step(model, x, t, cond, consts, **kwargs):
+        def per_step(model, x, t, cond, consts):
             prepared.append(consts)
-            return real(model, x, t, cond, cond_in.source_latents, **kwargs)
+            return real(model, x, t, cond, cond_in.source_latents, consts.layout)
 
         monkeypatch.setattr(renderer_mod, "renderer_forward", per_step)
-        recomputed = render(model, cond_in, steps=3, spec=spec, shift=3.0, rng=Rng(37), target_grid=(1, 4, 4))
+        recomputed = render(model, cond_in, steps=3, spec=spec, shift=3.0, rng=Rng(37), target_grid=(2, 4, 4))
         assert len(prepared) == 3 and all(c is prepared[0] for c in prepared)
         assert np.abs(hoisted - recomputed).max() < 1e-12
+
+    def test_render_self_attention_has_no_key_bias(self, monkeypatch):
+        """No entry holds a source it may not see, so no self-attention call
+        bans a key; block 0 runs once per run of entries with equal sources,
+        and the last block's queries are the target rows alone."""
+        model, cond_in, spec = self._iv2v(Rng(38))
+        calls = []
+        real = nets.self_attention
+
+        def recording(params, prefix, x, heads, bias=None, rotation=None, batch=1, *args, **kwargs):
+            calls.append((bias, batch, x.shape[0], kwargs.get("queries")))
+            return real(params, prefix, x, heads, bias, rotation, batch, *args, **kwargs)
+
+        monkeypatch.setattr(nets, "self_attention", recording)
+        render(model, cond_in, steps=2, spec=spec, shift=3.0, rng=Rng(39), target_grid=(2, 4, 4))
+        assert len(calls) == 2 * model.cfg.blocks
+        assert all(bias is None and all(run.bias is None for run in runs) for bias, runs, _, _ in calls)
+        n_vid, n_img, n_tgt = 8, 4, 8
+        # entries: {}, {vid}, {vid,img}, {vid,img,txt}, {vid,img,txt,tgt}
+        assert calls[0][2] == n_tgt + (n_vid + n_tgt) + (n_vid + n_img + n_tgt)
+        assert calls[1][2] == n_tgt + (n_vid + n_tgt) + 3 * (n_vid + n_img + n_tgt)
+        assert calls[0][3] is None and len(calls[1][3]) == 5 * n_tgt
 
     def test_one_forward_per_euler_step(self, monkeypatch):
         model = make_model()
@@ -386,7 +493,7 @@ class TestRender:
         real = renderer_mod.renderer_forward
 
         def counting(*args, **kwargs):
-            calls.append(kwargs.get("batch", 1))
+            calls.append(len(kwargs["consts"].layout.held))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(renderer_mod, "renderer_forward", counting)
