@@ -149,10 +149,17 @@ class Config:
 
     def validate(self) -> None:
         """Refuse model sizes the networks cannot be built with, grids that
-        are not triples and unknown guidance branches."""
+        are not triples of positive sizes and unknown guidance branches."""
         for key in _TRIPLES:
             if len(self.get(key).split(",")) != 3:
                 raise ConfigError(f"{key}: expected three values (frames, height, width), got {self.values[key]!r}")
+        for part in self.get("data.grid").split(","):
+            try:
+                positive = int(part) >= 1
+            except ValueError:  # get_ints names the malformed entry
+                continue
+            if not positive:
+                raise ConfigError(f"data.grid: dimensions must be positive, got {self.values['data.grid']!r}")
         for key in _GUIDANCE_SCALES:
             for part in self.get(key).split(","):
                 name = part.partition(":")[0].strip()

@@ -241,22 +241,29 @@ class Adam:
                 continue
             m = self.m.get(name)
             if m is None:
-                m = np.zeros_like(p.data)
+                m = self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
             v = self.v[name]
-            m = self.beta1 * m + (1.0 - self.beta1) * p.grad
-            v = self.beta2 * v + (1.0 - self.beta2) * p.grad * p.grad
-            self.m[name], self.v[name] = m, v
-            p.data = p.data - self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            # in place, bit-identical to m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g
+            m *= self.beta1
+            m += (1.0 - self.beta1) * p.grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * p.grad * p.grad
+            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
     def meta(self) -> dict:
         return {"kind": "adam", "t": self.t, "lr": self.lr}
 
 
 def ema_update(shadow: dict[str, np.ndarray], params: dict[str, Tensor], decay: float) -> None:
+    """shadow = decay * shadow + (1 - decay) * params, updated in place."""
     for name, p in params.items():
         s = shadow.get(name)
-        shadow[name] = p.data.copy() if s is None else decay * s + (1.0 - decay) * p.data
+        if s is None:
+            shadow[name] = p.data.copy()
+        else:
+            s *= decay
+            s += (1.0 - decay) * p.data
 
 
 class ema_weights:

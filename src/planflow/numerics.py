@@ -509,23 +509,27 @@ def fd_gradient(loss_fn: Callable[[], Tensor], param: Tensor, indices=None, step
 # counter-based RNG
 # ---------------------------------------------------------------------------
 
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
+_GOLD = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+def _mix(z):
+    """splitmix64 finalizer on a Python int or a uint64 array, modulo 2**64.
+
+    The mask is needed on ints only; uint64 array arithmetic wraps silently.
+    """
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 class Rng:
     """Counter-based stream: draw i depends only on (seed, counter+i).
 
     Streams are bit-identical across runs and platforms; `state()` /
-    `from_state()` round-trip through checkpoints.
+    `from_state()` round-trip through checkpoints. Scalar and vector draws
+    are one stream: n scalar draws equal one n-vector draw from the same
+    state. Scalar draws run on Python ints, vector draws on uint64 arrays.
     """
 
     __slots__ = ("seed", "counter")
@@ -543,25 +547,29 @@ class Rng:
 
     def child(self, tag: int) -> "Rng":
         """Derive an independent stream; does not consume from this one."""
-        with np.errstate(over="ignore"):
-            s = _mix(np.uint64(self.seed) + _GOLD * np.uint64((int(tag) + 1) & _MASK64))
-        return Rng(int(s), 0)
+        return Rng(_mix((self.seed + _GOLD * ((int(tag) + 1) & _MASK64)) & _MASK64), 0)
 
-    def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self.counter, self.counter + n, dtype=np.uint64)
-        self.counter += n
-        with np.errstate(over="ignore"):
-            return _mix(np.uint64(self.seed) ^ _mix((idx + np.uint64(1)) * _GOLD))
+    def _unit(self) -> float:
+        """The next draw as an open-interval (0, 1) Python float."""
+        self.counter += 1
+        raw = _mix(self.seed ^ _mix((self.counter * _GOLD) & _MASK64))
+        return ((raw >> 11) + 0.5) * 2.0 ** -53
 
     def uniform(self, shape=()) -> np.ndarray:
         """Open-interval (0, 1) uniforms."""
-        n = int(np.prod(shape)) if shape else 1
-        u = ((self._raw(n) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-        return u.reshape(shape) if shape else u[0]
+        if not shape:
+            return np.float64(self._unit())
+        n = math.prod(shape)
+        if n == 1:
+            return np.full(shape, self._unit())
+        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        self.counter += n
+        raw = _mix(self.seed ^ _mix(idx * _GOLD))
+        return (((raw >> 11).astype(np.float64) + 0.5) * 2.0 ** -53).reshape(shape)
 
     def normal(self, shape=()) -> np.ndarray:
         """Standard normals via the Box-Muller transform of paired uniforms."""
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape) if shape else 1
         m = (n + 1) // 2
         u1 = self.uniform((m,))
         u2 = self.uniform((m,))
@@ -576,9 +584,10 @@ class Rng:
         """Integers in [low, high)."""
         if high <= low:
             raise ContractError(f"integers: empty range [{low}, {high})")
-        u = self.uniform(shape if shape else (1,))
-        out = (np.floor(u * (high - low)) + low).astype(np.int64)
-        return out.reshape(shape) if shape else int(out[0])
+        if not shape:
+            return int(math.floor(self._unit() * (high - low)) + low)
+        u = self.uniform(shape)
+        return (np.floor(u * (high - low)) + low).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
         keys = self.uniform((n,))
@@ -588,7 +597,7 @@ class Rng:
         """Gamma(alpha, 1) via Marsaglia-Tsang squeeze-rejection (deterministic)."""
         if alpha <= 0:
             raise ContractError(f"gamma: alpha must be positive, got {alpha}")
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape) if shape else 1
         if alpha < 1.0:
             g = self.gamma(alpha + 1.0, (n,))
             u = self.uniform((n,))

@@ -59,7 +59,7 @@ class ToyVit:
         self.patch = tuple(patch)
         self.embed_dim = embed_dim
         rng = Rng(seed)
-        pd = int(np.prod(patch))
+        pd = int(math.prod(patch))
         self.weight = rng.normal((pd, embed_dim)) / math.sqrt(pd)
         self.bias = rng.normal((embed_dim,)) * 0.1
 

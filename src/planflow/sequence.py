@@ -9,6 +9,7 @@ tokens of earlier segments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,7 +31,7 @@ class SegmentDesc:
 
     @property
     def length(self) -> int:
-        return int(np.prod(self.grid))
+        return int(math.prod(self.grid))
 
 
 @dataclass

@@ -453,29 +453,37 @@ class PairRecord:
     similarity: float
 
 
-def clip_similarity(a: Scene, b: Scene) -> float:
-    """Normalized cross-correlation of temporally averaged frames, in [0, 1]."""
-    fa = a.normalized().mean(axis=0).ravel()
-    fb = b.normalized().mean(axis=0).ravel()
+def _clip_feature(scene: Scene) -> tuple[np.ndarray, np.ndarray, float]:
+    """A scene's temporally averaged frame, that frame centred, and the centred norm."""
+    frame = scene.normalized().mean(axis=0).ravel()
+    centred = frame - frame.mean()
+    return frame, centred, np.linalg.norm(centred)
+
+
+def _feature_similarity(a: tuple, b: tuple) -> float:
+    (fa, ca, na), (fb, cb, nb) = a, b
     if np.array_equal(fa, fb):
         return 1.0
-    fa = fa - fa.mean()
-    fb = fb - fb.mean()
-    na, nb = np.linalg.norm(fa), np.linalg.norm(fb)
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float(np.clip(np.dot(fa, fb) / (na * nb), 0.0, 1.0))
+    return float(np.clip(np.dot(ca, cb) / (na * nb), 0.0, 1.0))
+
+
+def clip_similarity(a: Scene, b: Scene) -> float:
+    """Normalized cross-correlation of temporally averaged frames, in [0, 1]."""
+    return _feature_similarity(_clip_feature(a), _clip_feature(b))
 
 
 def mine_pairs(pool: list[Scene], rng: Rng, band: tuple[float, float] = (0.65, 0.95),
                per_origin_cap: int = 100) -> list[PairRecord]:
     """Retain pairs inside the similarity band, at most `per_origin_cap` per origin."""
+    features = [_clip_feature(scene) for scene in pool]
     records: list[PairRecord] = []
     for i in range(len(pool)):
         kept = 0
         order = i + 1 + rng.permutation(len(pool) - i - 1)
         for j in order:
-            sim = clip_similarity(pool[i], pool[int(j)])
+            sim = _feature_similarity(features[i], features[j])
             if band[0] <= sim <= band[1]:
                 records.append(PairRecord(pool[i], pool[int(j)], sim))
                 kept += 1

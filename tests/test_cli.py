@@ -124,6 +124,15 @@ class TestTrainErrors:
         assert captured.err.startswith(f"error: {key}:") and captured.err.count("\n") == 1
         assert "three values" in captured.err
 
+    def test_check_refuses_non_positive_grid(self, workdir, capsys):
+        bad = workdir / "check_bad_grid.cfg"
+        bad.write_text("data.grid = 0,8,8\n")
+        assert cli.main(["check", "--config", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "invariants hold" not in captured.out
+        assert captured.err.startswith("error: data.grid:") and captured.err.count("\n") == 1
+        assert "positive" in captured.err and "'0,8,8'" in captured.err
+
 
 class TestEditDeterminism:
     def test_edit_twice_byte_identical(self, workdir, generated, trained_ckpt):

@@ -15,6 +15,7 @@ from planflow.harness import (
     RunConfig,
     StageConfig,
     StartupError,
+    TrainState,
     _effective_mixture,
     _sample_mixture,
     dataset_counts,
@@ -24,6 +25,7 @@ from planflow.harness import (
     evaluate,
     run_stage,
     run_pipeline,
+    state_to_checkpoint,
     total_loss,
 )
 from planflow.numerics import Rng, Tensor
@@ -131,6 +133,69 @@ class TestOptimizersAndEma:
             ema_update(shadow, p, decay)
             expected_gap = decay ** n * 2.0
             assert np.allclose(2.0 - shadow["w"], expected_gap, rtol=1e-12)
+
+    def test_adam_matches_reference_bit_for_bit(self):
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        rng = Rng(5)
+        params = {"a": Tensor(rng.normal((3, 4)), requires_grad=True),
+                  "b": Tensor(rng.normal((5,)), requires_grad=True)}
+        ref = {k: p.data.copy() for k, p in params.items()}
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v = {k: np.zeros_like(x) for k, x in ref.items()}
+        opt = Adam(lr=0.0)
+        for t in range(1, 6):
+            opt.lr = 0.01 * t
+            for k, p in params.items():
+                p.grad = None if (k, t) == ("b", 3) else rng.normal(p.data.shape)
+            opt.step(params)
+            b1c, b2c = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for k, p in params.items():
+                if p.grad is None:
+                    continue
+                m[k] = b1 * m[k] + (1.0 - b1) * p.grad
+                v[k] = b2 * v[k] + (1.0 - b2) * p.grad * p.grad
+                ref[k] = ref[k] - opt.lr * (m[k] / b1c) / (np.sqrt(v[k] / b2c) + eps)
+            for k, p in params.items():
+                assert p.data.tobytes() == ref[k].tobytes()
+                assert opt.m[k].tobytes() == m[k].tobytes() and opt.v[k].tobytes() == v[k].tobytes()
+
+    def test_ema_matches_reference_bit_for_bit(self):
+        decay, rng = 0.9995, Rng(6)
+        params = {"w": Tensor(rng.normal((4, 3)), requires_grad=True)}
+        shadow: dict[str, np.ndarray] = {}
+        ref = None
+        for _ in range(5):
+            ema_update(shadow, params, decay)
+            ref = params["w"].data.copy() if ref is None else decay * ref + (1.0 - decay) * params["w"].data
+            assert shadow["w"].tobytes() == ref.tobytes()
+            params["w"].data = params["w"].data + rng.normal((4, 3))
+
+    def test_checkpoint_does_not_alias_live_state(self):
+        cfg = tiny_config()
+        bundle = ModelBundle(cfg)
+        trainable = bundle.trainable("II")
+        state = TrainState(0, Adam(lr=0.01), {}, {}, [])
+        rng = Rng(8)
+
+        def train_step():
+            for p in trainable.values():
+                p.grad = rng.normal(p.data.shape)
+            state.opt.step(trainable)
+            ema_update(state.ema, trainable, 0.9)
+
+        train_step()
+        train_step()
+        ck = state_to_checkpoint(bundle, state, "II", RunConfig.from_config(cfg))
+        groups = (ck.params, ck.ema, ck.opt_m, ck.opt_v)
+        before = [{k: a.tobytes() for k, a in g.items()} for g in groups]
+        train_step()
+        for p in trainable.values():
+            p.data += 1.0
+        for k in state.ema:
+            state.ema[k] += 1.0
+            state.opt.m[k] += 1.0
+            state.opt.v[k] += 1.0
+        assert [{k: a.tobytes() for k, a in g.items()} for g in groups] == before
 
     def test_ema_swap_restores(self):
         cfg = tiny_config()
@@ -432,6 +497,7 @@ class TestConfigFile:
         ({"vit.patch": "1,0,2"}, "positive"),
         ({"planner.time_features": "15"}, "even"),
         ({"planner.heads": "two"}, "integers"),
+        ({"data.grid": "0,8,8"}, "positive"),
     ])
     def test_inconsistent_model_sizes_refused(self, overrides, message):
         with pytest.raises(ConfigError, match=message):

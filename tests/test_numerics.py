@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,3 +335,49 @@ class TestRng:
     def test_permutation_is_permutation(self):
         p = Rng(3).permutation(50)
         assert sorted(p.tolist()) == list(range(50))
+
+    # Exact draws of each kind, in this order from a fresh stream per seed:
+    # uniform(), uniform((3,)), normal(), normal((3,)), integers(-5, 1000),
+    # integers(0, 10, (4,)), permutation(6), beta(12, 0.9), then state() and
+    # child(2**63).state() and child(3).state(). Any change of one bit in any
+    # stream fails here.
+    GOLDEN = {
+        0: (0.281761297722585, [0.8025511647369601, 0.48155858235550336, 0.22402281183106115],
+            1.8531092156330942, [-0.9681081979725912, -0.6232318538631066, -2.163264974595407],
+            125, [8, 2, 4, 9], [4, 5, 2, 3, 0, 1], 0.9275135135435411,
+            (0, 28), (5196802822362493915, 0), (17909611376780542444, 0)),
+        7: (0.012846003189734001, [0.09611191030497218, 0.7942885457469469, 0.5344526207351485],
+            1.6828103737965139, [1.2747733638767047, -0.7927944089620134, 0.1620005964782096],
+            742, [2, 7, 2, 5], [3, 1, 0, 4, 5, 2], 0.9971347001008988,
+            (7, 28), (7195639206139662248, 0), (10753165928301472203, 0)),
+        2**64 - 1: (0.9482802731023046, [0.612855528207616, 0.33267689279066576, 0.7840011069222779],
+                    -2.064375623638129, [-1.6002015125854085, 1.0563976140464095, 1.310846216093915],
+                    761, [7, 2, 2, 4], [0, 3, 1, 4, 5, 2], 0.9009815397526998,
+                    (2**64 - 1, 28), (3055647633038352039, 0), (7862637804313477842, 0)),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_golden_streams(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = Rng(seed)
+            u, u3, z, z3 = r.uniform(), r.uniform((3,)), r.normal(), r.normal((3,))
+            k, k4, perm, b = r.integers(-5, 1000), r.integers(0, 10, (4,)), r.permutation(6), r.beta(12.0, 0.9)
+            got = (u, u3.tolist(), z, z3.tolist(), k, k4.tolist(), perm.tolist(), b,
+                   r.state(), r.child(2**63).state(), r.child(3).state())
+        assert got == self.GOLDEN[seed]
+        assert (type(u), type(z), type(k), type(b)) == (np.float64, np.float64, int, float)
+        assert (u3.dtype, z3.dtype, k4.dtype) == (np.float64, np.float64, np.int64)
+
+    def test_golden_far_counter(self):
+        assert Rng(3, 2**40).uniform((2,)).tolist() == [0.1712273372950514, 0.6763468185919204]
+        assert Rng(3, 2**40).integers(0, 2**31, (2,)).tolist() == [367707906, 1452443733]
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_scalar_draws_are_the_vector_stream(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, b = Rng(2**64 - 1, 5), Rng(2**64 - 1, 5)
+            assert np.array([a.uniform() for _ in range(n)]).tobytes() == b.uniform((n,)).tobytes()
+            assert [a.integers(-3, 40) for _ in range(n)] == b.integers(-3, 40, (n,)).tolist()
+            assert a.state() == b.state()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,23 @@ class TestPairMining:
         from_origin0 = [r for r in records if r.clip_a is pool[0]]
         assert len(from_origin0) == 100
 
+    @pytest.mark.parametrize("seed", [61, 62, 63])
+    def test_matches_per_pair_reference(self, seed):
+        pool = gen_pair_pool(Rng(seed), (2, 8, 8), 3, variants=3)
+        pool += [Scene(pool[0].grid, list(pool[0].objects)), Scene((2, 8, 8), [])]  # an identical clip, a constant one
+        reference, rng = [], Rng(seed + 100)
+        for i in range(len(pool)):
+            for j in i + 1 + rng.permutation(len(pool) - i - 1):
+                sim = clip_similarity(pool[i], pool[int(j)])
+                if 0.65 <= sim <= 0.95:
+                    reference.append((i, int(j), sim))
+        records = mine_pairs(pool, Rng(seed + 100))
+        assert reference
+        ids = {id(scene): k for k, scene in enumerate(pool)}
+        got = [(ids[id(r.clip_a)], ids[id(r.clip_b)], r.similarity) for r in records]
+        assert got == reference
+        assert all(type(r.similarity) is float for r in records)
+
 
 class TestDatasetFiles:
     def test_generate_and_reload(self, tmp_path):
@@ -202,6 +221,17 @@ class TestDatasetFiles:
         a = (tmp_path / "a" / "records.jsonl").read_bytes()
         b = (tmp_path / "b" / "records.jsonl").read_bytes()
         assert a == b
+
+    def test_files_pinned(self, tmp_path):
+        """The exact bytes a fixed seed writes, with every task kind, text and pair records."""
+        counts = {"t2i": 2, "t2v": 2, "i2i": 2, "i2v": 2, "v2v": 3, "iv2v": 2, "text": 3, "pair": 3}
+        generate_dataset(tmp_path, seed=29, counts=counts, grid=(2, 8, 8))
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("records.jsonl", "manifest.json")}
+        assert digests == {
+            "records.jsonl": "e99237b813f9c7071ccc1d965ff42e9d94fb87b3b77fcaac7b4fb26a090b5eea",
+            "manifest.json": "e21fa443267212459c120a5ce23abfe4d860aa6f60a8e4503cea2744c5cd0586",
+        }
 
     def test_palette_size_constant(self):
         assert PALETTE_SIZE == 6
