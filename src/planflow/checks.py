@@ -176,8 +176,8 @@ def _ragged_guidance_batch():
     cond_in = CondInputs(text_ids=np.array([1, 3], dtype=np.intp), planner_states=rng.normal((4, 16)),
                          source_latents=[rng.normal((2, 4, 4, 4)), rng.normal((1, 4, 4, 4))],
                          source_roles=["vid", "img"])
-    spec = guidance.spec_for_conditions({"txt": 4.0, "vid": 1.25, "img": 2.5, "tgt": 1.5},
-                                        has_video=True, has_image=True)
+    scales = {"txt": 4.0, "vid": 1.25, "img": 2.5, "tgt": 1.5}
+    spec = guidance.GuidanceSpec(scales, cond_in.branches())
 
     def per_subset(x, t):
         grid, _ = patchify(x, cfg.patch)
@@ -190,7 +190,7 @@ def _ragged_guidance_batch():
         return guidance.compose(spec, forwards)
 
     with numerics.no_grad():
-        out = render(model, cond_in, 2, spec, 3.0, Rng(60), (2, 4, 4))
+        out = render(model, cond_in, 2, scales, 3.0, Rng(60), (2, 4, 4))
         expected = euler_integrate(per_subset, Rng(60).normal((2, 4, 4, cfg.channels)), 2, 3.0)
     err = np.abs(out - expected).max()
     assert err < 1e-12, f"batched render departs from per-subset forwards by {err:.2e}"

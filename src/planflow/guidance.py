@@ -154,23 +154,3 @@ def compose_dual_branch(spec: DualBranchSpec, forwards: Mapping[str, np.ndarray]
     )
     return b_val + spec.alpha * (a_val - b_val)
 
-
-def spec_for_conditions(
-    scales: dict[str, float],
-    has_video: bool,
-    has_image: bool,
-    has_text: bool = True,
-    has_target_semantics: bool = True,
-) -> GuidanceSpec:
-    """Build a spec whose branches match the conditions actually available."""
-    present = []
-    if has_video:
-        present.append("vid")
-    if has_image:
-        present.append("img")
-    if has_text:
-        present.append("txt")
-    if has_target_semantics:
-        present.append("tgt")
-    weights = {b: float(scales.get(b, 1.0)) for b in present}
-    return GuidanceSpec(weights=weights, present=tuple(present))

@@ -16,10 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import guidance as guidance_mod
 from .checkpoint import Checkpoint, CheckpointError
 from .config import Config, ConfigError
-from .numerics import Rng, Tensor, add, backward, matmul, narrow
+from .numerics import Rng, Tensor, backward
 from .numerics import embedding as gather_rows
 from .planner import (
     EmbeddingDecoder,
@@ -27,10 +26,10 @@ from .planner import (
     PlannerConfig,
     PlannerModel,
     ToyVit,
-    cross_entropy_rows,
     losses_from_hidden,
     plan,
     planner_forward,
+    train_step_planner,
 )
 from .renderer import (
     CondInputs,
@@ -39,6 +38,7 @@ from .renderer import (
     RendererModel,
     ToyVae,
     build_cond_tokens,
+    conditioning_rows,
     render,
     train_step_renderer,
 )
@@ -467,45 +467,33 @@ def _effective_mixture(cfg: StageConfig, step: int) -> dict[str, float]:
     return out
 
 
-def _planner_case_loss(bundle: ModelBundle, run: RunConfig, case: EditCase, rngs, lambdas,
-                       want_renderer: bool, drop_rates=(0.0, 0.0, 0.0)):
-    """Stage I (want_renderer=False) or stage III (True) loss for one case."""
+def _planner_case_loss(bundle: ModelBundle, run: RunConfig, case: EditCase, stage: str, rngs, lambdas):
+    """Stage I or III loss for one case. Stage III also trains the renderer,
+    conditioned on the planner states of the sequence's conditioning rows."""
     seq, tgt_emb = planner_sequence(case, bundle.vit)
     ratio = sample_mask_ratio(run.mask_ratio, case.task, rngs["mask"])
     seq = apply_target_mask(seq, ratio, rngs["mask"], bundle.planner.mask_embedding.data[0])
     z = planner_forward(bundle.planner, seq)
     losses = losses_from_hidden(bundle.planner, bundle.decoder, seq, z, tgt_emb, rngs["noise"])
     l_dit = Tensor(0.0)
-    if want_renderer:
-        drop_text, drop_target, drop_source = drop_rates
-        keep_rows = np.where(
-            (seq.kinds == TEXT)
-            | ((seq.kinds != TEXT) & (seq.segment_indices != 0))
-            | ((seq.segment_indices == 0) & ~seq.masked)
-        )[0]
-        states = None
-        if rngs["drop"].uniform() >= drop_target and keep_rows.size:
-            states = gather_rows(z, keep_rows.astype(np.intp))
-        text = None if rngs["drop"].uniform() < drop_text else seq.text_ids
-        latents, roles = renderer_sources(case, bundle.vae)
-        kept_latents = [
-            lat for lat, _ in zip(latents, roles) if rngs["drop"].uniform() >= drop_source
-        ]
-        cond = build_cond_tokens(bundle.renderer, text, states)
-        batch = RenderBatch(bundle.vae.encode(case.target.normalized()), cond, kept_latents)
-        l_dit, _ = train_step_renderer(bundle.renderer, batch, case.task, run.timestep, rngs["noise"])
+    if stage == "III":
+        l_dit = _renderer_loss(bundle, run, case, gather_rows(z, conditioning_rows(seq)), rngs)
     return total_loss(losses.ntp, losses.visual, l_dit, lambdas)
 
 
-def _renderer_case_loss(bundle: ModelBundle, run: RunConfig, case: EditCase, rngs, lambdas):
-    """Stage II loss: renderer conditioned on text features and source latents."""
+def _renderer_loss(bundle: ModelBundle, run: RunConfig, case: EditCase, states: Tensor | None, rngs) -> Tensor:
+    """Velocity loss of the renderer on one case, conditioned on the case's
+    text, its source latents and the planner states `states` if given, each
+    dropped at its rate in `run`."""
+    if states is not None and rngs["drop"].uniform() < run.drop_target:
+        states = None
     text = None if rngs["drop"].uniform() < run.drop_text else np.asarray(case.instruction, dtype=np.intp)
-    latents, roles = renderer_sources(case, bundle.vae)
+    latents, _ = renderer_sources(case, bundle.vae)
     kept = [lat for lat in latents if rngs["drop"].uniform() >= run.drop_source]
-    cond = build_cond_tokens(bundle.renderer, text, None)
+    cond = build_cond_tokens(bundle.renderer, text, states)
     batch = RenderBatch(bundle.vae.encode(case.target.normalized()), cond, kept)
     l_dit, _ = train_step_renderer(bundle.renderer, batch, case.task, run.timestep, rngs["noise"])
-    return total_loss(Tensor(0.0), Tensor(0.0), l_dit, lambdas)
+    return l_dit
 
 
 def run_stage(
@@ -567,28 +555,15 @@ def run_stage(
             idx = indices[state.rngs["case"].integers(0, len(indices))]
             record = data.records[idx]
             if task_name == TEXT_TASK:
-                # text-only records have no target segment: NTP only
                 seq = text_sequence(record["instruction"])
-                z = planner_forward(bundle.planner, seq)
-                p = bundle.planner.params
-                z_text = narrow(z, 0, 0, seq.text_len - 1)
-                logits = add(matmul(z_text, p["text_head"]), p["text_head_b"])
-                l_ntp = cross_entropy_rows(logits, seq.text_ids[1:])
-                loss = total_loss(l_ntp, Tensor(0.0), Tensor(0.0), lambdas)
-            elif task_name == PAIR_TASK:
-                case = pair_case(record)
-                loss = _renderer_case_loss(bundle, run, case, state.rngs, lambdas)
+                losses = train_step_planner(bundle.planner, bundle.decoder, seq, None, state.rngs["noise"])
+                loss = total_loss(losses.ntp, losses.visual, Tensor(0.0), lambdas)
+            elif task_name == PAIR_TASK or stage == "II":
+                case = pair_case(record) if task_name == PAIR_TASK else EditCase.from_dict(record)
+                l_dit = _renderer_loss(bundle, run, case, None, state.rngs)
+                loss = total_loss(Tensor(0.0), Tensor(0.0), l_dit, lambdas)
             else:
-                case = EditCase.from_dict(record)
-                if stage == "I":
-                    loss = _planner_case_loss(bundle, run, case, state.rngs, lambdas, want_renderer=False)
-                elif stage == "II":
-                    loss = _renderer_case_loss(bundle, run, case, state.rngs, lambdas)
-                else:
-                    loss = _planner_case_loss(
-                        bundle, run, case, state.rngs, lambdas, want_renderer=True,
-                        drop_rates=(run.drop_text, run.drop_target, run.drop_source),
-                    )
+                loss = _planner_case_loss(bundle, run, EditCase.from_dict(record), stage, state.rngs, lambdas)
             batch_losses.append(loss)
         batch_loss = batch_losses[0]
         for extra in batch_losses[1:]:
@@ -678,13 +653,6 @@ def render_case(bundle: ModelBundle, run: RunConfig, case: EditCase, states: np.
     hidden states `states` when given."""
     latents, roles = renderer_sources(case, bundle.vae)
     key = GUIDANCE_KEY[case.task]
-    spec = guidance_mod.spec_for_conditions(
-        run.guidance_scales[key],
-        has_video="vid" in roles,
-        has_image="img" in roles,
-        has_text=len(case.instruction) > 0,
-        has_target_semantics=states is not None,
-    )
     cond = CondInputs(
         text_ids=np.asarray(case.instruction, dtype=np.intp),
         planner_states=states,
@@ -692,7 +660,7 @@ def render_case(bundle: ModelBundle, run: RunConfig, case: EditCase, states: np.
         source_roles=roles,
     )
     return render(
-        bundle.renderer, cond, steps=run.guidance_steps[key], spec=spec,
+        bundle.renderer, cond, steps=run.guidance_steps[key], scales=run.guidance_scales[key],
         shift=run.flow_shift if run.timestep.shift_in_inference else 1.0,
         rng=rng, target_grid=case.target.grid,
     )

@@ -36,6 +36,7 @@ from .numerics import (
     logsumexp_rows,
 )
 from .posenc import RopeConfig, token_angles
+from .renderer import conditioning_rows
 from .schedules import masked_count_trace
 from .sequence import (
     TEXT,
@@ -374,13 +375,14 @@ def train_step_planner(
     model: PlannerModel,
     decoder: EmbeddingDecoder,
     seq: TokenSequence,
-    target_embeddings: np.ndarray,
+    target_embeddings: np.ndarray | None,
     rng: Rng,
 ) -> PlannerLosses:
     """Joint text NTP + masked-embedding flow-matching losses for one sequence.
 
     `seq` already carries its mask flags (the harness samples the task-dependent
-    ratio); `target_embeddings` are the ground-truth rows for the target segment.
+    ratio); `target_embeddings` are the ground-truth rows for the target
+    segment, None for a sequence without one.
     """
     z = planner_forward(model, seq)
     return losses_from_hidden(model, decoder, seq, z, target_embeddings, rng)
@@ -391,10 +393,11 @@ def losses_from_hidden(
     decoder: EmbeddingDecoder,
     seq: TokenSequence,
     z: Tensor,
-    target_embeddings: np.ndarray,
+    target_embeddings: np.ndarray | None,
     rng: Rng,
 ) -> PlannerLosses:
-    """Loss assembly on precomputed hidden states (shared with joint training)."""
+    """Loss assembly on precomputed hidden states (shared with joint training).
+    A sequence with no masked rows, such as a text-only one, has no visual loss."""
     p = model.params
 
     if seq.text_len >= 2:
@@ -406,11 +409,10 @@ def losses_from_hidden(
     else:
         l_ntp = Tensor(0.0)
 
-    start, stop = seq.span_of(VISUAL_TARGET)
-    masked_rel = np.where(seq.masked[start:stop])[0]
-    if masked_rel.size == 0:
+    rows = np.flatnonzero(seq.masked)  # only target rows are ever masked
+    if rows.size == 0:
         return PlannerLosses(l_ntp, Tensor(0.0), 0, True)
-    rows = (start + masked_rel).astype(np.intp)
+    masked_rel = rows - seq.span_of(VISUAL_TARGET)[0]
     z_masked = embedding(z, rows)
     gt = target_embeddings[masked_rel]
     m = len(masked_rel)
@@ -427,20 +429,6 @@ def losses_from_hidden(
 # ---------------------------------------------------------------------------
 # guided embedding decoding and the iterative planning loop
 # ---------------------------------------------------------------------------
-
-# guided decoding's condition chain: none -> image -> full
-GUIDANCE_VARIANTS = ("uncond", "img", "full")
-
-
-def _branch_condition(decoder, z_at_position, time_terms: dict | None = None) -> DecoderCondition:
-    """A DecoderCondition over the guidance branches' states stacked row-wise;
-    `z_at_position` is one (m, hidden) array or a branch-name mapping."""
-    branches = z_at_position if isinstance(z_at_position, dict) else {"full": z_at_position}
-    names = [name for name in GUIDANCE_VARIANTS if name in branches]
-    z = np.concatenate([branches[name].data if isinstance(branches[name], Tensor) else np.asarray(branches[name])
-                        for name in names], axis=0)
-    return decoder_condition(decoder, z, tuple(names), time_terms)
-
 
 def _composed_velocity(decoder, x: np.ndarray, t, cond: DecoderCondition, g_text: float, g_image: float) -> np.ndarray:
     """Incremental two-branch guidance over the condition chain, with the
@@ -461,27 +449,17 @@ def _composed_velocity(decoder, x: np.ndarray, t, cond: DecoderCondition, g_text
 
 def decode_embedding(
     decoder: EmbeddingDecoder,
-    z_at_position,
+    cond: DecoderCondition,
     steps: int,
-    g_text: float = 1.2,
-    g_image: float = 1.0,
-    rng: Rng | None = None,
-    noise: np.ndarray | None = None,
+    g_text: float,
+    g_image: float,
+    noise: np.ndarray,
 ) -> np.ndarray:
-    """Euler-integrate the decoder's velocity field from noise (t=0) to t=1.
-
-    `z_at_position` is either a single (m, hidden) array (pure conditional), a
-    mapping with keys "full" and optionally "uncond" / "img" for guidance, or
-    a `DecoderCondition` already prepared from one of those.
-    """
+    """Euler-integrate the decoder's guided velocity field under `cond` from
+    `noise` (t=0) to t=1."""
     if steps < 1:
         raise ContractError(f"steps must be >= 1, got {steps}")
-    if noise is None and rng is None:
-        raise ContractError("decode_embedding needs either rng or explicit noise")
     with no_grad():
-        cond = z_at_position if isinstance(z_at_position, DecoderCondition) else _branch_condition(decoder, z_at_position)
-        if noise is None:
-            noise = rng.normal((len(cond) // len(cond.branches), decoder.cfg.embed_dim))
         x = noise.copy()
         dt = 1.0 / steps
         for s in range(steps):
@@ -493,7 +471,7 @@ def decode_embedding(
 @dataclass
 class PlanResult:
     embeddings: np.ndarray            # (M, embed_dim) completed target embeddings
-    hidden: np.ndarray                # (n, hidden_dim) conditioning states
+    hidden: np.ndarray                # (len(conditioning_rows(seq)), hidden_dim) renderer conditioning states
     masked_counts: list[int]          # remaining masked tokens after each step
     mean_pred_norm: list[float]
     text_len: int = 0
@@ -579,7 +557,7 @@ def plan(
             z = planner_forward(model, seq, mask, past).data.reshape(len(names), n_target, -1)
             cond = decoder_condition(decoder, z[:, masked_rel].reshape(-1, z.shape[2]), tuple(names), time_terms)
             noise = rng.normal((len(masked_rel), decoder.cfg.embed_dim))
-            pred = decode_embedding(decoder, cond, decoder_steps, g_text, g_image, noise=noise)
+            pred = decode_embedding(decoder, cond, decoder_steps, g_text, g_image, noise)
             term = _composed_velocity(decoder, pred, 1.0, cond, g_text, g_image)
             conf = np.linalg.norm(term, axis=1)
             if reveal == "confidence":
@@ -597,7 +575,7 @@ def plan(
             z_final = np.concatenate([past.states[-1], z_final])
     return PlanResult(
         embeddings=seq.embeddings[t0:t1].copy(),
-        hidden=z_final,
+        hidden=z_final[conditioning_rows(seq)],
         masked_counts=masked_counts,
         mean_pred_norm=norms,
         text_len=seq.text_len,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import nets
 from .config import ConfigError
-from .guidance import GuidanceSpec, compose
+from .guidance import BRANCHES, GuidanceSpec, compose
 from .numerics import DimensionError, ContractError, Rng, Rotation, Run, Tensor, add, concat, embedding, matmul, mul, narrow, no_grad, sub, tmean
 from .posenc import RopeConfig, token_angles
 from .schedules import DomainError, sample_timestep, shift_toward_noise
@@ -222,6 +222,14 @@ def build_cond_tokens(model: RendererModel, text_ids: np.ndarray | None, planner
         states = planner_states if isinstance(planner_states, Tensor) else Tensor(planner_states)
         parts.append(add(matmul(states, p["cond_proj"]), p["cond_bias"]))
     return parts[0] if len(parts) == 1 else concat(parts, axis=0)
+
+
+def conditioning_rows(seq: TokenSequence) -> np.ndarray:
+    """Rows of a planner sequence whose hidden states condition the renderer,
+    in training and inference alike: every row not masked. Only target rows
+    are ever masked, and a finished plan has none left, so inference keeps
+    every row."""
+    return np.flatnonzero(~seq.masked)
 
 
 @dataclass(frozen=True)
@@ -477,35 +485,38 @@ class CondInputs:
         if bad:
             raise LayoutError(f"unknown source roles {bad}")
 
+    def branches(self) -> tuple[str, ...]:
+        """The guidance branches these conditions supply, in canonical order."""
+        have = {
+            "vid": "vid" in self.source_roles,
+            "img": "img" in self.source_roles,
+            "txt": self.text_ids is not None and len(self.text_ids) > 0,
+            "tgt": self.planner_states is not None,
+        }
+        return tuple(b for b in BRANCHES if have[b])
+
 
 def render(
     model: RendererModel,
     cond_inputs: CondInputs,
     steps: int,
-    spec: GuidanceSpec,
+    scales: dict[str, float],
     shift: float,
     rng: Rng,
     target_grid: tuple[int, int, int],
 ) -> np.ndarray:
     """Sample a target latent by guided Euler integration from pure noise.
 
-    Every condition subset in the spec's chain is one entry of a ragged
-    batch (`BatchLayout`): it holds only the sources of its subset and the
-    target, and cross-attends to that subset's conditioning tokens. Every
-    step makes one batched forward and composes its per-subset slices into
-    the guided velocity.
+    The guidance branches are those `cond_inputs` supplies, each weighted by
+    its entry of `scales` (1.0 when absent). Every condition subset in the
+    spec's chain is one entry of a ragged batch (`BatchLayout`): it holds
+    only the sources of its subset and the target, and cross-attends to that
+    subset's conditioning tokens. Every step makes one batched forward and
+    composes its per-subset slices into the guided velocity.
     """
     cfg = model.cfg
-    for b in spec.present:
-        if b == "vid" and "vid" not in cond_inputs.source_roles:
-            raise LayoutError("guidance spec includes a video branch but no video source is present")
-        if b == "img" and "img" not in cond_inputs.source_roles:
-            raise LayoutError("guidance spec includes an image branch but no image source is present")
-        if b == "txt" and (cond_inputs.text_ids is None or not len(cond_inputs.text_ids)):
-            raise LayoutError("guidance spec includes a text branch but no text ids are present")
-        if b == "tgt" and cond_inputs.planner_states is None:
-            raise LayoutError("guidance spec includes a target-semantics branch but no planner states")
-
+    branches = cond_inputs.branches()
+    spec = GuidanceSpec({b: float(scales.get(b, 1.0)) for b in branches}, branches)
     chain = spec.subset_chain()
     t_len, h, w = target_grid
     with no_grad():

@@ -72,10 +72,6 @@ class TokenSequence:
     def text_len(self) -> int:
         return sum(d.length for d in self.layout if d.kind == TEXT)
 
-    @property
-    def target_len(self) -> int:
-        return sum(d.length for d in self.layout if d.kind == VISUAL_TARGET)
-
     def head(self, stop: int) -> "TokenSequence":
         """The segments that end at or before token `stop`, as a sequence of
         their own; `stop` must fall on a segment boundary."""

@@ -12,10 +12,10 @@ from planflow.guidance import (
     GuidanceValidationError,
     compose,
     compose_dual_branch,
-    spec_for_conditions,
     validate,
 )
 from planflow.numerics import Rng
+from planflow.renderer import CondInputs
 
 
 GUIDANCE_KEYS = ("t2v", "s2v", "v2v", "rv2v")
@@ -77,7 +77,8 @@ class TestCompose:
         assert np.allclose(compose(spec, scaled), 3.0 * compose(spec, forwards), atol=1e-12)
 
     def test_t2v_drops_video_branch(self):
-        spec = spec_for_conditions(default_scales("t2v"), has_video=False, has_image=False)
+        branches = CondInputs(text_ids=np.array([1, 2]), planner_states=np.zeros((3, 4))).branches()
+        spec = GuidanceSpec(default_scales("t2v"), branches)
         assert spec.present == ("txt", "tgt")
         chain = spec.subset_chain()
         assert chain == [frozenset(), frozenset({"txt"}), frozenset({"txt", "tgt"})]
@@ -162,10 +163,10 @@ class TestValidate:
         cfg = default_config()
         for key in GUIDANCE_KEYS:
             scales = default_scales(key)
-            spec = spec_for_conditions(scales, has_video="vid" in scales, has_image=True)
+            spec = GuidanceSpec(scales, tuple(scales))
             assert spec.weights["txt"] == 4.0
             assert cfg.get_int(f"guidance.steps.{key}") in (40, 60)
-        s2v = spec_for_conditions(default_scales("s2v"), has_video=True, has_image=True)
+        s2v = GuidanceSpec(default_scales("s2v"), ("vid", "img", "txt", "tgt"))
         assert (s2v.weights["txt"], s2v.weights["vid"], s2v.weights["img"], s2v.weights["tgt"]) == (4.0, 1.25, 2.5, 1.5)
 
     @given(st.floats(0.0, 1.0), st.floats(-2.0, 4.0), st.floats(-2.0, 4.0))

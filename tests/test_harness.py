@@ -1,3 +1,4 @@
+import hashlib
 import re
 import struct
 
@@ -6,6 +7,7 @@ import pytest
 
 from planflow.checkpoint import Checkpoint, CheckpointError
 from planflow.config import Config, ConfigError, default_config, load_config, parse_config_text, write_config
+from planflow import harness, planner as planner_mod
 from planflow.harness import (
     GUIDANCE_KEY,
     Adam,
@@ -23,13 +25,17 @@ from planflow.harness import (
     ema_update,
     ema_weights,
     evaluate,
+    plan_case,
+    planner_sequence,
     run_stage,
     run_pipeline,
     state_to_checkpoint,
     total_loss,
 )
 from planflow.numerics import Rng, Tensor
+from planflow.renderer import conditioning_rows
 from planflow.schedules import TaskKind, pair_decay_weight
+from planflow.sequence import apply_target_mask
 from planflow.toydata import Dataset, gen_edit_case, generate_dataset
 from planflow import tensorio
 
@@ -416,6 +422,76 @@ class TestTraining:
         # stage III optimizes everything
         assert any(k.startswith("planner.") for k in ck3.opt_m)
         assert any(k.startswith("renderer.") for k in ck3.opt_m)
+
+    def test_three_stage_chain_pinned(self, tiny_dataset, monkeypatch):
+        """The exact params, EMA and Adam moments a fixed seed trains through
+        stages I -> II -> III, with text and pair records among the draws."""
+        cfg = tiny_config()
+        for key, value in {
+            "stage.I.mixture": "text:1,t2i:1,i2v:1,iv2v:1",
+            "stage.II.mixture": "t2v:1,i2i:1,v2v:1,pair:2",
+            "stage.III.mixture": "text:1,t2i:1,v2v:1,iv2v:1",
+            "stage.I.batch": "2", "stage.II.batch": "2", "stage.III.batch": "2",
+            "renderer.drop_text": "0.3", "renderer.drop_target": "0.3", "renderer.drop_source": "0.3",
+        }.items():
+            cfg.set(key, value)
+        run = RunConfig.from_config(cfg)
+        bundle = ModelBundle(cfg)
+        drawn = set()
+        sample = harness._sample_mixture
+
+        def recording(weights, rng):
+            name = sample(weights, rng)
+            drawn.add(name)
+            return name
+
+        monkeypatch.setattr(harness, "_sample_mixture", recording)
+        ck = None
+        for stage in ("I", "II", "III"):
+            _, ck = run_stage(bundle, StageConfig.from_config(cfg, stage), tiny_dataset, run, seed=8, resume=ck)
+        assert {"text", "pair"} <= drawn
+
+        def digest(arrays):
+            h = hashlib.sha256()
+            for name in sorted(arrays):
+                h.update(name.encode())
+                h.update(arrays[name].tobytes())
+            return h.hexdigest()
+
+        assert {"params": digest(ck.params), "ema": digest(ck.ema),
+                "adam.m": digest(ck.opt_m), "adam.v": digest(ck.opt_v)} == {
+            "params": "5c96fd8b33c4b5a761bc81954dbe871eb28ac574227f7aff50f0bf14d47eefd3",
+            "ema": "cf8ce55ede5fa3c72eb58cb914b53a37568e47b9bb95876d3f43a5886e1c8335",
+            "adam.m": "a92b5305efa63f831144ce68655c6e325172c4a0ccb49939033244bb05ef1a1c",
+            "adam.v": "6fb180dd22534443fd15c74e0222364bdb2a2bf44e2d0c8d4c656fcccd258a89",
+        }
+
+
+class TestConditioningRows:
+    @pytest.mark.parametrize("task", list(TaskKind), ids=[t.value for t in TaskKind])
+    def test_training_and_inference_select_the_same_rows(self, task, monkeypatch):
+        """Training keeps every row but the masked target rows; a finished
+        plan has none masked, so inference keeps every row."""
+        cfg = tiny_config()
+        bundle = ModelBundle(cfg)
+        case = gen_edit_case(Rng(17), task, grid=(2, 6, 6))
+        seq, _ = planner_sequence(case, bundle.vit)
+        masked = apply_target_mask(seq, 0.5, Rng(18))
+        k = int(masked.masked.sum())
+        assert k > 0
+        rows = conditioning_rows(masked)
+        assert len(rows) == len(seq) - k and not masked.masked[rows].any()
+
+        chosen = []
+
+        def recording(final_seq):
+            chosen.append(conditioning_rows(final_seq))
+            return chosen[-1]
+
+        monkeypatch.setattr(planner_mod, "conditioning_rows", recording)
+        result = plan_case(bundle, RunConfig.from_config(cfg), case, Rng(19))
+        assert len(chosen) == 1 and np.array_equal(chosen[0], np.arange(len(seq)))
+        assert len(result.hidden) == len(seq)
 
 
 class TestEvaluation:

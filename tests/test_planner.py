@@ -14,6 +14,7 @@ from planflow.planner import (
     ToyVit,
     cross_entropy_rows,
     decode_embedding,
+    decoder_condition,
     decoder_forward,
     plan,
     planner_forward,
@@ -215,7 +216,8 @@ class TestDecodeEmbedding:
 
         monkeypatch.setattr(planner_mod, "decoder_forward", const_velocity)
         for steps in (1, 2, 5, 17):
-            out = decode_embedding(decoder, {"full": np.zeros((3, CFG.hidden_dim))}, steps, noise=noise.copy())
+            cond = decoder_condition(decoder, np.zeros((3, CFG.hidden_dim)))
+            out = decode_embedding(decoder, cond, steps, 1.0, 1.0, noise.copy())
             assert np.abs(out - target).max() < 1e-12
 
     def test_single_step_formula(self, monkeypatch):
@@ -228,7 +230,8 @@ class TestDecodeEmbedding:
             return Tensor(x.data * 2.0)
 
         monkeypatch.setattr(planner_mod, "decoder_forward", record_velocity)
-        out = decode_embedding(decoder, {"full": np.zeros((2, CFG.hidden_dim))}, 1, noise=noise.copy())
+        out = decode_embedding(decoder, decoder_condition(decoder, np.zeros((2, CFG.hidden_dim))), 1, 1.0, 1.0,
+                               noise.copy())
         assert np.allclose(out, noise + noise * 2.0)
         assert seen["t"] == 0.0
 
@@ -240,16 +243,17 @@ class TestDecodeEmbedding:
         z_un = rng.normal((4, CFG.hidden_dim))
         noise = rng.normal((4, CFG.embed_dim))
         guided = decode_embedding(
-            decoder, {"full": z_full, "img": z_img, "uncond": z_un},
+            decoder, decoder_condition(decoder, np.concatenate([z_un, z_img, z_full]), ("uncond", "img", "full")),
             steps=4, g_text=1.0, g_image=1.0, noise=noise.copy(),
         )
-        conditional = decode_embedding(decoder, {"full": z_full}, steps=4, noise=noise.copy())
+        conditional = decode_embedding(decoder, decoder_condition(decoder, z_full), 4, 1.0, 1.0, noise.copy())
         assert np.abs(guided - conditional).max() < 1e-12
 
     def test_rejects_zero_steps(self):
         _, decoder = make_models()
         with pytest.raises(ContractError):
-            decode_embedding(decoder, {"full": np.zeros((1, CFG.hidden_dim))}, 0, noise=np.zeros((1, CFG.embed_dim)))
+            decode_embedding(decoder, decoder_condition(decoder, np.zeros((1, CFG.hidden_dim))), 0, 1.0, 1.0,
+                             np.zeros((1, CFG.embed_dim)))
 
 
 class TestPlan:
@@ -399,11 +403,12 @@ def reference_plan(model, decoder, seq, total_steps, decoder_steps, g_text, g_im
                 continue
             flags.append(seq.masked[t0:t1].copy())
             z = planner_forward(model, seq, mask).data.reshape(len(names), len(seq), -1)
-            branches = {name: z[b, t0 + masked_rel] for b, name in enumerate(names)}
+            z_masked = z[:, t0 + masked_rel].reshape(-1, z.shape[2])
             noise = rng.normal((len(masked_rel), CFG.embed_dim))
-            pred = decode_embedding(decoder, branches, decoder_steps, g_text, g_image, noise=noise)
+            pred = decode_embedding(decoder, decoder_condition(decoder, z_masked, tuple(names)),
+                                    decoder_steps, g_text, g_image, noise)
             term = planner_mod._composed_velocity(
-                decoder, pred, 1.0, planner_mod._branch_condition(decoder, branches), g_text, g_image)
+                decoder, pred, 1.0, decoder_condition(decoder, z_masked, tuple(names)), g_text, g_image)
             order = np.argsort(np.linalg.norm(term, axis=1), kind="stable")
             chosen = masked_rel[order[:n_reveal]]
             seq.embeddings[t0 + chosen] = pred[order[:n_reveal]]

@@ -5,7 +5,7 @@ import pytest
 
 from planflow.config import ConfigError
 from planflow import nets, renderer as renderer_mod
-from planflow.guidance import GuidanceSpec, compose, spec_for_conditions
+from planflow.guidance import GuidanceSpec, compose
 from planflow.numerics import ContractError, DimensionError, Rng, Tensor, backward, concat, fd_gradient
 from planflow.renderer import (
     BatchLayout,
@@ -42,6 +42,15 @@ LAYOUTS = {
     "v2v": ([("vid", (2, 4, 4))], (2, 4, 4)),
     "iv2v": ([("vid", (2, 4, 4)), ("img", (1, 4, 4))], (2, 4, 4)),
 }
+
+
+SCALES = {"txt": 4.0, "vid": 1.25, "img": 2.5, "tgt": 1.5}
+
+
+def derived_spec(cond_in, scales=SCALES):
+    """The guidance spec render() derives from its conditions and scales."""
+    branches = cond_in.branches()
+    return GuidanceSpec({b: scales.get(b, 1.0) for b in branches}, branches)
 
 
 def make_model(seed=3, **kw):
@@ -283,16 +292,15 @@ class TestPatchBias:
             source_latents=[rng.normal((2, 4, 4, 4)), rng.normal((1, 4, 4, 4))],
             source_roles=["vid", "img"],
         )
-        spec = spec_for_conditions({"txt": 4.0, "vid": 1.25, "img": 2.5, "tgt": 1.5}, has_video=True, has_image=True)
         real = renderer_mod.renderer_forward
         monkeypatch.setattr(renderer_mod, "renderer_forward",
                             lambda model, x, t, cond, **kwargs: real(model, shifted(x), t, cond, **kwargs))
         moved_in = CondInputs(cond_in.text_ids, cond_in.planner_states,
                               [shifted(s) for s in cond_in.source_latents], cond_in.source_roles)
-        moved = render(model, moved_in, steps=3, spec=spec, shift=3.0, rng=Rng(62), target_grid=(2, 4, 4))
+        moved = render(model, moved_in, steps=3, scales=SCALES, shift=3.0, rng=Rng(62), target_grid=(2, 4, 4))
         monkeypatch.undo()
         model.params["patch_bias"].data[:] = bias
-        biased = render(model, cond_in, steps=3, spec=spec, shift=3.0, rng=Rng(62), target_grid=(2, 4, 4))
+        biased = render(model, cond_in, steps=3, scales=SCALES, shift=3.0, rng=Rng(62), target_grid=(2, 4, 4))
         assert np.abs(biased - moved).max() < 1e-12
 
 
@@ -382,8 +390,8 @@ class TestRender:
         model = make_model(seed=23)
         rng = Rng(24)
         cond_in = self._cond(rng)
-        spec = GuidanceSpec(weights={"vid": 1.0, "txt": 1.0, "tgt": 1.0}, present=("vid", "txt", "tgt"))
-        out = render(model, cond_in, steps=3, spec=spec, shift=2.0, rng=Rng(25), target_grid=(1, 4, 4))
+        scales = {"vid": 1.0, "txt": 1.0, "tgt": 1.0}
+        out = render(model, cond_in, steps=3, scales=scales, shift=2.0, rng=Rng(25), target_grid=(1, 4, 4))
 
         cond_full = build_cond_tokens(model, cond_in.text_ids, cond_in.planner_states)
         noise = Rng(25).normal((1, 4, 4, CFG.channels))
@@ -412,9 +420,7 @@ class TestRender:
             source_latents=[rng.normal((*grid, 4)) for _, grid in sources],
             source_roles=[role for role, _ in sources],
         )
-        spec = spec_for_conditions({"txt": 4.0, "vid": 1.25, "img": 2.5, "tgt": 1.5},
-                                   has_video="vid" in cond_in.source_roles, has_image="img" in cond_in.source_roles,
-                                   has_target_semantics=states)
+        spec = derived_spec(cond_in)
         assert len(spec.subset_chain()) == len(sources) + 2 + states
 
         def per_subset_velocity(x, t):
@@ -428,7 +434,7 @@ class TestRender:
                 forwards[subset] = unpatchify(tok, grid, CFG.patch, CFG.channels)
             return compose(spec, forwards)
 
-        out = render(model, cond_in, steps=3, spec=spec, shift=3.0, rng=Rng(32), target_grid=target_grid)
+        out = render(model, cond_in, steps=3, scales=SCALES, shift=3.0, rng=Rng(32), target_grid=target_grid)
         noise = Rng(32).normal((*target_grid, CFG.channels))
         expected = euler_integrate(per_subset_velocity, noise, 3, 3.0)
         assert np.abs(out - expected).max() < 1e-12
@@ -443,16 +449,14 @@ class TestRender:
             source_latents=[rng.normal((2, 4, 4, 4)), rng.normal((1, 4, 4, 4))],
             source_roles=["vid", "img"],
         )
-        spec = spec_for_conditions({"txt": 4.0, "vid": 1.25, "img": 2.5, "tgt": 1.5},
-                                   has_video=True, has_image=True)
-        return model, cond_in, spec
+        return model, cond_in
 
     def test_hoisted_constants_match_per_step_recomputation(self, monkeypatch):
         """render() prepares the layout's index tables, rotary tables,
         cross-attention keys and values and the source projection once;
         rebuilding them at every step agrees."""
-        model, cond_in, spec = self._iv2v(Rng(36))
-        hoisted = render(model, cond_in, steps=3, spec=spec, shift=3.0, rng=Rng(37), target_grid=(2, 4, 4))
+        model, cond_in = self._iv2v(Rng(36))
+        hoisted = render(model, cond_in, steps=3, scales=SCALES, shift=3.0, rng=Rng(37), target_grid=(2, 4, 4))
         real = renderer_mod.renderer_forward
         prepared = []
 
@@ -461,7 +465,7 @@ class TestRender:
             return real(model, x, t, cond, cond_in.source_latents, consts.layout)
 
         monkeypatch.setattr(renderer_mod, "renderer_forward", per_step)
-        recomputed = render(model, cond_in, steps=3, spec=spec, shift=3.0, rng=Rng(37), target_grid=(2, 4, 4))
+        recomputed = render(model, cond_in, steps=3, scales=SCALES, shift=3.0, rng=Rng(37), target_grid=(2, 4, 4))
         assert len(prepared) == 3 and all(c is prepared[0] for c in prepared)
         assert np.abs(hoisted - recomputed).max() < 1e-12
 
@@ -469,7 +473,7 @@ class TestRender:
         """No entry holds a source it may not see, so no self-attention call
         bans a key; block 0 runs once per run of entries with equal sources,
         and the last block's queries are the target rows alone."""
-        model, cond_in, spec = self._iv2v(Rng(38))
+        model, cond_in = self._iv2v(Rng(38))
         calls = []
         real = nets.self_attention
 
@@ -478,7 +482,7 @@ class TestRender:
             return real(params, prefix, x, heads, bias, rotation, batch, *args, **kwargs)
 
         monkeypatch.setattr(nets, "self_attention", recording)
-        render(model, cond_in, steps=2, spec=spec, shift=3.0, rng=Rng(39), target_grid=(2, 4, 4))
+        render(model, cond_in, steps=2, scales=SCALES, shift=3.0, rng=Rng(39), target_grid=(2, 4, 4))
         assert len(calls) == 2 * model.cfg.blocks
         assert all(bias is None and all(run.bias is None for run in runs) for bias, runs, _, _ in calls)
         n_vid, n_img, n_tgt = 8, 4, 8
@@ -498,27 +502,34 @@ class TestRender:
 
         monkeypatch.setattr(renderer_mod, "renderer_forward", counting)
         cond_in = self._cond(Rng(33))
-        spec = spec_for_conditions({"txt": 4.0, "vid": 1.25, "tgt": 0.5}, has_video=True, has_image=False)
-        render(model, cond_in, steps=5, spec=spec, shift=2.0, rng=Rng(34), target_grid=(1, 4, 4))
-        assert calls == [len(spec.subset_chain())] * 5
+        render(model, cond_in, steps=5, scales={"txt": 4.0, "vid": 1.25, "tgt": 0.5}, shift=2.0, rng=Rng(34),
+               target_grid=(1, 4, 4))
+        assert calls == [len(cond_in.branches()) + 1] * 5
 
-    def test_missing_condition_for_branch(self):
-        model = make_model()
-        rng = Rng(26)
-        cond_in = self._cond(rng, with_sources=False)
-        spec = GuidanceSpec(weights={"vid": 1.25, "txt": 4.0, "tgt": 0.5}, present=("vid", "txt", "tgt"))
-        with pytest.raises(LayoutError):
-            render(model, cond_in, 2, spec, 1.0, Rng(1), (1, 4, 4))
-
-    def test_spec_for_conditions_render_smoke(self):
+    def test_render_ignores_scales_of_absent_branches(self):
         model = make_model(seed=27)
         rng = Rng(28)
         cond_in = self._cond(rng)
-        spec = spec_for_conditions({"txt": 4.0, "vid": 1.25, "img": 1.25, "tgt": 0.5},
-                                   has_video=True, has_image=False)
-        out = render(model, cond_in, 2, spec, 5.0, Rng(29), (1, 4, 4))
+        scales = {"txt": 4.0, "vid": 1.25, "tgt": 0.5}
+        out = render(model, cond_in, 2, {**scales, "img": 1.25}, 5.0, Rng(29), (1, 4, 4))
         assert out.shape == (1, 4, 4, 4)
         assert np.isfinite(out).all()
+        assert np.array_equal(out, render(model, cond_in, 2, scales, 5.0, Rng(29), (1, 4, 4)))
+
+    @pytest.mark.parametrize("states", [True, False], ids=["states", "no-states"])
+    @pytest.mark.parametrize("task", LAYOUTS)
+    def test_branches_follow_the_conditions(self, task, states):
+        """One branch per condition the inputs hold, in canonical order."""
+        sources = {"t2i": (), "t2v": (), "i2i": ("img",), "i2v": ("img",), "v2v": ("vid",), "iv2v": ("vid", "img")}
+        expected = sources[task] + ("txt",) + (("tgt",) if states else ())
+        layout, _ = LAYOUTS[task]
+        cond = dict(planner_states=np.zeros((3, 16)) if states else None,
+                    source_latents=[np.zeros((*grid, 4)) for _, grid in layout],
+                    source_roles=[role for role, _ in layout])
+        assert CondInputs(np.array([1, 5], dtype=np.intp), **cond).branches() == expected
+        without_text = tuple(b for b in expected if b != "txt")
+        assert CondInputs(np.zeros(0, dtype=np.intp), **cond).branches() == without_text
+        assert CondInputs(None, **cond).branches() == without_text
 
     def test_cond_inputs_validation(self):
         with pytest.raises(LayoutError):
