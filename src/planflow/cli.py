@@ -17,6 +17,7 @@ import numpy as np
 from . import harness, tensorio
 from .checkpoint import Checkpoint, CheckpointError
 from .config import Config, ConfigError, load_config
+from .guidance import GuidanceValidationError
 from .numerics import Rng
 from .schedules import DomainError
 from .toydata import Dataset, EditCase, frames_to_ids, generate_dataset
@@ -109,17 +110,20 @@ def _bundle_from_ckpt(cfg: Config, ckpt_path: str | None):
     ema = None
     if ckpt_path:
         ck = Checkpoint.load(ckpt_path)
+        harness.check_config_snapshot(ck.config_snapshot, cfg)
         bundle.load_param_values(ck.params)
         ema = ck.ema or None
     return bundle, ema
 
 
-def _merge_checkpoints(paths: list[str]) -> Checkpoint | None:
+def _merge_checkpoints(paths: list[str], cfg: Config) -> Checkpoint | None:
     if not paths:
         return None
-    merged = Checkpoint.load(paths[0])
-    for path in paths[1:]:
-        ck = Checkpoint.load(path)
+    checkpoints = [Checkpoint.load(path) for path in paths]
+    for ck in checkpoints:
+        harness.check_config_snapshot(ck.config_snapshot, cfg)
+    merged = checkpoints[0]
+    for ck in checkpoints[1:]:
         merged.params.update(ck.params)
         merged.ema.update(ck.ema)
         merged.stages_done = sorted(set(merged.stages_done) | set(ck.stages_done))
@@ -169,7 +173,7 @@ def cmd_train(args) -> int:
     data = Dataset(args.data)
     run = harness.RunConfig.from_config(cfg)
     bundle = harness.ModelBundle(cfg)
-    resume = _merge_checkpoints(args.resume)
+    resume = _merge_checkpoints(args.resume, cfg)
     stage_cfg = harness.StageConfig.from_config(cfg, args.stage)
     every = args.checkpoint_every if args.checkpoint_every is not None else cfg.get_int("train.checkpoint_every")
     _, final = harness.run_stage(
@@ -281,8 +285,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, CheckpointError, DomainError, harness.StartupError, harness.NonFiniteError,
-            FileNotFoundError) as exc:
+    except (ConfigError, CheckpointError, DomainError, GuidanceValidationError, harness.StartupError,
+            harness.NonFiniteError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -69,8 +69,8 @@ DEFAULTS: list[tuple[str, str, str]] = [
     ("schedules.shift_in_training", "true", ""),
     ("schedules.shift_in_inference", "true", ""),
 
-    ("guidance.t2v", "txt:4.0,img:1.0,tgt:1.0", "per-task guidance scales at inference"),
-    ("guidance.s2v", "txt:4.0,vid:1.25,img:2.5,tgt:1.5", ""),
+    ("guidance.t2v", "txt:4.0,tgt:1.0", "per-task guidance scales at inference"),
+    ("guidance.s2v", "txt:4.0,img:2.5,tgt:1.5", ""),
     ("guidance.v2v", "txt:4.0,vid:1.25,img:1.25,tgt:0.5", ""),
     ("guidance.rv2v", "txt:4.0,vid:1.25,img:3.0,tgt:1.5", ""),
     ("guidance.steps.t2v", "60", "denoising steps per task family"),
@@ -208,9 +208,6 @@ class Config:
 
     def get_ints(self, key: str) -> tuple[int, ...]:
         return self._parse(key, int, many=True)
-
-    def get_floats(self, key: str) -> tuple[float, ...]:
-        return self._parse(key, float, many=True)
 
     def get_strs(self, key: str) -> tuple[str, ...]:
         return tuple(x.strip() for x in self.get(key).split(",") if x.strip())

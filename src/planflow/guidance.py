@@ -7,7 +7,8 @@ predictions:
   condition branch (source video, source image, text, target semantics). Each
   increment is the difference between predictions whose condition subsets
   differ by exactly that branch, so all-unit weights telescope back to the
-  fully conditional prediction.
+  fully conditional prediction. For the same reason a leading run of
+  unit-weight increments drops out of the chain: v0 + 1 * (v1 - v0) = v1.
 
 * `compose_dual_branch`: the weighted fusion of an image-to-video branch and a
   video-to-video branch with per-branch weight constraints
@@ -66,11 +67,13 @@ class GuidanceSpec:
         )
 
     def subset_chain(self) -> list[frozenset]:
-        """Condition subsets from empty to fully conditional, one new branch each."""
+        """Condition subsets up to fully conditional, one new branch each,
+        starting after the leading unit-weight increments, which telescope."""
         chain = [frozenset()]
         for b in self.present:
             chain.append(chain[-1] | {b})
-        return chain
+        lead = next((i for i, b in enumerate(self.present) if self.weights[b] != 1.0), len(self.present))
+        return chain[lead:]
 
 
 def compose(spec: GuidanceSpec, forwards: Mapping[frozenset, np.ndarray]) -> np.ndarray:

@@ -89,6 +89,14 @@ GUIDANCE_KEY = {
 # run configuration
 # ---------------------------------------------------------------------------
 
+def _parsed(cfg: Config, key: str, parse):
+    """`parse` applied to the value of `key`; a malformed value's error names the key."""
+    try:
+        return parse(cfg.get(key))
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 @dataclass
 class RunConfig:
     config: Config
@@ -111,9 +119,10 @@ class RunConfig:
 
     @classmethod
     def from_config(cls, cfg: Config) -> "RunConfig":
-        mask = MaskRatioConfig({t: parse_mask_ratio(cfg.get(f"schedules.mask_ratio.{t.value}")) for t in TaskKind})
+        mask = MaskRatioConfig(
+            {t: _parsed(cfg, f"schedules.mask_ratio.{t.value}", parse_mask_ratio) for t in TaskKind})
         timestep = TimestepConfig(
-            {t: parse_timestep(cfg.get(f"schedules.timestep.{t.value}")) for t in TaskKind},
+            {t: _parsed(cfg, f"schedules.timestep.{t.value}", parse_timestep) for t in TaskKind},
             shift_in_training=cfg.get_bool("schedules.shift_in_training"),
             shift_in_inference=cfg.get_bool("schedules.shift_in_inference"),
         )
@@ -143,6 +152,27 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # model bundle
 # ---------------------------------------------------------------------------
+
+# keys that change what the weights compute without changing their shapes, each with its accessor
+MEANING_KEYS = {
+    "planner.heads": Config.get_int, "renderer.heads": Config.get_int,
+    "planner.rope_base": Config.get_float, "renderer.rope_base": Config.get_float,
+    "planner.segment_base": Config.get_float, "renderer.segment_base": Config.get_float,
+    "planner.segment_phases": Config.get_bool, "renderer.segment_phases": Config.get_bool,
+    "renderer.patch": Config.get_ints, "vit.patch": Config.get_ints, "vit.seed": Config.get_int,
+}
+
+
+def check_config_snapshot(snapshot: dict[str, str], cfg: Config) -> None:
+    """Refuse checkpoint weights whose saved config `snapshot` gives them
+    another meaning than `cfg` does; keys the snapshot lacks are not compared."""
+    saved = Config()
+    saved.values.update({k: v for k, v in snapshot.items() if k in MEANING_KEYS})
+    for key, read in MEANING_KEYS.items():
+        if key in snapshot and read(saved, key) != read(cfg, key):
+            raise ConfigError(f"{key}: the checkpoint was trained with {snapshot[key]!r}, "
+                              f"this config has {cfg.get(key)!r}")
+
 
 class ModelBundle:
     def __init__(self, cfg: Config):
@@ -511,6 +541,7 @@ def run_stage(
     stage = stage_cfg.name
     stages_done: list[str] = []
     if resume is not None:
+        check_config_snapshot(resume.config_snapshot, bundle.config)
         bundle.load_param_values(resume.params)
         stages_done = list(resume.stages_done)
     if stage == "III" and not {"I", "II"}.issubset(stages_done):

@@ -11,11 +11,12 @@ reveal schedule, feeding predictions back into the sequence between steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nets
+from .guidance import GuidanceSpec, compose
 from .numerics import (
     ContractError,
     DimensionError,
@@ -36,7 +37,7 @@ from .numerics import (
     logsumexp_rows,
 )
 from .posenc import RopeConfig, token_angles
-from .renderer import conditioning_rows
+from .renderer import conditioning_rows, euler_integrate
 from .schedules import masked_count_trace
 from .sequence import (
     TEXT,
@@ -186,26 +187,21 @@ class DecoderCondition:
     planner state], so its weight splits into three row blocks. The
     planner-state term is computed once per condition and the time term once
     per scalar t, memoised in `time_terms`, which the conditions of one plan
-    share. `branches` names the guidance branches whose rows are stacked, in
-    order, in the states.
+    share. A guided condition stacks one block of rows per subset of the
+    guidance chain, in chain order.
     """
 
-    branches: tuple[str, ...]
     state_terms: list[Tensor]  # per block: the states times their rows of w1
     time_terms: dict[float, list[Tensor]]
 
-    def __len__(self) -> int:
-        return self.state_terms[0].shape[0]
 
-
-def decoder_condition(decoder: EmbeddingDecoder, z, branches: tuple[str, ...] = ("full",),
-                      time_terms: dict | None = None) -> DecoderCondition:
+def decoder_condition(decoder: EmbeddingDecoder, z, time_terms: dict | None = None) -> DecoderCondition:
     """Prepare conditioning states z (m, hidden_dim), sharing the time-term
     memo `time_terms` of earlier conditions of the same weights if given."""
     p, dd, dp = decoder.params, decoder.cfg.decoder_dim, decoder.cfg.hidden_dim
     z = z if isinstance(z, Tensor) else Tensor(z)
     terms = [matmul(z, narrow(p[f"res{i}.w1"], 0, 2 * dd, dp)) for i in range(decoder.cfg.decoder_blocks)]
-    return DecoderCondition(tuple(branches), terms, {} if time_terms is None else time_terms)
+    return DecoderCondition(terms, {} if time_terms is None else time_terms)
 
 
 def _time_terms(decoder: EmbeddingDecoder, cond: DecoderCondition, t) -> list[Tensor]:
@@ -430,42 +426,20 @@ def losses_from_hidden(
 # guided embedding decoding and the iterative planning loop
 # ---------------------------------------------------------------------------
 
-def _composed_velocity(decoder, x: np.ndarray, t, cond: DecoderCondition, g_text: float, g_image: float) -> np.ndarray:
-    """Incremental two-branch guidance over the condition chain, with the
-    rows of every branch stacked into one decoder forward."""
-    names = cond.branches
-    v = decoder_forward(decoder, Tensor(np.tile(x, (len(names), 1))), t, cond).data
-    v = dict(zip(names, v.reshape(len(names), x.shape[0], -1)))
-    if names == ("full",):
-        return v["full"]
-    v_prev = v["uncond"]
-    out = v_prev.copy()
-    if "img" in v:
-        out += g_image * (v["img"] - v_prev)
-        v_prev = v["img"]
-    out += g_text * (v["full"] - v_prev)
-    return out
+def _composed_velocity(decoder, x: np.ndarray, t, cond: DecoderCondition, spec: GuidanceSpec) -> np.ndarray:
+    """The guided velocity: one decoder forward over the rows of every
+    subset of the spec's chain, stacked as in `cond`, then `compose`."""
+    chain = spec.subset_chain()
+    v = decoder_forward(decoder, Tensor(np.tile(x, (len(chain), 1))), t, cond).data
+    return compose(spec, dict(zip(chain, v.reshape(len(chain), x.shape[0], -1))))
 
 
-def decode_embedding(
-    decoder: EmbeddingDecoder,
-    cond: DecoderCondition,
-    steps: int,
-    g_text: float,
-    g_image: float,
-    noise: np.ndarray,
-) -> np.ndarray:
+def decode_embedding(decoder: EmbeddingDecoder, cond: DecoderCondition, steps: int, spec: GuidanceSpec,
+                     noise: np.ndarray) -> np.ndarray:
     """Euler-integrate the decoder's guided velocity field under `cond` from
     `noise` (t=0) to t=1."""
-    if steps < 1:
-        raise ContractError(f"steps must be >= 1, got {steps}")
     with no_grad():
-        x = noise.copy()
-        dt = 1.0 / steps
-        for s in range(steps):
-            t = s * dt
-            x = x + dt * _composed_velocity(decoder, x, t, cond, g_text, g_image)
-    return x
+        return euler_integrate(lambda x, t: _composed_velocity(decoder, x, t, cond, spec), noise, steps)
 
 
 @dataclass
@@ -474,21 +448,18 @@ class PlanResult:
     hidden: np.ndarray                # (len(conditioning_rows(seq)), hidden_dim) renderer conditioning states
     masked_counts: list[int]          # remaining masked tokens after each step
     mean_pred_norm: list[float]
-    text_len: int = 0
 
 
-def _variant_masks(seq: TokenSequence, names: list[str]) -> AttentionMask:
-    """One hybrid mask per guidance variant, stacked on a leading batch axis.
-
-    All variants share the sequence's layout: "img" hides the text from
-    visual rows, and "uncond" also hides the sources from target rows.
-    """
+def _variant_masks(seq: TokenSequence, subsets: list[frozenset]) -> AttentionMask:
+    """One hybrid mask per guidance condition subset, stacked on a leading
+    batch axis: without "txt" the visual rows do not see the text, and
+    without "img" the target rows do not see the sources."""
     text = seq.kinds == TEXT
-    allow = np.repeat(build_mask(seq).allow[None], len(names), axis=0)
-    for b, name in enumerate(names):
-        if name != "full":
+    allow = np.repeat(build_mask(seq).allow[None], len(subsets), axis=0)
+    for b, subset in enumerate(subsets):
+        if "txt" not in subset:
             allow[b][np.ix_(~text, text)] = False
-        if name == "uncond":
+        if "img" not in subset:
             allow[b][np.ix_(seq.kinds == VISUAL_TARGET, seq.kinds == VISUAL_SOURCE)] = False
     return AttentionMask(allow)
 
@@ -510,9 +481,11 @@ def plan(
     revealed tokens are chosen by decoder self-consistency (smallest terminal
     velocity norm) or uniformly at random. Predictions are written back into
     the sequence between steps; a final encoder pass over the completed
-    sequence yields the conditioning states. With guidance on, the
-    text-dropped and unconditional variants are masks over the same sequence,
-    so every revealing step makes one batched planner forward.
+    sequence yields the conditioning states. Guidance runs over the
+    `GuidanceSpec` of the sources ("img", weight g_image) and the text
+    ("txt", weight g_text) the sequence has; each subset of its chain is a
+    mask over the same sequence, so every revealing step makes one batched
+    planner forward.
 
     Text and source rows never attend to the target, so they are run once
     per call (`prefix_cache`) and each step runs only the target rows. The
@@ -531,14 +504,10 @@ def plan(
     n_target = t1 - t0
     trace = masked_count_trace(total_steps, n_target)
 
-    guided = not (g_text == 1.0 and g_image == 1.0)
-    has_sources = any(d.kind == VISUAL_SOURCE for d in seq.layout)
-    names = ["full"]
-    if guided and has_sources:
-        names = ["uncond", "img", "full"]
-    elif guided and seq.text_len > 0:
-        names = ["uncond", "full"]
-    mask = _variant_masks(seq, names)
+    has = {"img": any(d.kind == VISUAL_SOURCE for d in seq.layout), "txt": seq.text_len > 0}
+    spec = GuidanceSpec({"img": g_image, "txt": g_text}, tuple(b for b in has if has[b]))
+    chain = spec.subset_chain()
+    mask = _variant_masks(seq, chain)
 
     masked_counts: list[int] = []
     norms: list[float] = []
@@ -553,12 +522,12 @@ def plan(
                 masked_counts.append(len(masked_rel))
                 norms.append(0.0)
                 continue
-            # rows of the target segment only (it is last), one block per variant
-            z = planner_forward(model, seq, mask, past).data.reshape(len(names), n_target, -1)
-            cond = decoder_condition(decoder, z[:, masked_rel].reshape(-1, z.shape[2]), tuple(names), time_terms)
+            # rows of the target segment only (it is last), one block per subset
+            z = planner_forward(model, seq, mask, past).data.reshape(len(chain), n_target, -1)
+            cond = decoder_condition(decoder, z[:, masked_rel].reshape(-1, z.shape[2]), time_terms)
             noise = rng.normal((len(masked_rel), decoder.cfg.embed_dim))
-            pred = decode_embedding(decoder, cond, decoder_steps, g_text, g_image, noise)
-            term = _composed_velocity(decoder, pred, 1.0, cond, g_text, g_image)
+            pred = decode_embedding(decoder, cond, decoder_steps, spec, noise)
+            term = _composed_velocity(decoder, pred, 1.0, cond, spec)
             conf = np.linalg.norm(term, axis=1)
             if reveal == "confidence":
                 order = np.argsort(conf, kind="stable")
@@ -569,8 +538,8 @@ def plan(
             seq.masked[t0 + chosen] = False
             masked_counts.append(keep)
             norms.append(float(np.linalg.norm(pred, axis=1).mean()))
-        # the "full" variant is the plain hybrid mask and always comes last
-        z_final = planner_forward(model, seq, mask, past).data.reshape(len(names), n_target, -1)[-1]
+        # the full subset is the plain hybrid mask and always comes last
+        z_final = planner_forward(model, seq, mask, past).data.reshape(len(chain), n_target, -1)[-1]
         if past is not None:
             z_final = np.concatenate([past.states[-1], z_final])
     return PlanResult(
@@ -578,5 +547,4 @@ def plan(
         hidden=z_final[conditioning_rows(seq)],
         masked_counts=masked_counts,
         mean_pred_norm=norms,
-        text_len=seq.text_len,
     )

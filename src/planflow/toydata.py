@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -47,10 +46,6 @@ class GenerationError(RuntimeError):
 
 def encode(*names: str) -> list[int]:
     return [TOK[n] for n in names]
-
-
-def decode_tokens(ids: Iterable[int]) -> list[str]:
-    return [VOCAB[i] for i in ids]
 
 
 @dataclass(frozen=True)

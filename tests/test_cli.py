@@ -7,7 +7,7 @@ from planflow import cli
 from planflow.checkpoint import Checkpoint
 from planflow.config import write_config, Config
 
-from test_harness import TINY_OVERRIDES
+from test_harness import MEANING_CHANGES, TINY_OVERRIDES
 
 
 SMOKE_OVERRIDES = dict(TINY_OVERRIDES)
@@ -174,6 +174,32 @@ class TestEditDeterminism:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "truncated" in err
+
+    @pytest.mark.parametrize("family", MEANING_CHANGES)
+    def test_checkpoint_of_another_meaning_exits_1(self, workdir, generated, trained_ckpt, capsys, family):
+        """Weights saved under one value of a key that changes their meaning,
+        not their shapes, are refused under another."""
+        case = str(generated / "eval" / "cases" / "case_00000.json")
+        for key, value in MEANING_CHANGES[family].items():
+            changed = workdir / f"meaning_{key}.cfg"
+            write_config(changed, Config({**SMOKE_OVERRIDES, key: value}))
+            for argv in (["plan", "--case", case, "--ckpt", str(trained_ckpt)],
+                         ["train", "--stage", "I", "--data", str(generated / "stage_I"),
+                          "--resume", str(trained_ckpt), "--log-every", "0"]):
+                assert cli.main([*argv, "--config", str(changed), "--out", str(workdir / "meaning")]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: {key}:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("line", ["infer.g_text = nan", "guidance.v2v = txt:nan,vid:1.25,img:1.25,tgt:0.5"])
+    def test_non_finite_guidance_weight_exits_1(self, workdir, generated, trained_ckpt, capsys, line):
+        bad = workdir / "nan_guidance.cfg"
+        bad.write_text("\n".join(f"{k} = {v}" for k, v in SMOKE_OVERRIDES.items()) + "\n" + line + "\n")
+        case = str(generated / "eval" / "cases" / "case_00000.json")
+        rc = cli.main(["edit", "--case", case, "--ckpt", str(trained_ckpt), "--config", str(bad),
+                       "--out", str(workdir / "nan_guidance")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "finite" in err
 
     def test_inconsistent_config_exits_1(self, workdir, generated, trained_ckpt, capsys):
         bad = workdir / "bad_heads.cfg"

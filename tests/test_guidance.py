@@ -63,11 +63,41 @@ class TestCompose:
         assert np.abs(compose(spec, forwards) - expected).max() < 1e-12
 
     def test_missing_subset_named(self):
-        spec = full_spec()
+        spec = full_spec({"vid": 1.25, "img": 2.5, "txt": 4.0, "tgt": 1.5})
         forwards = random_forwards(spec, Rng(4))
         del forwards[frozenset({"vid", "img"})]
         with pytest.raises(CompositionError, match=r"\{img,vid\}"):
             compose(spec, forwards)
+
+    @given(
+        present=st.lists(st.sampled_from(BRANCHES), unique=True),
+        lead=st.integers(0, len(BRANCHES)),
+        others=st.lists(st.floats(-4.0, 4.0).filter(lambda w: w != 1.0), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_unit_weight_prefix_telescopes(self, present, lead, others, seed):
+        """v0 + 1 * (v1 - v0) = v1: the chain starts after the leading
+        unit-weight increments, and composing over it matches the full
+        incremental sum."""
+        present = tuple(b for b in BRANCHES if b in present)  # canonical order
+        lead = min(lead, len(present))
+        weights = dict(zip(present, [1.0] * lead + others))
+        spec = GuidanceSpec(weights, present)
+        full = [frozenset(present[:i]) for i in range(len(present) + 1)]
+        chain = spec.subset_chain()
+        assert chain == full[lead:]
+        if lead == 0:
+            assert len(chain) == len(present) + 1
+        if lead == len(present):
+            assert chain == [frozenset(present)]
+        rng = Rng(seed)
+        forwards = {s: rng.normal((6,)) for s in full}
+        expected = forwards[full[0]].copy()
+        for b, prev, cur in zip(present, full, full[1:]):
+            expected = expected + weights[b] * (forwards[cur] - forwards[prev])
+        scale = (1.0 + sum(abs(w) for w in weights.values())) * max(np.abs(f).max() for f in forwards.values())
+        assert np.abs(compose(spec, forwards) - expected).max() <= 1e-12 * scale
 
     def test_linearity_in_forwards(self):
         rng = Rng(5)
@@ -166,8 +196,8 @@ class TestValidate:
             spec = GuidanceSpec(scales, tuple(scales))
             assert spec.weights["txt"] == 4.0
             assert cfg.get_int(f"guidance.steps.{key}") in (40, 60)
-        s2v = GuidanceSpec(default_scales("s2v"), ("vid", "img", "txt", "tgt"))
-        assert (s2v.weights["txt"], s2v.weights["vid"], s2v.weights["img"], s2v.weights["tgt"]) == (4.0, 1.25, 2.5, 1.5)
+        s2v = GuidanceSpec(default_scales("s2v"), ("img", "txt", "tgt"))
+        assert (s2v.weights["txt"], s2v.weights["img"], s2v.weights["tgt"]) == (4.0, 2.5, 1.5)
 
     @given(st.floats(0.0, 1.0), st.floats(-2.0, 4.0), st.floats(-2.0, 4.0))
     @settings(max_examples=60, deadline=None)

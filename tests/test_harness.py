@@ -10,6 +10,7 @@ from planflow.config import Config, ConfigError, default_config, load_config, pa
 from planflow import harness, planner as planner_mod
 from planflow.harness import (
     GUIDANCE_KEY,
+    MEANING_KEYS,
     Adam,
     EvalReport,
     ModelBundle,
@@ -20,6 +21,7 @@ from planflow.harness import (
     TrainState,
     _effective_mixture,
     _sample_mixture,
+    check_config_snapshot,
     dataset_counts,
     edit_case,
     ema_update,
@@ -27,14 +29,17 @@ from planflow.harness import (
     evaluate,
     plan_case,
     planner_sequence,
+    render_case,
+    renderer_sources,
     run_stage,
     run_pipeline,
     state_to_checkpoint,
     total_loss,
 )
 from planflow.numerics import Rng, Tensor
-from planflow.renderer import conditioning_rows
-from planflow.schedules import TaskKind, pair_decay_weight
+from planflow import renderer as renderer_mod
+from planflow.renderer import CondInputs, ToyVae, conditioning_rows
+from planflow.schedules import TaskKind, pair_decay_weight, parse_mask_ratio
 from planflow.sequence import apply_target_mask
 from planflow.toydata import Dataset, gen_edit_case, generate_dataset
 from planflow import tensorio
@@ -68,6 +73,18 @@ TINY_OVERRIDES = {
 
 def tiny_config() -> Config:
     return Config(dict(TINY_OVERRIDES))
+
+
+# per key family, values that change what the weights compute but not their
+# shapes at the tiny config
+MEANING_CHANGES = {
+    "heads": {"planner.heads": "4", "renderer.heads": "4"},
+    "rope_base": {"planner.rope_base": "500.0", "renderer.rope_base": "500.0"},
+    "segment_base": {"planner.segment_base": "100.0", "renderer.segment_base": "100.0"},
+    "segment_phases": {"planner.segment_phases": "true", "renderer.segment_phases": "false"},
+    "patch": {"renderer.patch": "2,1,2", "vit.patch": "2,1,2"},
+    "vit.seed": {"vit.seed": "7102"},
+}
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +252,32 @@ class TestMixtureSampling:
             assert sum(mix.values()) == pytest.approx(1.0)
             # non-pair proportions stay 3:1
             assert mix["v2v"] / mix["t2v"] == pytest.approx(3.0)
+
+
+class TestConfigSnapshot:
+    def test_families_cover_the_compared_keys(self):
+        assert {k for changes in MEANING_CHANGES.values() for k in changes} == set(MEANING_KEYS)
+
+    @pytest.mark.parametrize("family", MEANING_CHANGES)
+    def test_resume_refuses_weights_of_another_meaning(self, tiny_dataset, family):
+        cfg = tiny_config()
+        bundle = ModelBundle(cfg)
+        shapes = {k: v.shape for k, v in bundle.param_values().items()}
+        for key, value in MEANING_CHANGES[family].items():
+            saved = Config({**TINY_OVERRIDES, key: value})
+            params = ModelBundle(saved).param_values()
+            assert {k: v.shape for k, v in params.items()} == shapes  # the shape check cannot catch it
+            ck = Checkpoint(stage="I", step=6, stages_done=["I"], params=params, config_snapshot=saved.snapshot())
+            with pytest.raises(ConfigError, match=f"^{re.escape(key)}: .*'{re.escape(value)}'"):
+                run_stage(bundle, StageConfig.from_config(cfg, "II"), tiny_dataset, RunConfig.from_config(cfg), 0,
+                          resume=ck)
+
+    def test_same_meaning_accepted(self):
+        cfg = tiny_config()
+        check_config_snapshot({}, cfg)  # unknown: a hand-made checkpoint
+        check_config_snapshot(cfg.snapshot(), cfg)
+        check_config_snapshot({"planner.rope_base": "1e4", "vit.patch": "1, 2, 2", "renderer.segment_phases": "yes",
+                               "stage.I.lr": "0.5", "renderer.drop_text": "0.0", "old.key": "1"}, cfg)
 
 
 class TestCheckpoint:
@@ -553,7 +596,7 @@ class TestEvaluation:
 class TestConfigFile:
     def test_defaults_parse(self):
         cfg = default_config()
-        assert cfg.get_floats("schedules.mask_ratio.v2v") == (12.0, 0.9)
+        assert parse_mask_ratio(cfg.get("schedules.mask_ratio.v2v")) == (12.0, 0.9)
         assert cfg.get_weighted("guidance.v2v") == {"txt": 4.0, "vid": 1.25, "img": 1.25, "tgt": 0.5}
         assert cfg.get_int("guidance.steps.t2v") == 60
         assert cfg.get_int("infer.plan_steps") == 25
@@ -583,13 +626,18 @@ class TestConfigFile:
         ("infer.plan_steps", "abc", "get_int", "'abc'"),
         ("infer.g_text", "1.2x", "get_float", "'1.2x'"),
         ("data.grid", "2,x,8", "get_ints", "'2,x,8'"),
-        ("schedules.mask_ratio.v2v", "12.0,", "get_floats", "'12.0,'"),
         ("guidance.v2v", "txt:4.0,vid:lots", "get_weighted", "'vid:lots'"),
     ])
     def test_malformed_value_names_key_and_value(self, key, value, getter, bad):
         cfg = Config({key: value})
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: .*{re.escape(bad)}"):
             getattr(cfg, getter)(key)
+
+    @pytest.mark.parametrize("key, value", [("schedules.mask_ratio.v2v", "12.0,"),
+                                            ("schedules.timestep.t2i", "mode,abc,3.0")])
+    def test_malformed_schedule_names_key_and_value(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: .*{re.escape(repr(value))}"):
+            RunConfig.from_config(Config({key: value}))
 
     @pytest.mark.parametrize("key, value, name", [
         ("guidance.v2v", "txt:4.0,vdi:1.25", "vdi"),
@@ -628,3 +676,43 @@ class TestConfigFile:
 
     def test_guidance_key_covers_tasks(self):
         assert set(GUIDANCE_KEY) == set(TaskKind)
+
+    @staticmethod
+    def _supplied_branches(task):
+        """The guidance branches render_case's conditions hold for a case of
+        `task` rendered with planner states."""
+        case = gen_edit_case(Rng(3), task)
+        latents, roles = renderer_sources(case, ToyVae())
+        return CondInputs(np.asarray(case.instruction), np.zeros((1, 1)), latents, roles).branches()
+
+    def test_default_guidance_rows_name_supplied_branches(self):
+        """A row weights only branches that one of the tasks it serves has."""
+        run = RunConfig.from_config(default_config())
+        supplied = {key: set() for key in run.guidance_scales}
+        for task, key in GUIDANCE_KEY.items():
+            supplied[key] |= set(self._supplied_branches(task))
+        for key, scales in run.guidance_scales.items():
+            assert set(scales) <= supplied[key], key
+
+    def test_default_render_chains_are_full(self, monkeypatch):
+        """No default table starts with a unit weight, so every task's render
+        composes its full chain, from the unconditional subset on."""
+        cfg = default_config()
+        bundle, run = ModelBundle(cfg), RunConfig.from_config(cfg)
+        specs = []
+
+        class FirstStep(Exception):
+            pass
+
+        def record(spec, forwards):
+            specs.append(spec)
+            raise FirstStep
+
+        monkeypatch.setattr(renderer_mod, "compose", record)
+        for task in TaskKind:
+            case = gen_edit_case(Rng(3), task)
+            with pytest.raises(FirstStep):
+                render_case(bundle, run, case, np.zeros((4, cfg.get_int("planner.hidden_dim"))), Rng(0))
+            spec = specs[-1]
+            assert spec.present == self._supplied_branches(task)
+            assert spec.subset_chain() == [frozenset(spec.present[:i]) for i in range(len(spec.present) + 1)], task

@@ -6,6 +6,7 @@ import pytest
 from planflow import planner as planner_mod
 from hypothesis import given, settings, strategies as st
 
+from planflow.guidance import GuidanceSpec
 from planflow.numerics import ContractError, Rng, Tensor, backward, fd_gradient, no_grad
 from planflow.planner import (
     EmbeddingDecoder,
@@ -27,6 +28,16 @@ from util import rel_err
 
 
 CFG = PlannerConfig(hidden_dim=16, blocks=2, heads=2, embed_dim=8, decoder_dim=24, decoder_blocks=2)
+
+# guidance condition subsets of a planner sequence with sources and text
+UNCOND, IMG, TXT, FULL = frozenset(), frozenset({"img"}), frozenset({"txt"}), frozenset({"img", "txt"})
+
+
+def guidance_spec(g_text=1.0, g_image=1.0, present=("img", "txt")):
+    return GuidanceSpec({"img": g_image, "txt": g_text}, present)
+
+
+UNIT = guidance_spec()  # all-unit weights: the chain is the full subset alone
 
 
 def make_models(seed=5):
@@ -217,7 +228,7 @@ class TestDecodeEmbedding:
         monkeypatch.setattr(planner_mod, "decoder_forward", const_velocity)
         for steps in (1, 2, 5, 17):
             cond = decoder_condition(decoder, np.zeros((3, CFG.hidden_dim)))
-            out = decode_embedding(decoder, cond, steps, 1.0, 1.0, noise.copy())
+            out = decode_embedding(decoder, cond, steps, UNIT, noise.copy())
             assert np.abs(out - target).max() < 1e-12
 
     def test_single_step_formula(self, monkeypatch):
@@ -230,29 +241,44 @@ class TestDecodeEmbedding:
             return Tensor(x.data * 2.0)
 
         monkeypatch.setattr(planner_mod, "decoder_forward", record_velocity)
-        out = decode_embedding(decoder, decoder_condition(decoder, np.zeros((2, CFG.hidden_dim))), 1, 1.0, 1.0,
+        out = decode_embedding(decoder, decoder_condition(decoder, np.zeros((2, CFG.hidden_dim))), 1, UNIT,
                                noise.copy())
         assert np.allclose(out, noise + noise * 2.0)
         assert seen["t"] == 0.0
 
     def test_unit_guidance_equals_conditional_path(self):
+        """All-unit weights keep the full subset alone; a unit image weight
+        drops the unconditional rows and still matches the three-subset sum."""
         _, decoder = make_models()
         rng = Rng(11)
         z_full = rng.normal((4, CFG.hidden_dim))
         z_img = rng.normal((4, CFG.hidden_dim))
         z_un = rng.normal((4, CFG.hidden_dim))
         noise = rng.normal((4, CFG.embed_dim))
-        guided = decode_embedding(
-            decoder, decoder_condition(decoder, np.concatenate([z_un, z_img, z_full]), ("uncond", "img", "full")),
-            steps=4, g_text=1.0, g_image=1.0, noise=noise.copy(),
-        )
-        conditional = decode_embedding(decoder, decoder_condition(decoder, z_full), 4, 1.0, 1.0, noise.copy())
-        assert np.abs(guided - conditional).max() < 1e-12
+        assert UNIT.subset_chain() == [FULL]
+        unit = decode_embedding(decoder, decoder_condition(decoder, z_full), 4, UNIT, noise.copy())
+        x = noise.copy()
+        with no_grad():
+            for s in range(4):
+                x = x + 0.25 * decoder_forward(decoder, Tensor(x), s / 4, z_full).data
+        assert np.abs(unit - x).max() < 1e-12
+
+        spec = guidance_spec(g_text=1.5)
+        assert spec.subset_chain() == [IMG, FULL]
+        guided = decode_embedding(decoder, decoder_condition(decoder, np.concatenate([z_img, z_full])), 4, spec,
+                                  noise.copy())
+        x = noise.copy()
+        with no_grad():
+            for s in range(4):
+                v_un, v_img, v_full = (decoder_forward(decoder, Tensor(x), s / 4, z).data
+                                       for z in (z_un, z_img, z_full))
+                x = x + 0.25 * (v_un + 1.0 * (v_img - v_un) + 1.5 * (v_full - v_img))
+        assert np.abs(guided - x).max() < 1e-12
 
     def test_rejects_zero_steps(self):
         _, decoder = make_models()
         with pytest.raises(ContractError):
-            decode_embedding(decoder, decoder_condition(decoder, np.zeros((1, CFG.hidden_dim))), 0, 1.0, 1.0,
+            decode_embedding(decoder, decoder_condition(decoder, np.zeros((1, CFG.hidden_dim))), 0, UNIT,
                              np.zeros((1, CFG.embed_dim)))
 
 
@@ -319,14 +345,15 @@ class TestPlan:
 
 class TestGuidanceVariants:
     def test_variant_masks_match_dropped_sequences(self):
-        """Masked variants reproduce the target rows of the text-dropped and the
-        text-and-source-dropped sequences serialized on their own."""
+        """The masks of the subsets {} and {img} reproduce the target rows of
+        the text-and-source-dropped and the text-dropped sequences serialized
+        on their own."""
         model, _ = make_models(seed=41)
         seq = make_seq(text_len=3, sources=((1, 2, 2), (1, 1, 2)), target=(1, 2, 2), seed=42)
         seq = apply_target_mask(seq, 0.5, Rng(43), model.mask_embedding.data[0])
-        names = ["uncond", "img", "full"]
-        z = planner_forward(model, seq, planner_mod._variant_masks(seq, names)).data
-        z = z.reshape(len(names), len(seq), -1)
+        subsets = [UNCOND, IMG, FULL]
+        z = planner_forward(model, seq, planner_mod._variant_masks(seq, subsets)).data
+        z = z.reshape(len(subsets), len(seq), -1)
         t0, t1 = seq.span_of(VISUAL_TARGET)
         _, sources, target = describe(seq)
         for b, kept_sources in ((0, []), (1, sources), (2, None)):
@@ -342,7 +369,7 @@ class TestGuidanceVariants:
                     dropped.masked[start:stop] = seq.masked[o0:o1]
                 ref = planner_forward(model, dropped).data
                 r0, _ = dropped.span_of(VISUAL_TARGET)
-            assert np.abs(z[b, t0:t1] - ref[r0 : r0 + t1 - t0]).max() < 1e-12, names[b]
+            assert np.abs(z[b, t0:t1] - ref[r0 : r0 + t1 - t0]).max() < 1e-12, sorted(subsets[b])
         assert np.abs(z[0, t0:t1] - z[2, t0:t1]).max() > 1e-6
 
     @pytest.mark.parametrize("sources", [((1, 1, 2),), ()], ids=["with-sources", "text-only"])
@@ -356,7 +383,7 @@ class TestGuidanceVariants:
             return real_planner(model, seq, mask, *args, **kwargs)
 
         def count_decoder(decoder, x, t, z):
-            calls["decoder"].append(len(z))
+            calls["decoder"].append(z.state_terms[0].shape[0])
             return real_decoder(decoder, x, t, z)
 
         monkeypatch.setattr(planner_mod, "planner_forward", count_planner)
@@ -366,33 +393,45 @@ class TestGuidanceVariants:
         seq.embeddings[t0:t1] = 0.0
         seq.masked[t0:t1] = True
         total, decoder_steps = 8, 3
-        res = plan(model, decoder, seq, total, decoder_steps, g_text=1.5, g_image=1.2, rng=Rng(44))
-        trace = [6] + res.masked_counts
-        revealing = sum(1 for a, b in zip(trace, trace[1:]) if b < a)
-        assert revealing < total  # the cosine trace holds steps that reveal nothing
-        branches = 3 if sources else 2
-        # one prefix pass per distinct prefix mask ("uncond" and "img" agree
-        # before the target, and without sources every variant does), then
-        # one pass per revealing step and one final pass
-        assert calls["planner"] == [2 if sources else 1] + [branches] * (revealing + 1)
-        assert len(calls["decoder"]) == revealing * (decoder_steps + 1)
+        for g_image in (1.2, 1.0):
+            calls["planner"].clear()
+            calls["decoder"].clear()
+            res = plan(model, decoder, seq, total, decoder_steps, g_text=1.5, g_image=g_image, rng=Rng(44))
+            trace = [6] + res.masked_counts
+            revealed_from = [a for a, b in zip(trace, trace[1:]) if b < a]
+            assert len(revealed_from) < total  # the cosine trace holds steps that reveal nothing
+            # a unit image weight telescopes the unconditional copy away
+            copies = 3 if sources and g_image != 1.0 else 2
+            # one prefix pass per distinct prefix mask (the subsets without
+            # text agree before the target, and without sources every subset
+            # does), then one pass per revealing step and one final pass
+            assert calls["planner"] == [2 if sources else 1] + [copies] * (len(revealed_from) + 1)
+            assert calls["decoder"] == [copies * m for m in revealed_from for _ in range(decoder_steps + 1)]
 
 
 def reference_plan(model, decoder, seq, total_steps, decoder_steps, g_text, g_image, rng):
-    """plan() without any cache: every revealing step runs planner_forward on
-    the whole sequence and the decoder prepares its conditioning per call.
+    """plan() without any cache, stacking or telescoping: every revealing
+    step runs planner_forward on the whole sequence under the full chain of
+    condition subsets, from the unconditional one on, runs the decoder once
+    per subset on raw states and sums the weighted increments itself.
     Returns (embeddings, hidden, masked counts, the target's masked flags
     before every revealing step and before the final pass)."""
     seq = seq.copy()
     t0, t1 = seq.span_of(VISUAL_TARGET)
     trace = masked_count_trace(total_steps, t1 - t0)
-    guided = not (g_text == 1.0 and g_image == 1.0)
-    names = ["full"]
-    if guided and any(d.kind == VISUAL_SOURCE for d in seq.layout):
-        names = ["uncond", "img", "full"]
-    elif guided and seq.text_len > 0:
-        names = ["uncond", "full"]
-    mask = planner_mod._variant_masks(seq, names)
+    weights = {"img": g_image, "txt": g_text}
+    present = [b for b, has in (("img", any(d.kind == VISUAL_SOURCE for d in seq.layout)),
+                                ("txt", seq.text_len > 0)) if has]
+    chain = [frozenset(present[:i]) for i in range(len(present) + 1)]
+    mask = planner_mod._variant_masks(seq, chain)
+
+    def velocity(x, t, zs):
+        v = [decoder_forward(decoder, Tensor(x), t, z).data for z in zs]
+        out = v[0]
+        for branch, prev, cur in zip(present, v, v[1:]):
+            out = out + weights[branch] * (cur - prev)
+        return out
+
     counts, flags = [], []
     with no_grad():
         for keep in trace:
@@ -402,13 +441,12 @@ def reference_plan(model, decoder, seq, total_steps, decoder_steps, g_text, g_im
             if n_reveal <= 0:
                 continue
             flags.append(seq.masked[t0:t1].copy())
-            z = planner_forward(model, seq, mask).data.reshape(len(names), len(seq), -1)
-            z_masked = z[:, t0 + masked_rel].reshape(-1, z.shape[2])
-            noise = rng.normal((len(masked_rel), CFG.embed_dim))
-            pred = decode_embedding(decoder, decoder_condition(decoder, z_masked, tuple(names)),
-                                    decoder_steps, g_text, g_image, noise)
-            term = planner_mod._composed_velocity(
-                decoder, pred, 1.0, decoder_condition(decoder, z_masked, tuple(names)), g_text, g_image)
+            z = planner_forward(model, seq, mask).data.reshape(len(chain), len(seq), -1)
+            zs = [z[b, t0 + masked_rel] for b in range(len(chain))]
+            pred = rng.normal((len(masked_rel), CFG.embed_dim))
+            for s in range(decoder_steps):
+                pred = pred + (1.0 / decoder_steps) * velocity(pred, s / decoder_steps, zs)
+            term = velocity(pred, 1.0, zs)
             order = np.argsort(np.linalg.norm(term, axis=1), kind="stable")
             chosen = masked_rel[order[:n_reveal]]
             seq.embeddings[t0 + chosen] = pred[order[:n_reveal]]
@@ -438,13 +476,13 @@ class TestInferenceCaches:
         seq = serialize(text_len, sources, target)
         t0, t1 = seq.span_of(VISUAL_TARGET)
         masks = [build_mask(seq).allow[None]]
-        masks += [planner_mod._variant_masks(seq, names).allow
-                  for names in (["full"], ["uncond", "full"], ["uncond", "img", "full"])]
+        masks += [planner_mod._variant_masks(seq, subsets).allow
+                  for subsets in ([FULL], [UNCOND, TXT], [UNCOND, IMG, FULL])]
         for allow in masks:
             assert not allow[:, :t0, t0:t1].any()
             assert allow[:, t0:t1, t0:t1].all()
 
-    @pytest.mark.parametrize("guidance", [(1.0, 1.0), (1.5, 1.2)], ids=["unguided", "guided"])
+    @pytest.mark.parametrize("guidance", [(1.0, 1.0), (1.5, 1.2), (1.5, 1.0)], ids=["unguided", "guided", "unit-image"])
     @pytest.mark.parametrize("layout", list(LAYOUTS))
     def test_cached_plan_matches_uncached_reference(self, monkeypatch, layout, guidance):
         model, decoder = make_models(seed=51)
@@ -473,7 +511,7 @@ class TestInferenceCaches:
         model, _ = make_models(seed=54)
         seq = make_seq(text_len=3, sources=((1, 2, 2), (1, 1, 2)), target=(1, 2, 2), seed=55)
         seq = apply_target_mask(seq, 0.5, Rng(56), model.mask_embedding.data[0])
-        mask = planner_mod._variant_masks(seq, ["uncond", "img", "full"])
+        mask = planner_mod._variant_masks(seq, [UNCOND, IMG, FULL])
         t0, _ = seq.span_of(VISUAL_TARGET)
         past = planner_mod.prefix_cache(model, seq, mask, t0)
         full = planner_forward(model, seq, mask).data.reshape(3, len(seq), -1)
@@ -482,13 +520,13 @@ class TestInferenceCaches:
         assert np.abs(tail - full[:, t0:]).max() < 1e-12
 
     def test_prefix_runs_once_per_distinct_mask(self, monkeypatch):
-        """"uncond" and "img" agree on every row before the target, so the
-        prefix forward gets 2 entries, not 3, and the cache equals the one
-        built from each variant's mask on its own."""
+        """The subsets {} and {img} agree on every row before the target, so
+        the prefix forward gets 2 entries, not 3, and the cache equals the one
+        built from each subset's mask on its own."""
         model, _ = make_models(seed=57)
         seq = make_seq(text_len=3, sources=((1, 2, 2), (1, 1, 2)), target=(1, 2, 2), seed=58)
-        names = ["uncond", "img", "full"]
-        mask = planner_mod._variant_masks(seq, names)
+        subsets = [UNCOND, IMG, FULL]
+        mask = planner_mod._variant_masks(seq, subsets)
         t0, _ = seq.span_of(VISUAL_TARGET)
         entries = []
         real = planner_mod.planner_forward
@@ -503,9 +541,9 @@ class TestInferenceCaches:
         assert entries == [2]
         monkeypatch.undo()
         with no_grad():
-            for b, name in enumerate(names):
-                own = planner_mod.prefix_cache(model, seq, planner_mod._variant_masks(seq, [name]), t0)
-                assert np.array_equal(past.states[b], own.states[0]), name
+            for b, subset in enumerate(subsets):
+                own = planner_mod.prefix_cache(model, seq, planner_mod._variant_masks(seq, [subset]), t0)
+                assert np.array_equal(past.states[b], own.states[0]), sorted(subset)
                 for (k, v), (k1, v1) in zip(past.kv, own.kv):
                     assert np.array_equal(k.data[b * t0 : (b + 1) * t0], k1.data)
                     assert np.array_equal(v.data[b * t0 : (b + 1) * t0], v1.data)

@@ -14,7 +14,6 @@ from planflow.toydata import (
     Scene,
     clip_similarity,
     comparison_frames,
-    decode_tokens,
     edited_mask,
     frames_to_ids,
     gen_edit_case,
@@ -25,6 +24,7 @@ from planflow.toydata import (
     oracle_passes,
     oracle_scores,
 )
+from util import decode_tokens
 
 
 class TestSceneGeneration:
