@@ -153,18 +153,12 @@ def cmd_gen_data(args) -> int:
 
 
 def _emit_cases(dataset_dir: Path, limit: int) -> None:
-    data = Dataset(dataset_dir)
     case_dir = dataset_dir / "cases"
     case_dir.mkdir(exist_ok=True)
-    n = 0
-    for rec in data.records:
-        if rec["kind"] != "case":
-            continue
+    cases = (rec for rec in Dataset(dataset_dir).records if rec["kind"] == "case")
+    for rec in itertools.islice(cases, limit):
         with open(case_dir / f"case_{rec['index']:05d}.json", "w") as fh:
             json.dump(rec, fh, sort_keys=True)
-        n += 1
-        if n >= limit:
-            break
 
 
 def cmd_train(args) -> int:

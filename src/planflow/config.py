@@ -7,6 +7,7 @@ typed accessors.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .guidance import BRANCHES
@@ -149,7 +150,8 @@ class Config:
 
     def validate(self) -> None:
         """Refuse model sizes the networks cannot be built with, grids that
-        are not triples of positive sizes and unknown guidance branches."""
+        are not triples of positive sizes, unknown guidance branches and
+        non-finite guidance weights."""
         for key in _TRIPLES:
             if len(self.get(key).split(",")) != 3:
                 raise ConfigError(f"{key}: expected three values (frames, height, width), got {self.values[key]!r}")
@@ -160,11 +162,20 @@ class Config:
                 continue
             if not positive:
                 raise ConfigError(f"data.grid: dimensions must be positive, got {self.values['data.grid']!r}")
+        weights = [(key, self.get(key)) for key in ("infer.g_text", "infer.g_image")]
         for key in _GUIDANCE_SCALES:
             for part in self.get(key).split(","):
-                name = part.partition(":")[0].strip()
-                if part.strip() and name not in BRANCHES:
-                    raise ConfigError(f"{key}: unknown guidance branch {name!r}; expected one of {', '.join(BRANCHES)}")
+                name, _, weight = part.partition(":")
+                if part.strip() and name.strip() not in BRANCHES:
+                    raise ConfigError(f"{key}: unknown guidance branch {name.strip()!r}; expected one of {', '.join(BRANCHES)}")
+                weights.append((key, weight))
+        for key, weight in weights:
+            try:
+                finite = math.isfinite(float(weight))
+            except ValueError:  # the typed getters name a malformed weight
+                continue
+            if not finite:
+                raise ConfigError(f"{key}: guidance weights must be finite, got {weight.strip()!r}")
         for key in _DIMENSIONS:
             if min(self.get_ints(key)) < 1:
                 raise ConfigError(f"{key}: dimensions must be positive, got {self.values[key]!r}")

@@ -11,7 +11,7 @@ split-resume training is bit-identical to an uninterrupted run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -221,16 +221,10 @@ class ModelBundle:
         return out
 
     def trainable(self, stage: str) -> dict[str, Tensor]:
-        named = self.named_params()
-        if stage == "I":
-            keep = ("planner.", "decoder.")
-        elif stage == "II":
-            keep = ("renderer.",)
-        elif stage == "III":
-            keep = ("planner.", "decoder.", "renderer.")
-        else:
+        keep = {"I": ("planner.", "decoder."), "II": ("renderer.",), "III": ("planner.", "decoder.", "renderer.")}
+        if stage not in keep:
             raise ConfigError(f"unknown stage {stage!r}")
-        return {k: v for k, v in named.items() if k.startswith(keep)}
+        return {k: v for k, v in self.named_params().items() if k.startswith(keep[stage])}
 
     def load_param_values(self, values: dict[str, np.ndarray]) -> None:
         """Replace every parameter; refuses a set that is not exactly this config's."""
@@ -596,10 +590,7 @@ def run_stage(
             else:
                 loss = _planner_case_loss(bundle, run, EditCase.from_dict(record), stage, state.rngs, lambdas)
             batch_losses.append(loss)
-        batch_loss = batch_losses[0]
-        for extra in batch_losses[1:]:
-            batch_loss = batch_loss + extra
-        batch_loss = (1.0 / stage_cfg.batch_size) * batch_loss
+        batch_loss = (1.0 / stage_cfg.batch_size) * sum(batch_losses[1:], batch_losses[0])
         last_loss = batch_loss.item()
         if not np.isfinite(last_loss):
             raise NonFiniteError(f"stage {stage} step {state.step + 1}: loss is {last_loss}")
@@ -727,15 +718,7 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
-        return {
-            "per_task_success": self.per_task_success,
-            "per_task_count": self.per_task_count,
-            "edited_accuracy": self.edited_accuracy,
-            "untouched_exactness": self.untouched_exactness,
-            "invariants_ok": self.invariants_ok,
-            "runtime_seconds": self.runtime_seconds,
-            "per_family_success": self.per_family_success,
-        }
+        return asdict(self)
 
 
 def evaluate(

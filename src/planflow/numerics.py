@@ -12,7 +12,6 @@ from contextlib import contextmanager
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 
 class DimensionError(ValueError):
@@ -151,10 +150,9 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.shape).copy(),)
 
     return _record(data, (a,), vjp)
 
@@ -165,10 +163,9 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     n = a.data.size if axis is None else a.shape[axis]
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / n, a.shape).copy(),)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g / n, a.shape).copy(),)
 
     return _record(data, (a,), vjp)
 
@@ -227,20 +224,41 @@ def layernorm(x, gain, bias) -> Tensor:
     return _record(data, (x, gain, bias), vjp)
 
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_K = 0.044715
 
 
 def gelu(a) -> Tensor:
+    """Tanh-form GELU 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))), the form
+    DiT-style MLPs use; within 4.8e-4 of the erf form x·Φ(x) everywhere.
+
+    Written as in-place ufuncs over two buffers: `h` = ½(1 + tanh u), kept for
+    the adjoint, and the output x·h. With d = 1 − h the derivative is
+    h + 2·x·u′·h·d, since ½(1 − tanh² u) = 2·h·d."""
     a = _lift(a)
-    cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    data = a.data * cdf
+    x = a.data
+    h = x * x
+    h *= _GELU_C * _GELU_K
+    h += _GELU_C
+    h *= x
+    np.tanh(h, out=h)
+    h *= 0.5
+    h += 0.5
 
     def vjp(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * a.data * a.data)
-        return (g * (cdf + a.data * pdf),)
+        # 2·x·u′ = x·(2c + 6ck·x²)
+        q = x * x
+        q *= 6.0 * _GELU_C * _GELU_K
+        q += 2.0 * _GELU_C
+        q *= x
+        d = np.subtract(1.0, h)
+        d *= q
+        d += 1.0
+        d *= h
+        d *= g
+        return (d,)
 
-    return _record(data, (a,), vjp)
+    return _record(x * h, (a,), vjp)
 
 
 def embedding(table, ids) -> Tensor:

@@ -51,8 +51,3 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
 
 def write_tensor(path: str | Path, arr: np.ndarray) -> None:
     Path(path).write_bytes(tensor_bytes(arr))
-
-
-def read_tensor(path: str | Path) -> np.ndarray:
-    arr, _ = tensor_from_bytes(Path(path).read_bytes())
-    return arr

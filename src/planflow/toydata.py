@@ -464,11 +464,6 @@ def _feature_similarity(a: tuple, b: tuple) -> float:
     return float(np.clip(np.dot(ca, cb) / (na * nb), 0.0, 1.0))
 
 
-def clip_similarity(a: Scene, b: Scene) -> float:
-    """Normalized cross-correlation of temporally averaged frames, in [0, 1]."""
-    return _feature_similarity(_clip_feature(a), _clip_feature(b))
-
-
 def mine_pairs(pool: list[Scene], rng: Rng, band: tuple[float, float] = (0.65, 0.95),
                per_origin_cap: int = 100) -> list[PairRecord]:
     """Retain pairs inside the similarity band, at most `per_origin_cap` per origin."""

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from planflow.checkpoint import Checkpoint
 from planflow.config import write_config, Config
 
 from test_harness import MEANING_CHANGES, TINY_OVERRIDES
+from util import read_tensor
 
 
 SMOKE_OVERRIDES = dict(TINY_OVERRIDES)
@@ -60,6 +65,14 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["check", "--frobnicate"])
         assert exc.value.code == 2
+
+    def test_cli_import_loads_no_scipy(self):
+        """scipy is a test dependency only: the program runs on numpy."""
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, planflow.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_check_green_path(self, capsys):
         assert cli.main(["check"]) == 0
@@ -123,6 +136,19 @@ class TestTrainErrors:
         key = line.split(" ")[0]
         assert captured.err.startswith(f"error: {key}:") and captured.err.count("\n") == 1
         assert "three values" in captured.err
+
+    @pytest.mark.parametrize("line", ["infer.g_text = nan", "infer.g_image = inf",
+                                      "guidance.v2v = txt:4.0,vid:nan,img:1.25,tgt:0.5",
+                                      "guidance.rv2v = txt:-inf,vid:1.25,img:3.0,tgt:1.5"])
+    def test_check_refuses_non_finite_guidance_weight(self, workdir, capsys, line):
+        bad = workdir / "check_non_finite.cfg"
+        bad.write_text(line + "\n")
+        assert cli.main(["check", "--config", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "invariants hold" not in captured.out
+        key = line.split(" ")[0]
+        assert captured.err.startswith(f"error: {key}:") and captured.err.count("\n") == 1
+        assert "finite" in captured.err
 
     def test_check_refuses_non_positive_grid(self, workdir, capsys):
         bad = workdir / "check_bad_grid.cfg"
@@ -270,9 +296,7 @@ class TestPlanRenderEval:
         rc = cli.main(["plan", "--case", case, "--ckpt", str(trained_ckpt),
                        "--config", str(workdir / "tiny.cfg"), "--seed", "1", "--out", str(out)])
         assert rc == 0
-        from planflow import tensorio
-
-        emb = tensorio.read_tensor(out / "embeddings.pft")
+        emb = read_tensor(out / "embeddings.pft")
         assert emb.shape[0] > 0 and np.isfinite(emb).all()
         assert (out / "plan_report.txt").exists()
 
@@ -282,9 +306,7 @@ class TestPlanRenderEval:
         rc = cli.main(["render", "--case", case, "--ckpt", str(trained_ckpt),
                        "--config", str(workdir / "tiny.cfg"), "--seed", "1", "--out", str(out)])
         assert rc == 0
-        from planflow import tensorio
-
-        frames = tensorio.read_tensor(out / "frames.pft")
+        frames = read_tensor(out / "frames.pft")
         assert frames.min() >= 0 and frames.max() <= 5
 
     def test_eval_writes_reports(self, workdir, generated, trained_ckpt):

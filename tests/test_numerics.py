@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -251,6 +252,35 @@ class TestAttention:
             attention(x, x, x, heads=2, batch=2)
         with pytest.raises(DimensionError):
             attention(x, x, x, heads=3, batch=1)
+
+
+class TestGelu:
+    """The activation is the tanh form of GELU, computed without touching its input."""
+
+    X = np.linspace(-12.0, 12.0, 4801)
+
+    def test_matches_tanh_closed_form(self):
+        c = math.sqrt(2.0 / math.pi)
+        want = np.array([0.5 * x * (1.0 + math.tanh(c * (x + 0.044715 * x * x * x))) for x in self.X])
+        got = gelu(Tensor(self.X)).data
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.maximum(np.abs(self.X), 1.0))
+
+    def test_near_erf_form(self):
+        exact = np.array([0.5 * x * (1.0 + math.erf(x / math.sqrt(2.0))) for x in self.X])
+        assert np.abs(gelu(Tensor(self.X)).data - exact).max() < 4.8e-4
+
+    def test_input_unchanged(self):
+        a_np = Rng(5).normal((6, 7)) * 3
+        a = Tensor(a_np.copy(), requires_grad=True)
+        backward(tsum(gelu(a)))
+        assert np.array_equal(a.data, a_np)
+
+    def test_finite_at_large_magnitude(self):
+        a = Tensor(np.array([-1e3, 1e3]), requires_grad=True)
+        out = gelu(a)
+        backward(tsum(out))
+        assert np.array_equal(out.data, [0.0, 1e3])
+        assert np.array_equal(a.grad, [0.0, 1.0])
 
 
 class TestInvariants:

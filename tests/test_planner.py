@@ -24,7 +24,7 @@ from planflow.planner import (
 from planflow.schedules import masked_count_trace
 from planflow.sequence import VISUAL_SOURCE, VISUAL_TARGET, apply_target_mask, build_mask, describe, serialize
 from planflow.toydata import VOCAB
-from util import rel_err
+from util import gelu_np, layernorm_np, rel_err
 
 
 CFG = PlannerConfig(hidden_dim=16, blocks=2, heads=2, embed_dim=8, decoder_dim=24, decoder_blocks=2)
@@ -54,13 +54,6 @@ def make_seq(text_len=3, sources=((1, 1, 2),), target=(1, 2, 2), seed=7):
     if text_len:
         seq.embeddings[:text_len] = 0.0
     return seq
-
-
-def _ln_np(x, g, b, eps=1e-12):
-    mu = x.mean(-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(-1, keepdims=True)
-    return xc / np.sqrt(var + eps) * g + b
 
 
 class TestPlannerForward:
@@ -109,17 +102,13 @@ class TestPlannerForward:
         x = p["text_embed"][4][None, :].copy()
         for i in range(CFG.blocks):
             pre = f"block{i}."
-            h = _ln_np(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
+            h = layernorm_np(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
             # single token: softmax over one logit is 1, so attention passes v through
             v = h @ p[pre + "wv"]
             x = x + v @ p[pre + "wo"]
-            h2 = _ln_np(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
-            a = h2 @ p[pre + "w1"] + p[pre + "b1"]
-            from scipy.special import erf
-
-            gelu = a * 0.5 * (1 + erf(a / math.sqrt(2)))
-            x = x + gelu @ p[pre + "w2"] + p[pre + "b2"]
-        expected = _ln_np(x, p["ln_f.g"], p["ln_f.b"])
+            h2 = layernorm_np(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
+            x = x + gelu_np(h2 @ p[pre + "w1"] + p[pre + "b1"]) @ p[pre + "w2"] + p[pre + "b2"]
+        expected = layernorm_np(x, p["ln_f.g"], p["ln_f.b"])
         assert np.abs(z - expected).max() < 1e-10
 
     def test_mask_embedding_substituted_and_trainable(self):
@@ -582,21 +571,15 @@ class TestInferenceCaches:
         p = {k: v.data for k, v in decoder.params.items()}
         rng = Rng(61)
         z, x = rng.normal((4, CFG.hidden_dim)), rng.normal((4, CFG.embed_dim))
-
-        def gelu(a):
-            from scipy.special import erf
-
-            return a * 0.5 * (1 + erf(a / math.sqrt(2)))
-
         for t in (0.3, rng.uniform((4,))):
             feats = planner_mod.nets.time_features(np.broadcast_to(t, (4,)), CFG.time_features)
-            temb = gelu(feats @ p["time.w1"] + p["time.b1"]) @ p["time.w2"] + p["time.b2"]
+            temb = gelu_np(feats @ p["time.w1"] + p["time.b1"]) @ p["time.w2"] + p["time.b2"]
             h = x @ p["in_proj"] + p["in_bias"]
             for i in range(CFG.decoder_blocks):
                 pre = f"res{i}."
-                inner = np.concatenate([_ln_np(h, p[pre + "ln.g"], p[pre + "ln.b"]), temb, z], axis=1)
-                h = h + gelu(inner @ p[pre + "w1"] + p[pre + "b1"]) @ p[pre + "w2"] + p[pre + "b2"]
-            expected = _ln_np(h, p["out_ln.g"], p["out_ln.b"]) @ p["out_proj"] + p["out_bias"]
+                inner = np.concatenate([layernorm_np(h, p[pre + "ln.g"], p[pre + "ln.b"]), temb, z], axis=1)
+                h = h + gelu_np(inner @ p[pre + "w1"] + p[pre + "b1"]) @ p[pre + "w2"] + p[pre + "b2"]
+            expected = layernorm_np(h, p["out_ln.g"], p["out_ln.b"]) @ p["out_proj"] + p["out_bias"]
             assert np.abs(decoder_forward(decoder, Tensor(x), t, z).data - expected).max() < 1e-12
 
     def test_prepared_condition_matches_raw_states(self):

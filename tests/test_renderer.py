@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -28,7 +26,7 @@ from planflow.renderer import (
 )
 from planflow.schedules import TimestepConfig, TaskKind
 from planflow.toydata import PALETTE_SIZE, encode, frames_to_ids
-from util import rel_err
+from util import gelu_np, layernorm_np, rel_err
 
 
 CFG = RendererConfig(hidden_dim=16, blocks=2, heads=2, patch=(1, 2, 2), channels=4, planner_dim=16)
@@ -192,36 +190,26 @@ class TestRendererForward:
 
         p = {k: v.data for k, v in model.params.items()}
 
-        def ln(x, g, b, eps=1e-12):
-            mu = x.mean(-1, keepdims=True)
-            xc = x - mu
-            return xc / np.sqrt((xc * xc).mean(-1, keepdims=True) + eps) * g + b
-
-        def gelu(a):
-            from scipy.special import erf
-
-            return a * 0.5 * (1 + erf(a / math.sqrt(2)))
-
         _, tokens = patchify(x_t, model.cfg.patch)
         x = tokens @ p["patch_proj"] + p["patch_bias"]
         from planflow.nets import time_features
 
         tf = time_features(0.7, model.cfg.time_features)
-        temb = gelu(tf @ p["time.w1"] + p["time.b1"]) @ p["time.w2"] + p["time.b2"]
+        temb = gelu_np(tf @ p["time.w1"] + p["time.b1"]) @ p["time.w2"] + p["time.b2"]
         x = x + temb
         cond = p["null_cond"]
         for i in range(blocks):
             pre = f"block{i}."
             # self-attention over a single token: weights are 1, rotation at
             # position (0,0,0) is the identity
-            h = ln(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
+            h = layernorm_np(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
             x = x + (h @ p[pre + "wv"]) @ p[pre + "wo"]
             # cross-attention to a single conditioning token
-            h = ln(x, p[pre + "lnc.g"], p[pre + "lnc.b"])
+            h = layernorm_np(x, p[pre + "lnc.g"], p[pre + "lnc.b"])
             x = x + (cond @ p[pre + "cv"]) @ p[pre + "co"]
-            h = ln(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
-            x = x + gelu(h @ p[pre + "w1"] + p[pre + "b1"]) @ p[pre + "w2"] + p[pre + "b2"]
-        expected = ln(x, p["ln_f.g"], p["ln_f.b"]) @ p["out_proj"] + p["out_bias"]
+            h = layernorm_np(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
+            x = x + gelu_np(h @ p[pre + "w1"] + p[pre + "b1"]) @ p[pre + "w2"] + p[pre + "b2"]
+        expected = layernorm_np(x, p["ln_f.g"], p["ln_f.b"]) @ p["out_proj"] + p["out_bias"]
         assert np.abs(got - expected).max() < 1e-10
 
     def test_word_order_changes_velocity(self):

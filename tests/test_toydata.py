@@ -12,7 +12,8 @@ from planflow.toydata import (
     EditCase,
     GenerationError,
     Scene,
-    clip_similarity,
+    _clip_feature,
+    _feature_similarity,
     comparison_frames,
     edited_mask,
     frames_to_ids,
@@ -25,6 +26,11 @@ from planflow.toydata import (
     oracle_scores,
 )
 from util import decode_tokens
+
+
+def clip_similarity(a: Scene, b: Scene) -> float:
+    """Normalized cross-correlation of two clips' temporally averaged frames."""
+    return _feature_similarity(_clip_feature(a), _clip_feature(b))
 
 
 class TestSceneGeneration:

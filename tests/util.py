@@ -1,5 +1,9 @@
+import math
+from pathlib import Path
+
 import numpy as np
 
+from planflow.tensorio import tensor_from_bytes
 from planflow.toydata import VOCAB
 
 
@@ -13,3 +17,19 @@ def rel_err(analytic: np.ndarray, reference: np.ndarray, floor: float = 1e-6) ->
 def decode_tokens(ids) -> list[str]:
     """The vocabulary words of token ids."""
     return [VOCAB[i] for i in ids]
+
+
+def read_tensor(path: Path) -> np.ndarray:
+    """The array in one tensor file."""
+    return tensor_from_bytes(Path(path).read_bytes())[0]
+
+
+def gelu_np(a: np.ndarray) -> np.ndarray:
+    """Reference tanh-form GELU, written out as the formula reads."""
+    return 0.5 * a * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (a + 0.044715 * a**3)))
+
+
+def layernorm_np(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+    """Reference LayerNorm over the last axis."""
+    xc = x - x.mean(-1, keepdims=True)
+    return xc / np.sqrt((xc * xc).mean(-1, keepdims=True) + eps) * g + b
