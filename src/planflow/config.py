@@ -138,6 +138,13 @@ _TRIPLES = ("data.grid", "vit.patch", "renderer.patch")
 # per-task guidance scales, `branch:weight` lists
 _GUIDANCE_SCALES = ("guidance.t2v", "guidance.s2v", "guidance.v2v", "guidance.rv2v")
 
+# numbers that must be finite: inference guidance and each stage's settings;
+# `lr_final` may also be `none`, and mixtures are `task:weight` lists
+_STAGES = ("I", "II", "III")
+_FINITE = ("infer.g_text", "infer.g_image", *(f"stage.{s}.{k}" for s in _STAGES
+           for k in ("lr", "lr_final", "ema", "lambda_text", "lambda_visual", "lambda_dit")))
+_MIXTURES = tuple(f"stage.{s}.mixture" for s in _STAGES)
+
 
 class Config:
     def __init__(self, overrides: dict[str, str] | None = None):
@@ -151,7 +158,7 @@ class Config:
     def validate(self) -> None:
         """Refuse model sizes the networks cannot be built with, grids that
         are not triples of positive sizes, unknown guidance branches and
-        non-finite guidance weights."""
+        non-finite guidance weights or stage settings."""
         for key in _TRIPLES:
             if len(self.get(key).split(",")) != 3:
                 raise ConfigError(f"{key}: expected three values (frames, height, width), got {self.values[key]!r}")
@@ -162,20 +169,20 @@ class Config:
                 continue
             if not positive:
                 raise ConfigError(f"data.grid: dimensions must be positive, got {self.values['data.grid']!r}")
-        weights = [(key, self.get(key)) for key in ("infer.g_text", "infer.g_image")]
-        for key in _GUIDANCE_SCALES:
+        numbers = [(key, self.get(key)) for key in _FINITE]
+        for key in _GUIDANCE_SCALES + _MIXTURES:
             for part in self.get(key).split(","):
                 name, _, weight = part.partition(":")
-                if part.strip() and name.strip() not in BRANCHES:
+                if key in _GUIDANCE_SCALES and part.strip() and name.strip() not in BRANCHES:
                     raise ConfigError(f"{key}: unknown guidance branch {name.strip()!r}; expected one of {', '.join(BRANCHES)}")
-                weights.append((key, weight))
-        for key, weight in weights:
+                numbers.append((key, weight))
+        for key, number in numbers:
             try:
-                finite = math.isfinite(float(weight))
-            except ValueError:  # the typed getters name a malformed weight
+                finite = math.isfinite(float(number))
+            except ValueError:  # `none`, or a malformed value that the typed getters name
                 continue
             if not finite:
-                raise ConfigError(f"{key}: guidance weights must be finite, got {weight.strip()!r}")
+                raise ConfigError(f"{key}: values must be finite, got {number.strip()!r}")
         for key in _DIMENSIONS:
             if min(self.get_ints(key)) < 1:
                 raise ConfigError(f"{key}: dimensions must be positive, got {self.values[key]!r}")

@@ -520,6 +520,7 @@ def _renderer_loss(bundle: ModelBundle, run: RunConfig, case: EditCase, states: 
     return l_dit
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a diverging step is refused below
 def run_stage(
     bundle: ModelBundle,
     stage_cfg: StageConfig,

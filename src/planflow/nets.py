@@ -117,17 +117,16 @@ def cross_attention(
     kv: tuple[Tensor, Tensor],
     heads: int,
     batch: int | list[Run] = 1,
-    bias: np.ndarray | None = None,
 ) -> Tensor:
     """Queries from the token stream, keys/values (from `cross_kv`) from the
     conditioning stream.
 
-    Stream b of x attends to block b of the conditioning rows, (batch*m, d);
-    `bias` (broadcastable to (batch, heads, n, m)) bans padding keys. A list
-    of `numerics.Run`s as `batch` pairs streams and blocks of unequal size.
+    Stream b of x attends to block b of the conditioning rows, (batch*m, d).
+    A list of `numerics.Run`s as `batch` pairs streams and blocks of unequal
+    size.
     """
     q = matmul(x, params[prefix + "cq"])
-    return matmul(attention(q, kv[0], kv[1], heads, batch, bias), params[prefix + "co"])
+    return matmul(attention(q, kv[0], kv[1], heads, batch), params[prefix + "co"])
 
 
 def time_features(t, dim: int) -> np.ndarray:

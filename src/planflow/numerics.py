@@ -362,13 +362,11 @@ def rotate_pairs(a, angles: np.ndarray | Rotation) -> Tensor:
 
 class Run(NamedTuple):
     """`batch` consecutive entries of a ragged attention that share their
-    shape: each has nq query rows and nk key rows. `bias` is a constant
-    broadcastable to (batch, heads, nq, nk), added to the scaled logits."""
+    shape: each has nq query rows and nk key rows."""
 
     batch: int
     nq: int
     nk: int
-    bias: np.ndarray | None = None
 
 
 def attention(q, k, v, heads: int, batch: int | Sequence[Run] = 1, bias: np.ndarray | None = None) -> Tensor:
@@ -380,9 +378,8 @@ def attention(q, k, v, heads: int, batch: int | Sequence[Run] = 1, bias: np.ndar
     to the scaled logits; a column whose bias underflows gets weight exactly
     0. The output, shape (batch*nq, heads*hd), merges the heads back.
 
-    `batch` may instead list `Run`s of entries of unequal size (then `bias`
-    is unused: each run carries its own). The runs take the rows of q and of
-    k in order.
+    `batch` may instead list `Run`s of entries of unequal size, which take
+    the rows of q and of k in order; such a call takes no `bias`.
     """
     q, k, v = _lift(q), _lift(k), _lift(v)
     if q.data.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]:
@@ -391,7 +388,9 @@ def attention(q, k, v, heads: int, batch: int | Sequence[Run] = 1, bias: np.ndar
     if isinstance(batch, int):
         if q.shape[0] % batch or k.shape[0] % batch:
             raise DimensionError(f"attention: q {q.shape}, k {k.shape} do not split into {batch} batches")
-        batch = [Run(batch, q.shape[0] // batch, k.shape[0] // batch, bias)]
+        batch = [Run(batch, q.shape[0] // batch, k.shape[0] // batch)]
+    elif bias is not None:
+        raise ContractError("attention: a bias applies to an integer batch, not to a list of runs")
     if width % heads or sum(r.batch * r.nq for r in batch) != q.shape[0] \
             or sum(r.batch * r.nk for r in batch) != k.shape[0]:
         raise DimensionError(f"attention: q {q.shape}, k {k.shape} do not split into runs {batch} of {heads} heads")
@@ -414,8 +413,8 @@ def attention(q, k, v, heads: int, batch: int | Sequence[Run] = 1, bias: np.ndar
         # softmax computed in place in one (batch, heads, nq, nk) buffer
         s = qh @ kh.swapaxes(-1, -2)
         s *= scale
-        if run.bias is not None:
-            s += run.bias
+        if bias is not None:
+            s += bias
         s -= s.max(axis=-1, keepdims=True)
         np.exp(s, out=s)
         s /= s.sum(axis=-1, keepdims=True)

@@ -288,26 +288,16 @@ class PrefixCache:
 
 def prefix_cache(model: PlannerModel, seq: TokenSequence, mask: AttentionMask, length: int) -> PrefixCache:
     """Run the first `length` rows of `seq` once under `mask` (one copy per
-    mask of a batched mask) and keep what later rows need from them.
-
-    Masks that agree on those rows share one run of them; each copy then
-    indexes the run of its mask."""
+    mask of a batched mask) and keep what later rows need from them."""
     if mask.allow[..., :length, length:].any():
         raise ContractError(f"rows before {length} attend to later rows; their states are not fixed")
     cfg = model.cfg
-    heads = mask.allow[..., :length, :length].reshape(-1, length, length)
-    keys = [allow.tobytes() for allow in heads]
-    unique = list(dict.fromkeys(keys))
-    distinct = [keys.index(k) for k in unique]     # first copy of each distinct prefix mask
-    run_of = np.array([unique.index(k) for k in keys])  # the run behind each copy
+    allow = mask.allow[..., :length, :length].reshape(-1, length, length)
     kv: list[tuple[Tensor, Tensor]] = []
-    states = planner_forward(model, seq.head(length), AttentionMask(heads[distinct]), keep=kv).data
-    states = states.reshape(-1, length, states.shape[1])[run_of]
-    if len(distinct) < len(heads):
-        rows = (run_of[:, None] * length + np.arange(length)).ravel()
-        kv = [(embedding(k, rows), embedding(v, rows)) for k, v in kv]
+    states = planner_forward(model, seq.head(length), AttentionMask(allow), keep=kv).data
     angles = token_angles(cfg.rope(), seq, cfg.segment_phases)[length:]
-    return PrefixCache(length, kv, states, nets.rotary(angles, cfg.heads, len(states)))
+    batch = len(allow)
+    return PrefixCache(length, kv, states.reshape(batch, length, -1), nets.rotary(angles, cfg.heads, batch))
 
 
 def planner_forward(

@@ -26,7 +26,7 @@ from .guidance import BRANCHES, GuidanceSpec, compose
 from .numerics import DimensionError, ContractError, Rng, Rotation, Run, Tensor, add, concat, embedding, matmul, mul, narrow, no_grad, sub, tmean
 from .posenc import RopeConfig, token_angles
 from .schedules import DomainError, sample_timestep, shift_toward_noise
-from .sequence import NEG_BIAS, TokenSequence, serialize
+from .sequence import TokenSequence, serialize
 from .toydata import VOCAB
 
 
@@ -285,14 +285,14 @@ def _gather(x: Tensor, index: np.ndarray | None) -> Tensor:
     return x if index is None else embedding(x, index)
 
 
-def _runs(sizes: list[int]) -> list[Run]:
-    """One run per stretch of consecutive copies of equal size."""
+def _runs(shapes: list[tuple[int, int]]) -> list[Run]:
+    """One run per stretch of consecutive entries of equal (query rows, key rows)."""
     runs: list[Run] = []
-    for n in sizes:
-        if runs and runs[-1].nk == n:
+    for nq, nk in shapes:
+        if runs and (runs[-1].nq, runs[-1].nk) == (nq, nk):
             runs[-1] = runs[-1]._replace(batch=runs[-1].batch + 1)
         else:
-            runs.append(Run(1, n, n))
+            runs.append(Run(1, nq, nk))
     return runs
 
 
@@ -303,7 +303,7 @@ def _stacking(stream: VisualStream, copies: list[np.ndarray], heads: int) -> Sta
     sizes = [len(c) for c in copies]
     rows = np.concatenate(copies)
     targets = np.concatenate([np.arange(end - n_tgt, end) for end in np.cumsum(sizes)])
-    runs = _runs(sizes)
+    runs = _runs([(n, n) for n in sizes])
     return Stacking(None if len(copies) == 1 and len(rows) == len(stream.angles) else rows,
                     None if len(targets) == len(rows) else targets,
                     (runs, [r._replace(nq=n_tgt) for r in runs]), nets.rotary(stream.angles[rows], heads))
@@ -316,20 +316,16 @@ class RenderConstants:
     Built once per render (and per call in training); only valid for the
     weights it was built with. Entries that hold the same sources have equal
     inputs, so block 0's self-attention runs once per run of such entries
-    (`groups`). The conditioning is cut into pieces: runs of entries that
-    hold the same sources and whose lengths differ by at most
-    1 + MAX_TEXT_TOKENS. Each piece is padded to its longest entry, with the
-    padding banned. Pairs are indexed by whether only target rows are queries.
+    (`groups`). Pairs are indexed by whether only target rows are queries.
     """
 
-    stream: VisualStream
     layout: BatchLayout
     sources: Tensor                                          # (n_src, hidden_dim) patch projection of the sources
     groups: Stacking                                         # block 0: one copy per group
     entries: Stacking                                        # later blocks: one copy per entry
     to_entries: tuple[np.ndarray | None, np.ndarray | None]  # row of `groups` behind each entry row
-    cross_kv: list[tuple[Tensor, Tensor]]                    # per block: keys and values of the padded pieces
-    cross_runs: tuple[list[Run], list[Run]]                  # one run per piece
+    cross_kv: list[tuple[Tensor, Tensor]]                    # per block: keys and values of `cond`
+    cross_runs: tuple[list[Run], list[Run]]                  # entries against their own rows of `cond`
 
 
 def render_constants(model: RendererModel, stream: VisualStream, cond: Tensor, layout: BatchLayout) -> RenderConstants:
@@ -357,27 +353,8 @@ def render_constants(model: RendererModel, stream: VisualStream, cond: Tensor, l
             return np.concatenate([starts[g] + np.arange(sizes[g]) for g in group])
 
         to_entries = (per_entry([len(copies[e]) for e in firsts]), per_entry([len(target)] * len(firsts)))
-
-    pieces: list[list[int]] = []
-    for e in range(len(held)):
-        span = [lens[i] for i in pieces[-1] + [e]] if e not in firsts else []
-        if span and max(span) - min(span) <= 1 + MAX_TEXT_TOKENS:
-            pieces[-1].append(e)
-        else:
-            pieces.append([e])
-    runs = []
-    for piece in pieces:
-        n = [lens[e] for e in piece]
-        m = max(n)
-        bias = None if min(n) == m else np.where(np.arange(m) < np.array(n)[:, None], 0.0, NEG_BIAS)[:, None, None]
-        runs.append(Run(len(piece), len(copies[piece[0]]), m, bias))
-    if any(r.bias is not None for r in runs):
-        # padding repeats an entry's last row, and the bias bans it
-        offsets = np.cumsum([0, *lens])
-        cond = embedding(cond, np.concatenate([offsets[e] + np.minimum(np.arange(r.nk), lens[e] - 1)
-                                               for piece, r in zip(pieces, runs) for e in piece]))
+    runs = _runs([(len(c), n) for c, n in zip(copies, lens)])
     return RenderConstants(
-        stream=stream,
         layout=layout,
         sources=add(matmul(Tensor(stream.sources), p["patch_proj"]), p["patch_bias"]),
         groups=groups,

@@ -150,6 +150,18 @@ class TestTrainErrors:
         assert captured.err.startswith(f"error: {key}:") and captured.err.count("\n") == 1
         assert "finite" in captured.err
 
+    @pytest.mark.parametrize("line", ["stage.I.lr = inf", "stage.II.lr_final = nan", "stage.III.ema = -inf",
+                                      "stage.I.lambda_visual = nan", "stage.II.mixture = t2i:0.5,v2v:inf"])
+    def test_check_refuses_non_finite_stage_setting(self, workdir, capsys, line):
+        bad = workdir / "check_non_finite_stage.cfg"
+        bad.write_text(line + "\n")
+        assert cli.main(["check", "--config", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "invariants hold" not in captured.out
+        key = line.split(" ")[0]
+        assert captured.err.startswith(f"error: {key}:") and captured.err.count("\n") == 1
+        assert "finite" in captured.err
+
     def test_check_refuses_non_positive_grid(self, workdir, capsys):
         bad = workdir / "check_bad_grid.cfg"
         bad.write_text("data.grid = 0,8,8\n")
@@ -271,14 +283,21 @@ class TestEditDeterminism:
 
     def test_diverging_training_exits_1(self, workdir, generated, capsys):
         cfg = Config(dict(SMOKE_OVERRIDES))
-        cfg.set("stage.I.lr", "inf")
+        cfg.set("stage.I.lr", "1e300")
         write_config(workdir / "diverge.cfg", cfg)
         out = workdir / "diverge"
-        rc = cli.main(["train", "--stage", "I", "--data", str(generated / "stage_I"),
-                       "--config", str(workdir / "diverge.cfg"), "--out", str(out), "--log-every", "0"])
+        argv = ["train", "--stage", "I", "--data", str(generated / "stage_I"),
+                "--config", str(workdir / "diverge.cfg"), "--out", str(out), "--log-every", "0"]
+        rc = cli.main(argv)
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "step 2: loss is nan" in err
+        assert not list(out.glob("*.ckpt"))
+        # outside pytest, which captures warnings, no numpy RuntimeWarning precedes the error line
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "planflow.cli", *argv], env=env, capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stderr == "error: stage I step 2: loss is nan\n"
         assert not list(out.glob("*.ckpt"))
 
     def test_case_by_jsonl_index(self, workdir, generated, trained_ckpt):

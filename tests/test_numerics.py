@@ -223,11 +223,11 @@ class TestAttention:
                 assert np.abs(got[b * nq : (b + 1) * nq, cols] - s @ vb).max() < 1e-12
 
     def test_ragged_runs_match_separate_calls(self):
-        """Runs of unequal entries equal one call per run, forward and adjoint,
-        and each run's bias applies to its own entries only."""
+        """Runs of unequal entries equal one call per run, forward and adjoint;
+        a bias applies to an integer batch only."""
         rng = Rng(105)
         heads, width = 2, 8
-        runs = [Run(1, 3, 5), Run(2, 2, 4, np.where(np.arange(4) < 3, 0.0, NEG_BIAS)), Run(1, 4, 4)]
+        runs = [Run(1, 3, 5), Run(2, 2, 4), Run(1, 4, 4)]
         q, k, v = (Tensor(rng.normal((sum(r.batch * getattr(r, n) for r in runs), width)), requires_grad=True)
                    for n in ("nq", "nk", "nk"))
         w = rng.normal(q.shape)
@@ -238,13 +238,15 @@ class TestAttention:
             rq, rk = slice(q0, q0 + r.batch * r.nq), slice(k0, k0 + r.batch * r.nk)
             q0, k0 = rq.stop, rk.stop
             parts = [Tensor(t.data[rows], requires_grad=True) for t, rows in ((q, rq), (k, rk), (v, rk))]
-            out = attention(*parts, heads, r.batch, r.bias)
+            out = attention(*parts, heads, r.batch)
             backward(tsum(out * w[rq]))
             assert np.array_equal(out.data, got[3][rq])
             for part, full, rows in zip(parts, got, (rq, rk, rk)):
                 assert np.array_equal(part.grad, full[rows])
         with pytest.raises(DimensionError):
             attention(q, k, v, heads, runs[:2])
+        with pytest.raises(ContractError):
+            attention(q, k, v, heads, runs, np.zeros((1, 1, 1, 4)))
 
     def test_rejects_rows_that_do_not_split(self):
         x = Tensor(np.zeros((5, 4)))

@@ -391,10 +391,9 @@ class TestGuidanceVariants:
             assert len(revealed_from) < total  # the cosine trace holds steps that reveal nothing
             # a unit image weight telescopes the unconditional copy away
             copies = 3 if sources and g_image != 1.0 else 2
-            # one prefix pass per distinct prefix mask (the subsets without
-            # text agree before the target, and without sources every subset
-            # does), then one pass per revealing step and one final pass
-            assert calls["planner"] == [2 if sources else 1] + [copies] * (len(revealed_from) + 1)
+            # one prefix pass, one pass per revealing step and one final
+            # pass, each with one entry per subset of the chain
+            assert calls["planner"] == [copies] * (len(revealed_from) + 2)
             assert calls["decoder"] == [copies * m for m in revealed_from for _ in range(decoder_steps + 1)]
 
 
@@ -508,10 +507,10 @@ class TestInferenceCaches:
         assert np.abs(past.states - full[:, :t0]).max() < 1e-12
         assert np.abs(tail - full[:, t0:]).max() < 1e-12
 
-    def test_prefix_runs_once_per_distinct_mask(self, monkeypatch):
-        """The subsets {} and {img} agree on every row before the target, so
-        the prefix forward gets 2 entries, not 3, and the cache equals the one
-        built from each subset's mask on its own."""
+    def test_prefix_runs_one_entry_per_mask(self, monkeypatch):
+        """The prefix forward gets one entry per subset, also for the subsets
+        {} and {img}, which agree on every row before the target, and the
+        cache equals the one built from each subset's mask on its own."""
         model, _ = make_models(seed=57)
         seq = make_seq(text_len=3, sources=((1, 2, 2), (1, 1, 2)), target=(1, 2, 2), seed=58)
         subsets = [UNCOND, IMG, FULL]
@@ -527,7 +526,7 @@ class TestInferenceCaches:
         monkeypatch.setattr(planner_mod, "planner_forward", counting)
         with no_grad():
             past = planner_mod.prefix_cache(model, seq, mask, t0)
-        assert entries == [2]
+        assert entries == [3]
         monkeypatch.undo()
         with no_grad():
             for b, subset in enumerate(subsets):

@@ -161,9 +161,10 @@ class TestRendererForward:
 
     @pytest.mark.parametrize("blocks", [1, 2, 3])
     def test_ragged_layout_matches_one_entry_forwards(self, blocks):
-        """Each entry of a ragged batch (shared sources, padded pieces, a
-        planner-state entry) equals its own one-entry forward, also when
-        block 0 is the last block and when blocks lie between them."""
+        """Each entry of a ragged batch (shared sources, conditioning of
+        unequal lengths, a planner-state entry) equals its own one-entry
+        forward, also when block 0 is the last block and when blocks lie
+        between them."""
         model = make_model(seed=16, blocks=blocks)
         rng = Rng(17)
         model.params["cond_proj"].data[:] = rng.normal(model.params["cond_proj"].shape) * 0.3
@@ -472,7 +473,7 @@ class TestRender:
         monkeypatch.setattr(nets, "self_attention", recording)
         render(model, cond_in, steps=2, scales=SCALES, shift=3.0, rng=Rng(39), target_grid=(2, 4, 4))
         assert len(calls) == 2 * model.cfg.blocks
-        assert all(bias is None and all(run.bias is None for run in runs) for bias, runs, _, _ in calls)
+        assert all(bias is None for bias, _, _, _ in calls)
         n_vid, n_img, n_tgt = 8, 4, 8
         # entries: {}, {vid}, {vid,img}, {vid,img,txt}, {vid,img,txt,tgt}
         assert calls[0][2] == n_tgt + (n_vid + n_tgt) + (n_vid + n_img + n_tgt)
