@@ -58,14 +58,10 @@ def _softmax_layernorm():
 
 def _sequence_rules():
     seq = sequence.serialize(2, [(1, 2, 1)], (1, 2, 1))
-    mask = sequence.build_mask(seq).allow
+    mask = sequence.build_mask(seq)
     assert mask[0, 1] == False and mask[1, 0] == True, "text block must be causal"  # noqa: E712
     assert mask[2:4, 2:4].all() and not mask[2:4, 4:].any(), "sources see text+self only"
     assert mask[4:, :].all(), "target sees everything earlier plus itself"
-    text_len, sources, target = sequence.describe(seq)
-    rebuilt = sequence.serialize(text_len, sources, target)
-    assert [d.kind for d in rebuilt.layout] == [d.kind for d in seq.layout], "layout round-trip"
-    assert np.array_equal(rebuilt.positions, seq.positions), "position round-trip"
 
 
 def _mask_counts():

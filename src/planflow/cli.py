@@ -7,6 +7,7 @@ accepts --config / --seed / --out; outputs under a fixed seed are byte-stable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -41,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("--stage", required=True, choices=["I", "II", "III"])
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--resume", action="append", default=[], help="checkpoint(s) to start from")
+    p.add_argument("--resume", default=None, help="checkpoint to start from")
     p.add_argument("--checkpoint-every", type=int, default=None)
     p.add_argument("--log-every", type=int, default=200)
 
@@ -116,23 +117,6 @@ def _bundle_from_ckpt(cfg: Config, ckpt_path: str | None):
     return bundle, ema
 
 
-def _merge_checkpoints(paths: list[str], cfg: Config) -> Checkpoint | None:
-    if not paths:
-        return None
-    checkpoints = [Checkpoint.load(path) for path in paths]
-    for ck in checkpoints:
-        harness.check_config_snapshot(ck.config_snapshot, cfg)
-    merged = checkpoints[0]
-    for ck in checkpoints[1:]:
-        merged.params.update(ck.params)
-        merged.ema.update(ck.ema)
-        merged.stages_done = sorted(set(merged.stages_done) | set(ck.stages_done))
-        merged.stage, merged.step = ck.stage, ck.step
-        merged.opt_m, merged.opt_v, merged.opt_meta = ck.opt_m, ck.opt_v, ck.opt_meta
-        merged.rng_states = ck.rng_states
-    return merged
-
-
 def cmd_gen_data(args) -> int:
     cfg, seed = _load(args)
     out = _out_dir(args, "data")
@@ -167,7 +151,7 @@ def cmd_train(args) -> int:
     data = Dataset(args.data)
     run = harness.RunConfig.from_config(cfg)
     bundle = harness.ModelBundle(cfg)
-    resume = _merge_checkpoints(args.resume, cfg)
+    resume = Checkpoint.load(args.resume) if args.resume else None
     stage_cfg = harness.StageConfig.from_config(cfg, args.stage)
     every = args.checkpoint_every if args.checkpoint_every is not None else cfg.get_int("train.checkpoint_every")
     _, final = harness.run_stage(
@@ -184,7 +168,7 @@ def cmd_plan(args) -> int:
     case = load_case(args.case)
     bundle, ema = _bundle_from_ckpt(cfg, args.ckpt)
     run = harness.RunConfig.from_config(cfg)
-    with harness.ema_weights(bundle, ema or {}, enabled=ema is not None and run.use_ema):
+    with harness.ema_weights(bundle, ema if run.use_ema else None):
         result = harness.plan_case(bundle, run, case, Rng(seed).child(0xED17))
     tensorio.write_tensor(out / "embeddings.pft", result.embeddings)
     tensorio.write_tensor(out / "hidden.pft", result.hidden)
@@ -206,7 +190,7 @@ def cmd_render(args) -> int:
     case = load_case(args.case)
     bundle, ema = _bundle_from_ckpt(cfg, args.ckpt)
     run = harness.RunConfig.from_config(cfg)
-    with harness.ema_weights(bundle, ema or {}, enabled=ema is not None and run.use_ema):
+    with harness.ema_weights(bundle, ema if run.use_ema else None):
         latent = harness.render_case(bundle, run, case, None, Rng(seed).child(0xD1))
     tensorio.write_tensor(out / "latent.pft", latent)
     tensorio.write_tensor(out / "frames.pft", frames_to_ids(bundle.vae.decode(latent)).astype(np.float64))
@@ -242,7 +226,7 @@ def cmd_eval(args) -> int:
     )
     (out / "report.txt").write_text(report.to_text())
     with open(out / "report.json", "w") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
     print(report.to_text(), end="")
     print(f"(runtime {report.runtime_seconds:.1f}s; details in {out})")
     return 0

@@ -67,8 +67,6 @@ DEFAULTS: list[tuple[str, str, str]] = [
     ("schedules.timestep.i2v", "mode,1.29,5.0", ""),
     ("schedules.timestep.v2v", "mode,1.29,5.0", ""),
     ("schedules.timestep.iv2v", "mode,1.29,5.0", ""),
-    ("schedules.shift_in_training", "true", ""),
-    ("schedules.shift_in_inference", "true", ""),
 
     ("guidance.t2v", "txt:4.0,tgt:1.0", "per-task guidance scales at inference"),
     ("guidance.s2v", "txt:4.0,img:2.5,tgt:1.5", ""),
@@ -123,13 +121,15 @@ DEFAULTS: list[tuple[str, str, str]] = [
 
 _DEFAULT_MAP = {k: v for k, v, _ in DEFAULTS}
 
-# model sizes that must be positive integers
-_DIMENSIONS = (
+# model sizes, batch sizes and step counts that must be positive integers
+_POSITIVE_INTS = (
     "vit.embed_dim", "vit.patch",
     "planner.hidden_dim", "planner.blocks", "planner.heads", "planner.decoder_dim",
     "planner.decoder_blocks", "planner.time_features",
     "renderer.hidden_dim", "renderer.blocks", "renderer.heads", "renderer.patch",
     "renderer.channels", "renderer.time_features",
+    "stage.I.batch", "stage.II.batch", "stage.III.batch", "infer.plan_steps", "infer.decoder_steps",
+    "guidance.steps.t2v", "guidance.steps.s2v", "guidance.steps.v2v", "guidance.steps.rv2v",
 )
 
 # (frames, height, width) triples
@@ -156,9 +156,10 @@ class Config:
         self.validate()
 
     def validate(self) -> None:
-        """Refuse model sizes the networks cannot be built with, grids that
-        are not triples of positive sizes, unknown guidance branches and
-        non-finite guidance weights or stage settings."""
+        """Refuse model sizes the networks cannot be built with, batch sizes
+        and step counts below 1, grids that are not triples of positive
+        sizes, unknown guidance branches and non-finite guidance weights or
+        stage settings."""
         for key in _TRIPLES:
             if len(self.get(key).split(",")) != 3:
                 raise ConfigError(f"{key}: expected three values (frames, height, width), got {self.values[key]!r}")
@@ -183,9 +184,9 @@ class Config:
                 continue
             if not finite:
                 raise ConfigError(f"{key}: values must be finite, got {number.strip()!r}")
-        for key in _DIMENSIONS:
+        for key in _POSITIVE_INTS:
             if min(self.get_ints(key)) < 1:
-                raise ConfigError(f"{key}: dimensions must be positive, got {self.values[key]!r}")
+                raise ConfigError(f"{key}: values must be positive integers, got {self.values[key]!r}")
         for model in ("planner", "renderer"):
             width, heads = self.get_int(f"{model}.hidden_dim"), self.get_int(f"{model}.heads")
             if width % heads:

@@ -11,7 +11,7 @@ split-resume training is bit-identical to an uninterrupted run.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -122,10 +122,7 @@ class RunConfig:
         mask = MaskRatioConfig(
             {t: _parsed(cfg, f"schedules.mask_ratio.{t.value}", parse_mask_ratio) for t in TaskKind})
         timestep = TimestepConfig(
-            {t: _parsed(cfg, f"schedules.timestep.{t.value}", parse_timestep) for t in TaskKind},
-            shift_in_training=cfg.get_bool("schedules.shift_in_training"),
-            shift_in_inference=cfg.get_bool("schedules.shift_in_inference"),
-        )
+            {t: _parsed(cfg, f"schedules.timestep.{t.value}", parse_timestep) for t in TaskKind})
         scales = {key: cfg.get_weighted(f"guidance.{key}") for key in ("t2v", "s2v", "v2v", "rv2v")}
         steps = {key: cfg.get_int(f"guidance.steps.{key}") for key in ("t2v", "s2v", "v2v", "rv2v")}
         return cls(
@@ -291,15 +288,14 @@ def ema_update(shadow: dict[str, np.ndarray], params: dict[str, Tensor], decay: 
 
 
 class ema_weights:
-    """Context manager: temporarily swap EMA values into the live parameters."""
+    """Context manager: temporarily swap EMA values into the live parameters.
+    An empty or missing `shadow` keeps the live weights."""
 
-    def __init__(self, bundle: ModelBundle, shadow: dict[str, np.ndarray], enabled: bool = True):
-        self.bundle, self.shadow, self.enabled = bundle, shadow, enabled
+    def __init__(self, bundle: ModelBundle, shadow: dict[str, np.ndarray] | None):
+        self.bundle, self.shadow = bundle, shadow or {}
         self._saved: dict[str, np.ndarray] = {}
 
     def __enter__(self):
-        if not self.enabled:
-            return self
         named = self.bundle.named_params()
         for name, arr in self.shadow.items():
             if name in named:
@@ -396,10 +392,10 @@ def planner_sequence(case: EditCase, vit: ToyVit):
     for scene in (case.source, case.reference):
         if scene is None:
             continue
-        grid, emb = vit.encode_scene(scene)
+        grid, emb = vit.encode(scene.normalized())
         source_grids.append(grid)
         source_embs.append(emb)
-    tgt_grid, tgt_emb = vit.encode_scene(case.target)
+    tgt_grid, tgt_emb = vit.encode(case.target.normalized())
     seq = serialize(len(text_ids), source_grids, tgt_grid)
     seq.text_ids = text_ids
     emb_dim = vit.embed_dim
@@ -684,8 +680,7 @@ def render_case(bundle: ModelBundle, run: RunConfig, case: EditCase, states: np.
     )
     return render(
         bundle.renderer, cond, steps=run.guidance_steps[key], scales=run.guidance_scales[key],
-        shift=run.flow_shift if run.timestep.shift_in_inference else 1.0,
-        rng=rng, target_grid=case.target.grid,
+        shift=run.flow_shift, rng=rng, target_grid=case.target.grid,
     )
 
 
@@ -718,9 +713,6 @@ class EvalReport:
             lines.append(f"invariants_pass {int(self.invariants_ok)}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def evaluate(
     bundle: ModelBundle,
@@ -744,8 +736,7 @@ def evaluate(
     edited: list[float] = []
     kept: list[float] = []
     n_done = 0
-    use_ema = ema is not None and run.use_ema
-    with ema_weights(bundle, ema or {}, enabled=use_ema):
+    with ema_weights(bundle, ema if run.use_ema else None):
         for i, record in enumerate(data.records):
             if record["kind"] != "case":
                 continue
@@ -782,8 +773,7 @@ def evaluate(
 def edit_case(bundle: ModelBundle, run: RunConfig, case: EditCase, seed: int,
               ema: dict[str, np.ndarray] | None = None) -> tuple[np.ndarray, dict]:
     """Single-case plan+render; returns (frames ids, deterministic report dict)."""
-    use_ema = ema is not None and run.use_ema
-    with ema_weights(bundle, ema or {}, enabled=use_ema):
+    with ema_weights(bundle, ema if run.use_ema else None):
         ids = run_pipeline(bundle, run, case, Rng(seed).child(0xED17))
     e_acc, k_acc = oracle_scores(case, ids)
     report = {

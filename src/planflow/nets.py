@@ -40,6 +40,24 @@ def ones_param(*shape: int) -> Tensor:
     return Tensor(np.ones(shape), requires_grad=True)
 
 
+def block_params(params: dict, prefix: str, rng: Rng, d: int, cross: bool = False) -> None:
+    """Add one transformer block of width d under `prefix`: self-attention,
+    cross-attention if `cross`, then a 4*d MLP, each after its layernorm.
+    The k-th weight drawn comes from `rng.child(k)`."""
+    layers = [("ln1", "wq", "wk", "wv", "wo")] + ([("lnc", "cq", "ck", "cv", "co")] if cross else [])
+    k = 0
+    for norm, *proj in layers:
+        params[prefix + norm + ".g"], params[prefix + norm + ".b"] = ones_param(1, d), zeros_param(1, d)
+        for name in proj:
+            params[prefix + name] = weight(rng.child(k), d, d, gain=0.5 if name == proj[-1] else 1.0)
+            k += 1
+    params[prefix + "ln2.g"], params[prefix + "ln2.b"] = ones_param(1, d), zeros_param(1, d)
+    params[prefix + "w1"] = weight(rng.child(k), d, 4 * d)
+    params[prefix + "b1"] = zeros_param(1, 4 * d)
+    params[prefix + "w2"] = weight(rng.child(k + 1), 4 * d, d, gain=0.5)
+    params[prefix + "b2"] = zeros_param(1, d)
+
+
 def ln(params: dict, prefix: str, x: Tensor) -> Tensor:
     return layernorm(x, params[prefix + "g"], params[prefix + "b"])
 

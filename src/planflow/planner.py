@@ -37,17 +37,17 @@ from .numerics import (
     logsumexp_rows,
 )
 from .posenc import RopeConfig, token_angles
-from .renderer import conditioning_rows, euler_integrate
+from .renderer import conditioning_rows, euler_integrate, patchify
 from .schedules import masked_count_trace
 from .sequence import (
+    NEG_BIAS,
     TEXT,
     VISUAL_SOURCE,
     VISUAL_TARGET,
-    AttentionMask,
     TokenSequence,
     build_mask,
 )
-from .toydata import VOCAB, Scene
+from .toydata import VOCAB
 
 
 # ---------------------------------------------------------------------------
@@ -65,27 +65,10 @@ class ToyVit:
         self.weight = rng.normal((pd, embed_dim)) / math.sqrt(pd)
         self.bias = rng.normal((embed_dim,)) * 0.1
 
-    def token_grid(self, grid: tuple[int, int, int]) -> tuple[int, int, int]:
-        t, h, w = grid
-        pt, ph, pw = self.patch
-        if t % pt or h % ph or w % pw:
-            raise DimensionError(f"grid {grid} not divisible by patch {self.patch}")
-        return (t // pt, h // ph, w // pw)
-
     def encode(self, frames: np.ndarray) -> tuple[tuple[int, int, int], np.ndarray]:
         """(token grid, (n, embed_dim) embeddings) for normalized frames."""
-        t, h, w = frames.shape
-        gt, gh, gw = self.token_grid((t, h, w))
-        pt, ph, pw = self.patch
-        patches = (
-            frames.reshape(gt, pt, gh, ph, gw, pw)
-            .transpose(0, 2, 4, 1, 3, 5)
-            .reshape(gt * gh * gw, pt * ph * pw)
-        )
-        return (gt, gh, gw), patches @ self.weight + self.bias
-
-    def encode_scene(self, scene: Scene) -> tuple[tuple[int, int, int], np.ndarray]:
-        return self.encode(scene.normalized())
+        grid, patches = patchify(frames[..., None], self.patch)
+        return grid, patches @ self.weight + self.bias
 
 
 # ---------------------------------------------------------------------------
@@ -94,12 +77,10 @@ class ToyVit:
 
 @dataclass
 class PlannerConfig:
-    hidden_dim: int = 32
-    blocks: int = 2
-    heads: int = 2
+    hidden_dim: int
+    blocks: int
+    heads: int
     embed_dim: int = 16           # target embedding space dim
-    vocab_size: int = len(VOCAB)
-    mlp_ratio: int = 4
     rope_base: float = 10000.0
     segment_base: float = 10000.0
     segment_phases: bool = False  # standard 3D rotation by default in the planner
@@ -119,30 +100,18 @@ class PlannerModel:
     def __init__(self, cfg: PlannerConfig, rng: Rng):
         self.cfg = cfg
         d, de = cfg.hidden_dim, cfg.embed_dim
-        hidden = cfg.mlp_ratio * d
         p: dict[str, Tensor] = {}
-        p["text_embed"] = nets.normal_param(rng.child(1), (cfg.vocab_size, d), 0.5)
+        p["text_embed"] = nets.normal_param(rng.child(1), (len(VOCAB), d), 0.5)
         p["src_proj"] = nets.weight(rng.child(2), de, d)
         p["src_bias"] = nets.zeros_param(1, d)
         p["tgt_proj"] = nets.weight(rng.child(3), de, d)
         p["tgt_bias"] = nets.zeros_param(1, d)
         p["mask_embed"] = nets.normal_param(rng.child(4), (1, de), 0.5)
         for i in range(cfg.blocks):
-            r = rng.child(10 + i)
-            pre = f"block{i}."
-            p[pre + "ln1.g"], p[pre + "ln1.b"] = nets.ones_param(1, d), nets.zeros_param(1, d)
-            p[pre + "wq"] = nets.weight(r.child(0), d, d)
-            p[pre + "wk"] = nets.weight(r.child(1), d, d)
-            p[pre + "wv"] = nets.weight(r.child(2), d, d)
-            p[pre + "wo"] = nets.weight(r.child(3), d, d, gain=0.5)
-            p[pre + "ln2.g"], p[pre + "ln2.b"] = nets.ones_param(1, d), nets.zeros_param(1, d)
-            p[pre + "w1"] = nets.weight(r.child(4), d, hidden)
-            p[pre + "b1"] = nets.zeros_param(1, hidden)
-            p[pre + "w2"] = nets.weight(r.child(5), hidden, d, gain=0.5)
-            p[pre + "b2"] = nets.zeros_param(1, d)
+            nets.block_params(p, f"block{i}.", rng.child(10 + i), d)
         p["ln_f.g"], p["ln_f.b"] = nets.ones_param(1, d), nets.zeros_param(1, d)
-        p["text_head"] = nets.weight(rng.child(90), d, cfg.vocab_size)
-        p["text_head_b"] = nets.zeros_param(1, cfg.vocab_size)
+        p["text_head"] = nets.weight(rng.child(90), d, len(VOCAB))
+        p["text_head_b"] = nets.zeros_param(1, len(VOCAB))
         self.params = p
 
     @property
@@ -286,15 +255,15 @@ class PrefixCache:
     rotation: Rotation               # rows after the prefix, tiled over batch and heads
 
 
-def prefix_cache(model: PlannerModel, seq: TokenSequence, mask: AttentionMask, length: int) -> PrefixCache:
+def prefix_cache(model: PlannerModel, seq: TokenSequence, mask: np.ndarray, length: int) -> PrefixCache:
     """Run the first `length` rows of `seq` once under `mask` (one copy per
     mask of a batched mask) and keep what later rows need from them."""
-    if mask.allow[..., :length, length:].any():
+    if mask[..., :length, length:].any():
         raise ContractError(f"rows before {length} attend to later rows; their states are not fixed")
     cfg = model.cfg
-    allow = mask.allow[..., :length, :length].reshape(-1, length, length)
+    allow = mask[..., :length, :length].reshape(-1, length, length)
     kv: list[tuple[Tensor, Tensor]] = []
-    states = planner_forward(model, seq.head(length), AttentionMask(allow), keep=kv).data
+    states = planner_forward(model, seq.head(length), allow, keep=kv).data
     angles = token_angles(cfg.rope(), seq, cfg.segment_phases)[length:]
     batch = len(allow)
     return PrefixCache(length, kv, states.reshape(batch, length, -1), nets.rotary(angles, cfg.heads, batch))
@@ -303,14 +272,15 @@ def prefix_cache(model: PlannerModel, seq: TokenSequence, mask: AttentionMask, l
 def planner_forward(
     model: PlannerModel,
     seq: TokenSequence,
-    mask: AttentionMask | None = None,
+    mask: np.ndarray | None = None,
     past: PrefixCache | None = None,
     keep: list | None = None,
 ) -> Tensor:
     """Contextual hidden states, one per token, under the hybrid attention mask.
 
-    A mask whose `allow` has shape (batch, n, n) runs one copy of the
-    sequence per mask and stacks the states row-wise: (batch * n, hidden_dim).
+    `mask` is a bool array, True where a query row may attend a key column
+    (`build_mask` by default). A mask of shape (batch, n, n) runs one copy of
+    the sequence per mask and stacks the states row-wise: (batch * n, hidden_dim).
     With `past`, a `PrefixCache` of the same layout and batch, only the rows
     from `past.length` on are run, against the cached rows: the states then
     have shape (batch * (n - past.length), hidden_dim). `keep`, a list,
@@ -320,7 +290,7 @@ def planner_forward(
     if mask is None:
         mask = build_mask(seq)
     n, start = len(seq), 0 if past is None else past.length
-    bias = mask.additive_bias()
+    bias = np.where(mask, 0.0, NEG_BIAS)
     batch = 1 if bias.ndim == 2 else bias.shape[0]
     bias = bias.reshape(batch, 1, n, n)[:, :, start:]  # shared by all heads
     if past is None:
@@ -440,18 +410,18 @@ class PlanResult:
     mean_pred_norm: list[float]
 
 
-def _variant_masks(seq: TokenSequence, subsets: list[frozenset]) -> AttentionMask:
+def _variant_masks(seq: TokenSequence, subsets: list[frozenset]) -> np.ndarray:
     """One hybrid mask per guidance condition subset, stacked on a leading
     batch axis: without "txt" the visual rows do not see the text, and
     without "img" the target rows do not see the sources."""
     text = seq.kinds == TEXT
-    allow = np.repeat(build_mask(seq).allow[None], len(subsets), axis=0)
+    allow = np.repeat(build_mask(seq)[None], len(subsets), axis=0)
     for b, subset in enumerate(subsets):
         if "txt" not in subset:
             allow[b][np.ix_(~text, text)] = False
         if "img" not in subset:
             allow[b][np.ix_(seq.kinds == VISUAL_TARGET, seq.kinds == VISUAL_SOURCE)] = False
-    return AttentionMask(allow)
+    return allow
 
 
 def plan(

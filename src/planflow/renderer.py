@@ -140,13 +140,11 @@ class FlowSample:
 
 @dataclass
 class RendererConfig:
-    hidden_dim: int = 32
-    blocks: int = 2
-    heads: int = 2
+    hidden_dim: int
+    blocks: int
+    heads: int
     patch: tuple[int, int, int] = (1, 2, 2)
     channels: int = 4
-    vocab_size: int = len(VOCAB)
-    mlp_ratio: int = 4
     rope_base: float = 10000.0
     segment_base: float = 10000.0
     segment_phases: bool = True   # segment-aware rotary phases on by default
@@ -169,7 +167,6 @@ class RendererModel:
     def __init__(self, cfg: RendererConfig, rng: Rng):
         self.cfg = cfg
         d, pd = cfg.hidden_dim, cfg.patch_dim
-        hidden = cfg.mlp_ratio * d
         p: dict[str, Tensor] = {}
         p["patch_proj"] = nets.weight(rng.child(1), pd, d)
         p["patch_bias"] = nets.zeros_param(1, d)
@@ -177,30 +174,14 @@ class RendererModel:
         p["time.b1"] = nets.zeros_param(1, d)
         p["time.w2"] = nets.weight(rng.child(3), d, d)
         p["time.b2"] = nets.zeros_param(1, d)
-        p["text_embed"] = nets.normal_param(rng.child(4), (cfg.vocab_size, d), 0.5)
+        p["text_embed"] = nets.normal_param(rng.child(4), (len(VOCAB), d), 0.5)
         p["null_cond"] = nets.normal_param(rng.child(5), (1, d), 0.5)
         p["text_pos"] = nets.normal_param(rng.child(6), (MAX_TEXT_TOKENS, d), 0.5)
         # zero-initialized projector: planner states contribute nothing until trained
         p["cond_proj"] = nets.zeros_param(cfg.planner_dim, d)
         p["cond_bias"] = nets.zeros_param(1, d)
         for i in range(cfg.blocks):
-            r = rng.child(10 + i)
-            pre = f"block{i}."
-            p[pre + "ln1.g"], p[pre + "ln1.b"] = nets.ones_param(1, d), nets.zeros_param(1, d)
-            p[pre + "wq"] = nets.weight(r.child(0), d, d)
-            p[pre + "wk"] = nets.weight(r.child(1), d, d)
-            p[pre + "wv"] = nets.weight(r.child(2), d, d)
-            p[pre + "wo"] = nets.weight(r.child(3), d, d, gain=0.5)
-            p[pre + "lnc.g"], p[pre + "lnc.b"] = nets.ones_param(1, d), nets.zeros_param(1, d)
-            p[pre + "cq"] = nets.weight(r.child(4), d, d)
-            p[pre + "ck"] = nets.weight(r.child(5), d, d)
-            p[pre + "cv"] = nets.weight(r.child(6), d, d)
-            p[pre + "co"] = nets.weight(r.child(7), d, d, gain=0.5)
-            p[pre + "ln2.g"], p[pre + "ln2.b"] = nets.ones_param(1, d), nets.zeros_param(1, d)
-            p[pre + "w1"] = nets.weight(r.child(8), d, hidden)
-            p[pre + "b1"] = nets.zeros_param(1, hidden)
-            p[pre + "w2"] = nets.weight(r.child(9), hidden, d, gain=0.5)
-            p[pre + "b2"] = nets.zeros_param(1, d)
+            nets.block_params(p, f"block{i}.", rng.child(10 + i), d, cross=True)
         p["ln_f.g"], p["ln_f.b"] = nets.ones_param(1, d), nets.zeros_param(1, d)
         p["out_proj"] = nets.weight(rng.child(90), d, pd, gain=0.5)
         p["out_bias"] = nets.zeros_param(1, pd)

@@ -88,8 +88,6 @@ class TimestepConfig:
     params: dict[TaskKind, tuple[str, tuple[float, ...], float]] = field(
         default_factory=lambda: dict(DEFAULT_TIMESTEP)
     )
-    shift_in_training: bool = True
-    shift_in_inference: bool = True
 
     def __post_init__(self):
         for task, (kind, args, shift) in self.params.items():
@@ -177,13 +175,13 @@ def shift_toward_noise(t, shift: float):
 
 
 def sample_timestep(cfg: TimestepConfig, task: TaskKind, rng: Rng, shape=()):
-    """Draw a training timestep for the task, applying its shift if configured."""
+    """Draw a training timestep for the task, warped by its shift."""
     kind, args, shift = cfg.params[TaskKind(task)]
     if kind == "logit-normal":
         t = sample_timestep_logit_normal(rng, args[0], args[1], shape)
     else:
         t = sample_timestep_mode(rng, args[0], shape)
-    if cfg.shift_in_training and shift != 1.0:
+    if shift != 1.0:
         t = shift_toward_noise(t, shift)
     return t
 

@@ -10,7 +10,7 @@ tokens of earlier segments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,14 +92,6 @@ class TokenSequence:
         return self.head(len(self))
 
 
-@dataclass(frozen=True)
-class AttentionMask:
-    allow: np.ndarray  # (n, n) or (batch, n, n) bool: query row may attend key column
-
-    def additive_bias(self) -> np.ndarray:
-        return np.where(self.allow, 0.0, NEG_BIAS)
-
-
 def grid_positions(grid: tuple[int, int, int]) -> np.ndarray:
     """(t, h, w) coordinates of every cell of a grid, in row-major order."""
     t, h, w = grid
@@ -151,23 +143,9 @@ def serialize(
     )
 
 
-def describe(seq: TokenSequence) -> tuple[int, list[tuple[int, int, int]], tuple[int, int, int] | None]:
-    """Inverse of serialize on layouts: (text_len, source_grids, target_grid)."""
-    text_len = 0
-    sources: list[tuple[int, int, int]] = []
-    target = None
-    for desc in seq.layout:
-        if desc.kind == TEXT:
-            text_len = desc.grid[0]
-        elif desc.kind == VISUAL_SOURCE:
-            sources.append(desc.grid)
-        else:
-            target = desc.grid
-    return text_len, sources, target
-
-
-def build_mask(seq: TokenSequence) -> AttentionMask:
-    """Segment-wise hybrid mask; depends on the layout only."""
+def build_mask(seq: TokenSequence) -> np.ndarray:
+    """Segment-wise hybrid mask, (n, n) bool: query row may attend key
+    column. Depends on the layout only."""
     n = len(seq)
     allow = np.zeros((n, n), dtype=bool)
     spans = seq.spans()
@@ -179,7 +157,7 @@ def build_mask(seq: TokenSequence) -> AttentionMask:
             allow[start:stop, start:stop] = np.tril(np.ones((desc.length, desc.length), dtype=bool))
         else:
             allow[start:stop, start:stop] = True
-    return AttentionMask(allow=allow)
+    return allow
 
 
 def round_half_up(x: float) -> int:

@@ -171,6 +171,27 @@ class TestTrainErrors:
         assert captured.err.startswith("error: data.grid:") and captured.err.count("\n") == 1
         assert "positive" in captured.err and "'0,8,8'" in captured.err
 
+    @pytest.mark.parametrize("key", ["stage.I.batch", "stage.II.batch", "stage.III.batch",
+                                     "infer.plan_steps", "infer.decoder_steps", "guidance.steps.t2v",
+                                     "guidance.steps.s2v", "guidance.steps.v2v", "guidance.steps.rv2v"])
+    def test_zero_count_exits_1(self, workdir, generated, trained_ckpt, capsys, key):
+        """A zero batch size or step count is refused, naming its key, by
+        `check` and by the command that reads it: `train` for a batch size,
+        `edit` otherwise."""
+        bad = workdir / "zero_count.cfg"
+        bad.write_text(f"{key} = 0\n")
+        stage = key.split(".")[1]
+        crashed = (["train", "--stage", stage, "--data", str(generated / "stage_I"), "--log-every", "0"]
+                   if key.endswith(".batch") else
+                   ["edit", "--case", str(generated / "eval" / "cases" / "case_00000.json"),
+                    "--ckpt", str(trained_ckpt)])
+        for argv in (["check"], crashed):
+            assert cli.main([*argv, "--config", str(bad), "--out", str(workdir / "zero_count")]) == 1
+            captured = capsys.readouterr()
+            assert "invariants hold" not in captured.out
+            assert captured.err.startswith(f"error: {key}:") and captured.err.count("\n") == 1
+            assert "positive" in captured.err
+
 
 class TestEditDeterminism:
     def test_edit_twice_byte_identical(self, workdir, generated, trained_ckpt):

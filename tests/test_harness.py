@@ -624,7 +624,7 @@ class TestConfigFile:
             Config(overrides)
 
     @pytest.mark.parametrize("key, value, getter, bad", [
-        ("infer.plan_steps", "abc", "get_int", "'abc'"),
+        ("train.checkpoint_every", "abc", "get_int", "'abc'"),
         ("infer.g_text", "1.2x", "get_float", "'1.2x'"),
         ("data.grid", "2,x,8", "get_ints", "'2,x,8'"),
         ("guidance.v2v", "txt:4.0,vid:lots", "get_weighted", "'vid:lots'"),

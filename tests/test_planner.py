@@ -22,7 +22,7 @@ from planflow.planner import (
     train_step_planner,
 )
 from planflow.schedules import masked_count_trace
-from planflow.sequence import VISUAL_SOURCE, VISUAL_TARGET, apply_target_mask, build_mask, describe, serialize
+from planflow.sequence import VISUAL_SOURCE, VISUAL_TARGET, apply_target_mask, build_mask, serialize
 from planflow.toydata import VOCAB
 from util import gelu_np, layernorm_np, rel_err
 
@@ -70,8 +70,8 @@ class TestPlannerForward:
         seq = make_seq(text_len=0, sources=(), target=(1, 2, 2))
         mask = build_mask(seq)
         banned = 2
-        mask.allow[:, banned] = False
-        mask.allow[banned, banned] = True  # keep its own row well-formed
+        mask[:, banned] = False
+        mask[banned, banned] = True  # keep its own row well-formed
         z0 = planner_forward(model, seq, mask).data
         seq2 = seq.copy()
         seq2.embeddings[banned] += 7.5
@@ -344,7 +344,8 @@ class TestGuidanceVariants:
         z = planner_forward(model, seq, planner_mod._variant_masks(seq, subsets)).data
         z = z.reshape(len(subsets), len(seq), -1)
         t0, t1 = seq.span_of(VISUAL_TARGET)
-        _, sources, target = describe(seq)
+        sources = [d.grid for d in seq.layout if d.kind == VISUAL_SOURCE]
+        target = seq.layout[-1].grid
         for b, kept_sources in ((0, []), (1, sources), (2, None)):
             if kept_sources is None:
                 ref = planner_forward(model, seq).data
@@ -368,7 +369,7 @@ class TestGuidanceVariants:
         real_planner, real_decoder = planner_mod.planner_forward, planner_mod.decoder_forward
 
         def count_planner(model, seq, mask=None, *args, **kwargs):
-            calls["planner"].append(1 if mask is None or mask.allow.ndim == 2 else mask.allow.shape[0])
+            calls["planner"].append(1 if mask is None or mask.ndim == 2 else mask.shape[0])
             return real_planner(model, seq, mask, *args, **kwargs)
 
         def count_decoder(decoder, x, t, z):
@@ -463,8 +464,8 @@ class TestInferenceCaches:
         """The invariant the prefix cache rests on, for every guidance variant."""
         seq = serialize(text_len, sources, target)
         t0, t1 = seq.span_of(VISUAL_TARGET)
-        masks = [build_mask(seq).allow[None]]
-        masks += [planner_mod._variant_masks(seq, subsets).allow
+        masks = [build_mask(seq)[None]]
+        masks += [planner_mod._variant_masks(seq, subsets)
                   for subsets in ([FULL], [UNCOND, TXT], [UNCOND, IMG, FULL])]
         for allow in masks:
             assert not allow[:, :t0, t0:t1].any()
@@ -520,7 +521,7 @@ class TestInferenceCaches:
         real = planner_mod.planner_forward
 
         def counting(model, seq, mask=None, *args, **kwargs):
-            entries.append(mask.allow.shape[0])
+            entries.append(mask.shape[0])
             return real(model, seq, mask, *args, **kwargs)
 
         monkeypatch.setattr(planner_mod, "planner_forward", counting)
@@ -540,10 +541,10 @@ class TestInferenceCaches:
         model, _ = make_models()
         seq = make_seq()
         t0, _ = seq.span_of(VISUAL_TARGET)
-        allow = build_mask(seq).allow.copy()
+        allow = build_mask(seq).copy()
         allow[0, t0] = True
         with pytest.raises(ContractError):
-            planner_mod.prefix_cache(model, seq, planner_mod.AttentionMask(allow), t0)
+            planner_mod.prefix_cache(model, seq, allow, t0)
 
     def test_time_terms_once_per_distinct_t(self, monkeypatch):
         model, decoder = make_models()

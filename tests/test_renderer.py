@@ -4,7 +4,7 @@ import pytest
 from planflow.config import ConfigError
 from planflow import nets, renderer as renderer_mod
 from planflow.guidance import GuidanceSpec, compose
-from planflow.numerics import ContractError, DimensionError, Rng, Tensor, backward, concat, fd_gradient
+from planflow.numerics import ContractError, DimensionError, Rng, Tensor, backward, concat, fd_gradient, mul, sub, tmean
 from planflow.renderer import (
     BatchLayout,
     CondInputs,
@@ -309,9 +309,7 @@ class TestTrainStep:
         # the loss is the mean square of (pred - v); feeding v itself is zero
         rng = Rng(17)
         v = rng.normal((8, 16))
-        resid = Tensor(v) - Tensor(v)
-        from planflow.numerics import tmean, mul
-
+        resid = sub(Tensor(v), Tensor(v))
         assert tmean(mul(resid, resid)).item() == 0.0
 
     def test_unknown_task_rejected(self):

@@ -200,8 +200,10 @@ class TestTimestepConfig:
             assert ((t >= 0) & (t <= 1)).all(), task
 
     def test_shift_flag_respected(self):
-        no_shift = TimestepConfig(shift_in_training=False)
-        shifted = TimestepConfig(shift_in_training=True)
+        kind, args, shift = DEFAULT_TIMESTEP[TaskKind.V2V]
+        assert shift == 5.0
+        no_shift = TimestepConfig({**DEFAULT_TIMESTEP, TaskKind.V2V: (kind, args, 1.0)})
+        shifted = TimestepConfig()
         a = np.array([sample_timestep(no_shift, TaskKind.V2V, Rng(3, c)) for c in range(0, 400, 2)])
         b = np.array([sample_timestep(shifted, TaskKind.V2V, Rng(3, c)) for c in range(0, 400, 2)])
         assert np.allclose(shift_toward_noise(a, 5.0), b)
