@@ -204,7 +204,7 @@ def _generator_oracle():
             )
 
 
-def run_all(quick: bool = False, seed: int = 0) -> list[tuple[str, bool, str]]:
+def run_all(quick: bool = False) -> list[tuple[str, bool, str]]:
     checks = [
         ("rng-determinism", _rng_determinism),
         ("gradient-vs-finite-differences", _gradient_spot),

@@ -147,16 +147,17 @@ def _emit_cases(dataset_dir: Path, limit: int) -> None:
 
 def cmd_train(args) -> int:
     cfg, seed = _load(args)
+    if args.checkpoint_every is not None:
+        cfg.set("train.checkpoint_every", args.checkpoint_every)
     out = _out_dir(args, "runs")
     data = Dataset(args.data)
     run = harness.RunConfig.from_config(cfg)
     bundle = harness.ModelBundle(cfg)
     resume = Checkpoint.load(args.resume) if args.resume else None
     stage_cfg = harness.StageConfig.from_config(cfg, args.stage)
-    every = args.checkpoint_every if args.checkpoint_every is not None else cfg.get_int("train.checkpoint_every")
     _, final = harness.run_stage(
-        bundle, stage_cfg, data, run, seed,
-        resume=resume, checkpoint_dir=out, checkpoint_every=every, log_every=args.log_every,
+        bundle, stage_cfg, data, run, seed, resume=resume, checkpoint_dir=out,
+        checkpoint_every=cfg.get_int("train.checkpoint_every"), log_every=args.log_every,
     )
     print(f"stage {args.stage} complete at step {final.step}; checkpoint in {out}")
     return 0

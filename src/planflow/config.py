@@ -36,21 +36,13 @@ DEFAULTS: list[tuple[str, str, str]] = [
     ("planner.heads", "2", ""),
     ("planner.decoder_dim", "64", "embedding decoder width"),
     ("planner.decoder_blocks", "2", ""),
-    ("planner.time_features", "16", ""),
-    ("planner.rope_base", "10000.0", ""),
-    ("planner.segment_base", "10000.0", ""),
     ("planner.segment_phases", "false", "segment-aware phases in the planner (ablation knob)"),
-    ("planner.reveal", "confidence", "reveal rule at inference: confidence | random"),
 
     ("renderer.hidden_dim", "48", ""),
     ("renderer.blocks", "2", ""),
     ("renderer.heads", "3", ""),
     ("renderer.patch", "1,2,2", ""),
-    ("renderer.channels", "4", "toy latent channels"),
-    ("renderer.rope_base", "10000.0", ""),
-    ("renderer.segment_base", "10000.0", ""),
     ("renderer.segment_phases", "true", "segment-aware rotary phases (ablation knob)"),
-    ("renderer.time_features", "16", ""),
     ("renderer.drop_text", "0.1", "training-time condition dropout rates"),
     ("renderer.drop_target", "0.1", ""),
     ("renderer.drop_source", "0.1", ""),
@@ -125,9 +117,8 @@ _DEFAULT_MAP = {k: v for k, v, _ in DEFAULTS}
 _POSITIVE_INTS = (
     "vit.embed_dim", "vit.patch",
     "planner.hidden_dim", "planner.blocks", "planner.heads", "planner.decoder_dim",
-    "planner.decoder_blocks", "planner.time_features",
+    "planner.decoder_blocks",
     "renderer.hidden_dim", "renderer.blocks", "renderer.heads", "renderer.patch",
-    "renderer.channels", "renderer.time_features",
     "stage.I.batch", "stage.II.batch", "stage.III.batch", "infer.plan_steps", "infer.decoder_steps",
     "guidance.steps.t2v", "guidance.steps.s2v", "guidance.steps.v2v", "guidance.steps.rv2v",
 )
@@ -158,24 +149,34 @@ class Config:
     def validate(self) -> None:
         """Refuse model sizes the networks cannot be built with, batch sizes
         and step counts below 1, grids that are not triples of positive
-        sizes, unknown guidance branches and non-finite guidance weights or
-        stage settings."""
+        sizes, a negative checkpoint interval, unknown guidance branches,
+        tasks or edit families, and non-finite guidance weights or stage
+        settings."""
         for key in _TRIPLES:
             if len(self.get(key).split(",")) != 3:
                 raise ConfigError(f"{key}: expected three values (frames, height, width), got {self.values[key]!r}")
-        for part in self.get("data.grid").split(","):
-            try:
-                positive = int(part) >= 1
-            except ValueError:  # get_ints names the malformed entry
-                continue
-            if not positive:
-                raise ConfigError(f"data.grid: dimensions must be positive, got {self.values['data.grid']!r}")
+        for key, least, rule in (("data.grid", 1, "dimensions must be positive"),
+                                 ("train.checkpoint_every", 0, "must be 0 (no periodic checkpoints) or more")):
+            for part in self.get(key).split(","):
+                try:
+                    enough = int(part) >= least
+                except ValueError:  # the typed getters name the malformed entry
+                    continue
+                if not enough:
+                    raise ConfigError(f"{key}: {rule}, got {self.values[key]!r}")
+        from .toydata import EDIT_FAMILIES, TASK_NAMES  # read at call time: toydata imports this module
+        for key in ("data.eval_families", "data.train_families"):
+            for name in self.get_strs(key):
+                if name not in EDIT_FAMILIES:
+                    raise ConfigError(f"{key}: unknown edit family {name!r}; expected one of {', '.join(EDIT_FAMILIES)}")
+        names = {**dict.fromkeys(_GUIDANCE_SCALES, ("guidance branch", BRANCHES)),
+                 **dict.fromkeys(_MIXTURES, ("task", TASK_NAMES))}
         numbers = [(key, self.get(key)) for key in _FINITE]
-        for key in _GUIDANCE_SCALES + _MIXTURES:
+        for key, (noun, known) in names.items():
             for part in self.get(key).split(","):
                 name, _, weight = part.partition(":")
-                if key in _GUIDANCE_SCALES and part.strip() and name.strip() not in BRANCHES:
-                    raise ConfigError(f"{key}: unknown guidance branch {name.strip()!r}; expected one of {', '.join(BRANCHES)}")
+                if part.strip() and name.strip() not in known:
+                    raise ConfigError(f"{key}: unknown {noun} {name.strip()!r}; expected one of {', '.join(known)}")
                 numbers.append((key, weight))
         for key, number in numbers:
             try:
@@ -193,8 +194,6 @@ class Config:
                 raise ConfigError(f"{model}.hidden_dim = {width} is not divisible by {model}.heads = {heads}")
             if (width // heads) % 2:
                 raise ConfigError(f"{model}: head width hidden_dim / heads = {width // heads} must be even")
-            if self.get_int(f"{model}.time_features") % 2:
-                raise ConfigError(f"{model}.time_features must be even (sine and cosine pairs)")
 
     def get(self, key: str) -> str:
         try:

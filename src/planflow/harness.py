@@ -110,7 +110,6 @@ class RunConfig:
     g_image: float
     flow_shift: float
     use_ema: bool
-    reveal: str
     drop_text: float
     drop_target: float
     drop_source: float
@@ -137,7 +136,6 @@ class RunConfig:
             g_image=cfg.get_float("infer.g_image"),
             flow_shift=cfg.get_float("infer.flow_shift"),
             use_ema=cfg.get_bool("infer.use_ema"),
-            reveal=cfg.get("planner.reveal"),
             drop_text=cfg.get_float("renderer.drop_text"),
             drop_target=cfg.get_float("renderer.drop_target"),
             drop_source=cfg.get_float("renderer.drop_source"),
@@ -153,8 +151,6 @@ class RunConfig:
 # keys that change what the weights compute without changing their shapes, each with its accessor
 MEANING_KEYS = {
     "planner.heads": Config.get_int, "renderer.heads": Config.get_int,
-    "planner.rope_base": Config.get_float, "renderer.rope_base": Config.get_float,
-    "planner.segment_base": Config.get_float, "renderer.segment_base": Config.get_float,
     "planner.segment_phases": Config.get_bool, "renderer.segment_phases": Config.get_bool,
     "renderer.patch": Config.get_ints, "vit.patch": Config.get_ints, "vit.seed": Config.get_int,
 }
@@ -181,23 +177,16 @@ class ModelBundle:
             blocks=cfg.get_int("planner.blocks"),
             heads=cfg.get_int("planner.heads"),
             embed_dim=cfg.get_int("vit.embed_dim"),
-            rope_base=cfg.get_float("planner.rope_base"),
-            segment_base=cfg.get_float("planner.segment_base"),
             segment_phases=cfg.get_bool("planner.segment_phases"),
             decoder_dim=cfg.get_int("planner.decoder_dim"),
             decoder_blocks=cfg.get_int("planner.decoder_blocks"),
-            time_features=cfg.get_int("planner.time_features"),
         )
         rcfg = RendererConfig(
             hidden_dim=cfg.get_int("renderer.hidden_dim"),
             blocks=cfg.get_int("renderer.blocks"),
             heads=cfg.get_int("renderer.heads"),
             patch=cfg.get_ints("renderer.patch"),
-            channels=cfg.get_int("renderer.channels"),
-            rope_base=cfg.get_float("renderer.rope_base"),
-            segment_base=cfg.get_float("renderer.segment_base"),
             segment_phases=cfg.get_bool("renderer.segment_phases"),
-            time_features=cfg.get_int("renderer.time_features"),
             planner_dim=cfg.get_int("planner.hidden_dim"),
         )
         self.planner = PlannerModel(pcfg, init.child(1))
@@ -662,7 +651,7 @@ def plan_case(bundle: ModelBundle, run: RunConfig, case: EditCase, rng: Rng) -> 
     return plan(
         bundle.planner, bundle.decoder, seq,
         total_steps=run.plan_steps, decoder_steps=run.decoder_steps,
-        g_text=run.g_text, g_image=run.g_image, rng=rng, reveal=run.reveal,
+        g_text=run.g_text, g_image=run.g_image, rng=rng,
     )
 
 
@@ -791,8 +780,8 @@ def edit_case(bundle: ModelBundle, run: RunConfig, case: EditCase, seed: int,
 # invariant suite
 # ---------------------------------------------------------------------------
 
-def invariant_suite(quick: bool = False, seed: int = 0) -> list[tuple[str, bool, str]]:
+def invariant_suite(quick: bool = False) -> list[tuple[str, bool, str]]:
     """Fast self-checks over the module invariants; (name, ok, detail) triples."""
     from . import checks
 
-    return checks.run_all(quick=quick, seed=seed)
+    return checks.run_all(quick=quick)

@@ -147,6 +147,10 @@ def cross_attention(
     return matmul(attention(q, kv[0], kv[1], heads, batch), params[prefix + "co"])
 
 
+# Width of the sinusoidal time features (sine and cosine halves).
+TIME_FEATURES = 16
+
+
 def time_features(t, dim: int) -> np.ndarray:
     """Sinusoidal features of t in [0, 1]; constant wrt the tape."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64)) * 1000.0
@@ -156,7 +160,7 @@ def time_features(t, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-def time_embedding(params: dict, prefix: str, t, dim_features: int) -> Tensor:
-    feats = Tensor(time_features(t, dim_features))
+def time_embedding(params: dict, prefix: str, t) -> Tensor:
+    feats = Tensor(time_features(t, TIME_FEATURES))
     h = add(matmul(feats, params[prefix + "w1"]), params[prefix + "b1"])
     return add(matmul(gelu(h), params[prefix + "w2"]), params[prefix + "b2"])

@@ -81,19 +81,16 @@ class PlannerConfig:
     blocks: int
     heads: int
     embed_dim: int = 16           # target embedding space dim
-    rope_base: float = 10000.0
-    segment_base: float = 10000.0
     segment_phases: bool = False  # standard 3D rotation by default in the planner
     decoder_dim: int = 64
     decoder_blocks: int = 2
-    time_features: int = 16
 
     @property
     def head_dim(self) -> int:
         return self.hidden_dim // self.heads
 
     def rope(self) -> RopeConfig:
-        return RopeConfig(head_dim=self.head_dim, base=self.rope_base, segment_base=self.segment_base)
+        return RopeConfig(head_dim=self.head_dim)
 
 
 class PlannerModel:
@@ -128,7 +125,7 @@ class EmbeddingDecoder:
         dd, de, dp = cfg.decoder_dim, cfg.embed_dim, cfg.hidden_dim
         cond = dd + dp  # time embedding + planner state
         p: dict[str, Tensor] = {}
-        p["time.w1"] = nets.weight(rng.child(1), cfg.time_features, dd)
+        p["time.w1"] = nets.weight(rng.child(1), nets.TIME_FEATURES, dd)
         p["time.b1"] = nets.zeros_param(1, dd)
         p["time.w2"] = nets.weight(rng.child(2), dd, dd)
         p["time.b2"] = nets.zeros_param(1, dd)
@@ -181,7 +178,7 @@ def _time_terms(decoder: EmbeddingDecoder, cond: DecoderCondition, t) -> list[Te
     if key in cond.time_terms:
         return cond.time_terms[key]
     p, dd = decoder.params, decoder.cfg.decoder_dim
-    temb = nets.time_embedding(p, "time.", t, decoder.cfg.time_features)
+    temb = nets.time_embedding(p, "time.", t)
     terms = [
         add(matmul(temb, narrow(p[f"res{i}.w1"], 0, dd, dd)), p[f"res{i}.b1"])
         for i in range(decoder.cfg.decoder_blocks)
@@ -433,19 +430,17 @@ def plan(
     g_text: float = 1.2,
     g_image: float = 1.0,
     rng: Rng | None = None,
-    reveal: str = "confidence",
 ) -> PlanResult:
     """Iterative masked-generative inference over a fully masked target.
 
     At step k exactly round(cos(pi/2*(k+1)/K) * M) tokens remain masked; newly
     revealed tokens are chosen by decoder self-consistency (smallest terminal
-    velocity norm) or uniformly at random. Predictions are written back into
-    the sequence between steps; a final encoder pass over the completed
-    sequence yields the conditioning states. Guidance runs over the
-    `GuidanceSpec` of the sources ("img", weight g_image) and the text
-    ("txt", weight g_text) the sequence has; each subset of its chain is a
-    mask over the same sequence, so every revealing step makes one batched
-    planner forward.
+    velocity norm). Predictions are written back into the sequence between
+    steps; a final encoder pass over the completed sequence yields the
+    conditioning states. Guidance runs over the `GuidanceSpec` of the sources
+    ("img", weight g_image) and the text ("txt", weight g_text) the sequence
+    has; each subset of its chain is a mask over the same sequence, so every
+    revealing step makes one batched planner forward.
 
     Text and source rows never attend to the target, so they are run once
     per call (`prefix_cache`) and each step runs only the target rows. The
@@ -454,8 +449,6 @@ def plan(
     """
     if total_steps < 1:
         raise ContractError(f"total_steps must be >= 1, got {total_steps}")
-    if reveal not in ("confidence", "random"):
-        raise ContractError(f"unknown reveal rule {reveal!r}")
     rng = rng or Rng(0)
     seq = seq.copy()
     t0, t1 = seq.span_of(VISUAL_TARGET)
@@ -489,10 +482,7 @@ def plan(
             pred = decode_embedding(decoder, cond, decoder_steps, spec, noise)
             term = _composed_velocity(decoder, pred, 1.0, cond, spec)
             conf = np.linalg.norm(term, axis=1)
-            if reveal == "confidence":
-                order = np.argsort(conf, kind="stable")
-            else:
-                order = rng.permutation(len(masked_rel))
+            order = np.argsort(conf, kind="stable")
             chosen = masked_rel[order[:n_reveal]]
             seq.embeddings[t0 + chosen] = pred[order[:n_reveal]]
             seq.masked[t0 + chosen] = False

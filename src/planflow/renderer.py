@@ -41,6 +41,9 @@ class LayoutError(ValueError):
 # Distance of each palette codeword from the origin; noise has unit variance.
 PALETTE_SCALE = 3.0
 
+# Width of the toy latent; the palette polyline uses three of its axes.
+LATENT_CHANNELS = 4
+
 # Rows of learned text positions; the grammar's longest instruction has 9 tokens.
 MAX_TEXT_TOKENS = 16
 
@@ -56,7 +59,7 @@ class ToyVae:
     exact on every encoded value. `offset` is the background codeword (x = 0).
     """
 
-    def __init__(self, channels: int = 4):
+    def __init__(self, channels: int = LATENT_CHANNELS):
         if channels < 3:
             raise ConfigError(f"the palette latent needs at least 3 channels, got {channels}")
         eye = np.eye(channels)[:3]
@@ -144,11 +147,8 @@ class RendererConfig:
     blocks: int
     heads: int
     patch: tuple[int, int, int] = (1, 2, 2)
-    channels: int = 4
-    rope_base: float = 10000.0
-    segment_base: float = 10000.0
+    channels: int = LATENT_CHANNELS
     segment_phases: bool = True   # segment-aware rotary phases on by default
-    time_features: int = 16
     planner_dim: int = 32         # width of the planner states fed to the projector
 
     @property
@@ -160,7 +160,7 @@ class RendererConfig:
         return int(np.prod(self.patch)) * self.channels
 
     def rope(self) -> RopeConfig:
-        return RopeConfig(head_dim=self.head_dim, base=self.rope_base, segment_base=self.segment_base)
+        return RopeConfig(head_dim=self.head_dim)
 
 
 class RendererModel:
@@ -170,7 +170,7 @@ class RendererModel:
         p: dict[str, Tensor] = {}
         p["patch_proj"] = nets.weight(rng.child(1), pd, d)
         p["patch_bias"] = nets.zeros_param(1, d)
-        p["time.w1"] = nets.weight(rng.child(2), cfg.time_features, d)
+        p["time.w1"] = nets.weight(rng.child(2), nets.TIME_FEATURES, d)
         p["time.b1"] = nets.zeros_param(1, d)
         p["time.w2"] = nets.weight(rng.child(3), d, d)
         p["time.b2"] = nets.zeros_param(1, d)
@@ -352,29 +352,28 @@ def renderer_forward(
     t: float,
     cond: Tensor,
     source_latents: list[np.ndarray] | None = None,
-    layout: BatchLayout | None = None,
     consts: RenderConstants | None = None,
 ) -> Tensor:
     """Velocity prediction on the target tokens, shape (entries * n_target, patch_dim).
 
-    Evaluates the entries of `layout` (by default one entry that holds every
-    source and all rows of `cond`). They share x_t, t and the sources; each
-    sees only its own sources and the target, placed and rotated as in the
-    full stream (sources first, target last). `consts` holds the work
-    prepared from the layout, `cond` and the weights by `render_constants`;
-    without it that work is done here from `source_latents` and `cond`.
+    Evaluates the entries of the layout of `consts`, the work prepared from
+    a layout, `cond` and the weights by `render_constants`. They share x_t,
+    t and the sources; each sees only its own sources and the target, placed
+    and rotated as in the full stream (sources first, target last). Without
+    `consts` that work is done here for one entry that holds every source of
+    `source_latents` and all rows of `cond`.
     """
     cfg = model.cfg
     p = model.params
     x_t = np.asarray(x_t, dtype=np.float64)
     if consts is None:
         sources = source_latents or []
-        layout = layout or BatchLayout((tuple(range(len(sources))),), (cond.shape[0],))
+        layout = BatchLayout((tuple(range(len(sources))),), (cond.shape[0],))
         consts = render_constants(model, visual_stream(cfg, sources, x_t.shape), cond, layout)
     _, tgt_tokens = patchify(x_t, cfg.patch)
     target = add(matmul(Tensor(tgt_tokens), p["patch_proj"]), p["patch_bias"])
     # time conditioning applies to the noisy target tokens; sources are clean
-    target = add(target, nets.time_embedding(p, "time.", float(t), cfg.time_features))
+    target = add(target, nets.time_embedding(p, "time.", float(t)))
     rows = consts.groups
     x = _gather(concat([consts.sources, target], axis=0), rows.rows)
     for i in range(cfg.blocks):

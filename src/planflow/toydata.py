@@ -23,6 +23,7 @@ BACKGROUND = 0
 SHAPES = ("square", "circle", "bar")
 COLOR_TOKENS = {1: "red", 2: "green", 3: "blue", 4: "yellow", 5: "white"}
 DIRECTIONS = {"up": (-1, 0), "down": (1, 0), "left": (0, -1), "right": (0, 1), "stay": (0, 0)}
+EDIT_FAMILIES = ("recolor", "remove", "add", "replace", "move", "palette")
 
 MAX_COORD = 16
 
@@ -112,11 +113,9 @@ class Scene:
                     return False
         return True
 
-    def occupied(self, skip: int | None = None) -> set[tuple[int, int, int]]:
+    def occupied(self) -> set[tuple[int, int, int]]:
         cells = set()
-        for i, obj in enumerate(self.objects):
-            if i == skip:
-                continue
+        for obj in self.objects:
             for t in range(self.grid[0]):
                 for r, c in obj.cells_at(t):
                     cells.add((t, r, c))
@@ -316,7 +315,7 @@ def gen_edit_case(rng: Rng, task: TaskKind, grid: tuple[int, int, int] = (2, 8, 
         return _gen_reference_replace(rng, grid)
     # editing families on matching grids
     g = image_grid if task == TaskKind.I2I else grid
-    fams = families or ("recolor", "remove", "add", "replace", "move", "palette")
+    fams = families or EDIT_FAMILIES
     family = fams[rng.integers(0, len(fams))]
     return _gen_edit(rng, task, g, family)
 
@@ -517,6 +516,7 @@ def gen_pair_pool(rng: Rng, grid, n_base: int, variants: int = 4) -> list[Scene]
 
 TEXT_TASK = "text"
 PAIR_TASK = "pair"
+TASK_NAMES = (*(t.value for t in TaskKind), TEXT_TASK, PAIR_TASK)  # every task a dataset can hold
 
 
 def gen_text_record(rng: Rng, grid) -> dict:
@@ -597,9 +597,6 @@ class Dataset:
         for i, rec in enumerate(self.records):
             key = rec.get("task", rec["kind"])
             self.by_task.setdefault(key, []).append(i)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
     def case(self, i: int) -> EditCase:
         rec = self.records[i]

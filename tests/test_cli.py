@@ -192,6 +192,44 @@ class TestTrainErrors:
             assert captured.err.startswith(f"error: {key}:") and captured.err.count("\n") == 1
             assert "positive" in captured.err
 
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_negative_checkpoint_interval_exits_1(self, workdir, generated, capsys, source):
+        """A negative checkpoint interval, from the config file or from
+        `train --checkpoint-every`, is refused naming its key before any
+        checkpoint is written."""
+        bad = workdir / f"negative_interval_{source}.cfg"
+        line = "train.checkpoint_every = -1\n" if source == "config" else ""
+        bad.write_text("".join(f"{k} = {v}\n" for k, v in SMOKE_OVERRIDES.items()) + line)
+        out = workdir / f"negative_interval_{source}"
+        train = ["train", "--stage", "I", "--data", str(generated / "stage_I"), "--log-every", "0"]
+        runs = [["check"], train] if source == "config" else [[*train, "--checkpoint-every", "-1"]]
+        for argv in runs:
+            assert cli.main([*argv, "--config", str(bad), "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert "invariants hold" not in captured.out
+            assert captured.err.startswith("error: train.checkpoint_every:") and captured.err.count("\n") == 1
+            assert "'-1'" in captured.err
+        assert not list(out.glob("*.ckpt"))
+
+    @pytest.mark.parametrize("line, stage", [("data.eval_families = bogus", "eval"),
+                                             ("data.train_families = recolor,bogus", "I"),
+                                             ("data.train_families = recolor,bogus:2", "I"),
+                                             ("stage.I.mixture = bogus:1.0", "I")])
+    def test_unknown_data_name_exits_1(self, workdir, capsys, line, stage):
+        """An edit family or task that no generator knows is refused, naming
+        its key, by `check` and by `gen-data`."""
+        bad = workdir / "unknown_name.cfg"
+        bad.write_text("".join(f"{k} = {v}\n" for k, v in SMOKE_OVERRIDES.items()) + line + "\n")
+        out = workdir / "unknown_name"
+        for argv in (["check"], ["gen-data", "--stage", stage]):
+            assert cli.main([*argv, "--config", str(bad), "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert "invariants hold" not in captured.out
+            key = line.split(" ")[0]
+            assert captured.err.startswith(f"error: {key}:") and captured.err.count("\n") == 1
+            assert "unknown" in captured.err and "'bogus" in captured.err
+        assert not list(out.rglob("records.jsonl"))
+
 
 class TestEditDeterminism:
     def test_edit_twice_byte_identical(self, workdir, generated, trained_ckpt):

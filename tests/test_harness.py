@@ -1,12 +1,14 @@
+import ast
 import hashlib
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from planflow.checkpoint import Checkpoint, CheckpointError
-from planflow.config import Config, ConfigError, default_config, load_config, parse_config_text, write_config
+from planflow.config import DEFAULTS, Config, ConfigError, default_config, load_config, parse_config_text, write_config
 from planflow import harness, planner as planner_mod
 from planflow.harness import (
     GUIDANCE_KEY,
@@ -80,8 +82,6 @@ def tiny_config() -> Config:
 # shapes at the tiny config
 MEANING_CHANGES = {
     "heads": {"planner.heads": "4", "renderer.heads": "4"},
-    "rope_base": {"planner.rope_base": "500.0", "renderer.rope_base": "500.0"},
-    "segment_base": {"planner.segment_base": "100.0", "renderer.segment_base": "100.0"},
     "segment_phases": {"planner.segment_phases": "true", "renderer.segment_phases": "false"},
     "patch": {"renderer.patch": "2,1,2", "vit.patch": "2,1,2"},
     "vit.seed": {"vit.seed": "7102"},
@@ -610,12 +610,39 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             Config({"run.sneed": "1"})
 
+    def test_every_key_has_a_reader(self):
+        """Every config key is named by a string literal in a program module
+        other than config.py. A field of an f-string stands for one dotted
+        segment (`f"stage.{name}.lr"`); an f-string with no literal name text
+        names no key."""
+        patterns = []
+        for path in Path(harness.__file__).parent.glob("*.py"):
+            if path.name == "config.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    patterns.append(re.escape(node.value))
+                elif isinstance(node, ast.JoinedStr):
+                    parts = [re.escape(v.value) if isinstance(v, ast.Constant) else "[^.]+" for v in node.values]
+                    if any(isinstance(v, ast.Constant) and v.value.strip(".") for v in node.values):
+                        patterns.append("".join(parts))
+        unread = [key for key, _, _ in DEFAULTS if not any(re.fullmatch(p, key) for p in patterns)]
+        assert unread == []
+
+    def test_constant_settings_are_not_keys(self):
+        """Values that no run varies are constants of the code: a config
+        that sets one is refused."""
+        for key in ("planner.reveal", "planner.time_features", "renderer.time_features", "planner.rope_base",
+                    "renderer.rope_base", "planner.segment_base", "renderer.segment_base", "renderer.channels"):
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                Config({key: "1"})
+
     @pytest.mark.parametrize("overrides, message", [
         ({"renderer.heads": "5"}, "not divisible"),
         ({"planner.hidden_dim": "12", "planner.heads": "4"}, "must be even"),
         ({"renderer.blocks": "0"}, "positive"),
         ({"vit.patch": "1,0,2"}, "positive"),
-        ({"planner.time_features": "15"}, "even"),
+        ({"renderer.hidden_dim": "48", "renderer.heads": "16"}, "even"),
         ({"planner.heads": "two"}, "integers"),
         ({"data.grid": "0,8,8"}, "positive"),
     ])

@@ -312,11 +312,6 @@ class TestPlan:
         assert a.masked_counts == b.masked_counts
         assert a.mean_pred_norm == b.mean_pred_norm
 
-    def test_random_reveal_differs_but_conforms(self):
-        model, decoder = make_models()
-        res = plan(model, decoder, self._masked_seq(), 4, 1, rng=Rng(5), reveal="random")
-        assert res.masked_counts == masked_count_trace(4, 4)
-
     def test_requires_fully_masked_target(self):
         model, decoder = make_models()
         seq = self._masked_seq()
@@ -328,8 +323,6 @@ class TestPlan:
         model, decoder = make_models()
         with pytest.raises(ContractError):
             plan(model, decoder, self._masked_seq(), 0, 1, rng=Rng(1))
-        with pytest.raises(ContractError):
-            plan(model, decoder, self._masked_seq(), 2, 1, rng=Rng(1), reveal="popularity")
 
 
 class TestGuidanceVariants:
@@ -555,9 +548,9 @@ class TestInferenceCaches:
         times = []
         real = planner_mod.nets.time_embedding
 
-        def counting(params, prefix, t, dim):
+        def counting(params, prefix, t):
             times.append(float(t))
-            return real(params, prefix, t, dim)
+            return real(params, prefix, t)
 
         monkeypatch.setattr(planner_mod.nets, "time_embedding", counting)
         decoder_steps = 4
@@ -572,7 +565,7 @@ class TestInferenceCaches:
         rng = Rng(61)
         z, x = rng.normal((4, CFG.hidden_dim)), rng.normal((4, CFG.embed_dim))
         for t in (0.3, rng.uniform((4,))):
-            feats = planner_mod.nets.time_features(np.broadcast_to(t, (4,)), CFG.time_features)
+            feats = planner_mod.nets.time_features(np.broadcast_to(t, (4,)), planner_mod.nets.TIME_FEATURES)
             temb = gelu_np(feats @ p["time.w1"] + p["time.b1"]) @ p["time.w2"] + p["time.b2"]
             h = x @ p["in_proj"] + p["in_bias"]
             for i in range(CFG.decoder_blocks):

@@ -20,9 +20,11 @@ from planflow.renderer import (
     euler_integrate,
     patchify,
     render,
+    render_constants,
     renderer_forward,
     train_step_renderer,
     unpatchify,
+    visual_stream,
 )
 from planflow.schedules import TimestepConfig, TaskKind
 from planflow.toydata import PALETTE_SIZE, encode, frames_to_ids
@@ -154,7 +156,8 @@ class TestRendererForward:
         no_src = renderer_forward(model, x_t, 0.3, cond, []).data
         with_src = renderer_forward(model, x_t, 0.3, cond, [src]).data
         layout = BatchLayout(held=((), (0,)), cond_lens=(cond.shape[0],) * 2)
-        both = renderer_forward(model, x_t, 0.3, concat([cond, cond]), [src], layout).data
+        consts = render_constants(model, visual_stream(model.cfg, [src], x_t.shape), concat([cond, cond]), layout)
+        both = renderer_forward(model, x_t, 0.3, concat([cond, cond]), consts=consts).data
         assert np.abs(both[: len(no_src)] - no_src).max() < 1e-12
         assert np.abs(both[len(no_src) :] - with_src).max() < 1e-12
         assert np.abs(no_src - with_src).max() > 1e-6
@@ -175,7 +178,8 @@ class TestRendererForward:
                                                                build_cond_tokens(model, text, rng.normal((30, 16)))]
         held = ((), (0,), (0, 1), (0, 1), (0, 1))
         layout = BatchLayout(held, tuple(c.shape[0] for c in conds))
-        out = renderer_forward(model, x_t, 0.4, concat(conds), sources, layout).data.reshape(len(held), -1, CFG.patch_dim)
+        consts = render_constants(model, visual_stream(model.cfg, sources, x_t.shape), concat(conds), layout)
+        out = renderer_forward(model, x_t, 0.4, concat(conds), consts=consts).data.reshape(len(held), -1, CFG.patch_dim)
         for e, (h, cond) in enumerate(zip(held, conds)):
             own = renderer_forward(model, x_t, 0.4, cond, [sources[i] for i in h]).data
             assert np.abs(out[e] - own).max() < 1e-12, e
@@ -193,9 +197,7 @@ class TestRendererForward:
 
         _, tokens = patchify(x_t, model.cfg.patch)
         x = tokens @ p["patch_proj"] + p["patch_bias"]
-        from planflow.nets import time_features
-
-        tf = time_features(0.7, model.cfg.time_features)
+        tf = nets.time_features(0.7, nets.TIME_FEATURES)
         temb = gelu_np(tf @ p["time.w1"] + p["time.b1"]) @ p["time.w2"] + p["time.b2"]
         x = x + temb
         cond = p["null_cond"]
@@ -449,7 +451,8 @@ class TestRender:
 
         def per_step(model, x, t, cond, consts):
             prepared.append(consts)
-            return real(model, x, t, cond, cond_in.source_latents, consts.layout)
+            stream = visual_stream(model.cfg, cond_in.source_latents, x.shape)
+            return real(model, x, t, cond, consts=render_constants(model, stream, cond, consts.layout))
 
         monkeypatch.setattr(renderer_mod, "renderer_forward", per_step)
         recomputed = render(model, cond_in, steps=3, scales=SCALES, shift=3.0, rng=Rng(37), target_grid=(2, 4, 4))

@@ -217,7 +217,7 @@ class TestDatasetFiles:
         assert manifest["counts"] == {k: counts[k] for k in sorted(counts)}
         assert manifest["total"] == sum(counts.values())
         data = Dataset(tmp_path / "ds")
-        assert len(data) == manifest["total"]
+        assert len(data.records) == manifest["total"]
         assert set(data.by_task) == {"v2v", "t2i", "text", "pair"}
 
     def test_generation_deterministic(self, tmp_path):
