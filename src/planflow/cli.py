@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--resume", default=None, help="checkpoint to start from")
     p.add_argument("--checkpoint-every", type=int, default=None)
-    p.add_argument("--log-every", type=int, default=200)
+    p.add_argument("--log-every", type=int, default=200, help="steps between loss lines; 0 prints none")
 
     p = sub.add_parser("plan", help="run masked-infilling planning for one case")
     _common(p)
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", default=None, help="omit to evaluate untrained models")
     p.add_argument("--baseline", default="model", choices=["model", "random"])
-    p.add_argument("--max-cases", type=int, default=None)
+    p.add_argument("--max-cases", type=int, default=None, help="evaluate only the first N cases")
 
     p = sub.add_parser("check", help="run the invariant suite")
     _common(p)
@@ -145,7 +145,13 @@ def _emit_cases(dataset_dir: Path, limit: int) -> None:
             json.dump(rec, fh, sort_keys=True)
 
 
+def _require_at_least(flag: str, value: int | None, low: int) -> None:
+    if value is not None and value < low:
+        raise ConfigError(f"{flag}: expected an integer >= {low}, got {value}")
+
+
 def cmd_train(args) -> int:
+    _require_at_least("--log-every", args.log_every, 0)
     cfg, seed = _load(args)
     if args.checkpoint_every is not None:
         cfg.set("train.checkpoint_every", args.checkpoint_every)
@@ -215,6 +221,7 @@ def cmd_edit(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _require_at_least("--max-cases", args.max_cases, 1)
     cfg, seed = _load(args)
     out = _out_dir(args, "eval_out")
     data = Dataset(args.data)
@@ -229,7 +236,8 @@ def cmd_eval(args) -> int:
     with open(out / "report.json", "w") as fh:
         json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
     print(report.to_text(), end="")
-    print(f"(runtime {report.runtime_seconds:.1f}s; details in {out})")
+    print(f"(runtime {report.runtime_seconds:.1f}s: plan {report.plan_seconds:.1f}s, "
+          f"render {report.render_seconds:.1f}s; details in {out})")
     return 0
 
 

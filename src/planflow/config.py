@@ -64,10 +64,10 @@ DEFAULTS: list[tuple[str, str, str]] = [
     ("guidance.s2v", "txt:4.0,img:2.5,tgt:1.5", ""),
     ("guidance.v2v", "txt:4.0,vid:1.25,img:1.25,tgt:0.5", ""),
     ("guidance.rv2v", "txt:4.0,vid:1.25,img:3.0,tgt:1.5", ""),
-    ("guidance.steps.t2v", "60", "denoising steps per task family"),
-    ("guidance.steps.s2v", "40", ""),
-    ("guidance.steps.v2v", "40", ""),
-    ("guidance.steps.rv2v", "40", ""),
+    ("guidance.steps.t2v", "15", "renderer Euler steps per guidance table"),
+    ("guidance.steps.s2v", "5", ""),
+    ("guidance.steps.v2v", "10", ""),
+    ("guidance.steps.rv2v", "5", ""),
 
     ("infer.plan_steps", "25", "iterative planning steps"),
     ("infer.decoder_steps", "5", "embedding-decoder denoising steps"),

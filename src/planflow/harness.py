@@ -673,10 +673,18 @@ def render_case(bundle: ModelBundle, run: RunConfig, case: EditCase, states: np.
     )
 
 
-def run_pipeline(bundle: ModelBundle, run: RunConfig, case: EditCase, rng: Rng) -> np.ndarray:
-    """plan -> render -> decoded palette frames for one case."""
+def run_pipeline(bundle: ModelBundle, run: RunConfig, case: EditCase, rng: Rng,
+                 seconds: list[float] | None = None) -> np.ndarray:
+    """plan -> render -> decoded palette frames for one case; adds the plan
+    and render wall seconds to `seconds[0]` and `seconds[1]` when given."""
+    t0 = time.monotonic()
     states = plan_case(bundle, run, case, rng.child(1)).hidden
-    return frames_to_ids(bundle.vae.decode(render_case(bundle, run, case, states, rng.child(2))))
+    t1 = time.monotonic()
+    latent = render_case(bundle, run, case, states, rng.child(2))
+    if seconds is not None:
+        seconds[0] += t1 - t0
+        seconds[1] += time.monotonic() - t1
+    return frames_to_ids(bundle.vae.decode(latent))
 
 
 @dataclass
@@ -687,6 +695,8 @@ class EvalReport:
     untouched_exactness: float
     invariants_ok: bool | None = None
     runtime_seconds: float = field(default=0.0, compare=False)
+    plan_seconds: float = field(default=0.0, compare=False)
+    render_seconds: float = field(default=0.0, compare=False)
     per_family_success: dict[str, float] = field(default_factory=dict)
 
     def to_text(self) -> str:
@@ -724,6 +734,7 @@ def evaluate(
     fam_succ: dict[str, list[bool]] = {}
     edited: list[float] = []
     kept: list[float] = []
+    phase_seconds = [0.0, 0.0]  # plan, render
     n_done = 0
     with ema_weights(bundle, ema if run.use_ema else None):
         for i, record in enumerate(data.records):
@@ -737,7 +748,7 @@ def evaluate(
                 noise = rng.normal((*case.target.grid, bundle.renderer.cfg.channels))
                 ids = frames_to_ids(bundle.vae.decode(noise))
             else:
-                ids = run_pipeline(bundle, run, case, rng)
+                ids = run_pipeline(bundle, run, case, rng, phase_seconds)
             e_acc, k_acc = oracle_scores(case, ids)
             ok = e_acc >= run.edit_threshold and k_acc >= run.keep_threshold
             succ.setdefault(case.task.value, []).append(ok)
@@ -755,6 +766,8 @@ def evaluate(
         untouched_exactness=float(np.mean(kept)) if kept else 0.0,
         invariants_ok=inv_ok,
         runtime_seconds=time.monotonic() - t_start,
+        plan_seconds=phase_seconds[0],
+        render_seconds=phase_seconds[1],
         per_family_success={k: float(np.mean(v)) for k, v in fam_succ.items()},
     )
 

@@ -211,6 +211,18 @@ class TestTrainErrors:
             assert "'-1'" in captured.err
         assert not list(out.glob("*.ckpt"))
 
+    @pytest.mark.parametrize("value", ["-1", "-200"])
+    def test_negative_log_interval_exits_1(self, workdir, generated, capsys, value):
+        """A negative `train --log-every` is refused before training starts;
+        0 stays the way to print no loss lines."""
+        out = workdir / "negative_log"
+        assert cli.main(["train", "--stage", "I", "--data", str(generated / "stage_I"),
+                         "--config", str(workdir / "tiny.cfg"), "--out", str(out), "--log-every", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --log-every: expected an integer >= 0, got {value}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, stage", [("data.eval_families = bogus", "eval"),
                                              ("data.train_families = recolor,bogus", "I"),
                                              ("data.train_families = recolor,bogus:2", "I"),
@@ -387,7 +399,7 @@ class TestPlanRenderEval:
         frames = read_tensor(out / "frames.pft")
         assert frames.min() >= 0 and frames.max() <= 5
 
-    def test_eval_writes_reports(self, workdir, generated, trained_ckpt):
+    def test_eval_writes_reports(self, workdir, generated, trained_ckpt, capsys):
         out = workdir / "ev1"
         rc = cli.main(["eval", "--data", str(generated / "eval"), "--ckpt", str(trained_ckpt),
                        "--config", str(workdir / "tiny.cfg"), "--seed", "1",
@@ -395,4 +407,19 @@ class TestPlanRenderEval:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert "per_task_success" in report and "runtime_seconds" in report
+        assert report["plan_seconds"] > 0 and report["render_seconds"] > 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("(runtime ") and "s: plan " in last and "s, render " in last
         assert (out / "report.txt").read_text().startswith("success.")
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_eval_refuses_max_cases_below_one(self, workdir, generated, capsys, value):
+        """`eval --max-cases` below 1 would score no case; it is refused
+        before any report is written."""
+        out = workdir / "no_cases"
+        assert cli.main(["eval", "--data", str(generated / "eval"), "--config", str(workdir / "tiny.cfg"),
+                         "--out", str(out), "--max-cases", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --max-cases: expected an integer >= 1, got {value}\n"
+        assert not out.exists()

@@ -195,7 +195,7 @@ class TestValidate:
             scales = default_scales(key)
             spec = GuidanceSpec(scales, tuple(scales))
             assert spec.weights["txt"] == 4.0
-            assert cfg.get_int(f"guidance.steps.{key}") in (40, 60)
+            assert cfg.get_int(f"guidance.steps.{key}") == {"t2v": 15, "s2v": 5, "v2v": 10, "rv2v": 5}[key]
         s2v = GuidanceSpec(default_scales("s2v"), ("img", "txt", "tgt"))
         assert (s2v.weights["txt"], s2v.weights["img"], s2v.weights["tgt"]) == (4.0, 2.5, 1.5)
 

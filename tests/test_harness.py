@@ -556,6 +556,17 @@ class TestEvaluation:
         b = evaluate(bundle, tiny_dataset, run, seed=5, max_cases=3)
         assert a == b  # runtime field is excluded from comparison
 
+    def test_report_times_plan_and_render(self, tiny_dataset):
+        cfg = tiny_config()
+        bundle = ModelBundle(cfg)
+        run = RunConfig.from_config(cfg)
+        a = evaluate(bundle, tiny_dataset, run, seed=5, max_cases=3)
+        b = evaluate(bundle, tiny_dataset, run, seed=5, max_cases=3)
+        for rep in (a, b):
+            assert rep.plan_seconds > 0 and rep.render_seconds > 0
+            assert rep.plan_seconds + rep.render_seconds <= rep.runtime_seconds
+        assert a == b  # the phase times are excluded from comparison, like the runtime
+
     def test_random_baseline_reported_on_same_oracles(self, tiny_dataset):
         cfg = tiny_config()
         bundle = ModelBundle(cfg)
@@ -599,7 +610,7 @@ class TestConfigFile:
         cfg = default_config()
         assert parse_mask_ratio(cfg.get("schedules.mask_ratio.v2v")) == (12.0, 0.9)
         assert cfg.get_weighted("guidance.v2v") == {"txt": 4.0, "vid": 1.25, "img": 1.25, "tgt": 0.5}
-        assert cfg.get_int("guidance.steps.t2v") == 60
+        assert cfg.get_int("guidance.steps.t2v") == 15
         assert cfg.get_int("infer.plan_steps") == 25
         assert cfg.get_int("infer.decoder_steps") == 5
         assert cfg.get_float("infer.g_text") == 1.2
