@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import guidance, numerics, posenc, schedules, sequence, toydata
+from .config import Config
 from .numerics import Rng, Tensor
 
 
@@ -74,16 +75,16 @@ def _mask_counts():
 
 def _rope_properties():
     cfg = posenc.RopeConfig(head_dim=8)
-    rng = Rng(11)
-    table = posenc.build_phase_table(cfg, (2, 2, 2), segment_index=2)
-    x = rng.normal((8, 8))
-    y = posenc.apply_rope(Tensor(x), table).data
+    seq = sequence.serialize(2, [(1, 2, 2), (2, 2, 2)], (2, 2, 2))
+    on, off = (posenc.token_angles(cfg, seq, phases) for phases in (True, False))
+    x = Rng(11).normal((len(seq), 8))
+    y = numerics.rotate_pairs(Tensor(x), on).data
     assert np.abs(np.linalg.norm(y, axis=1) - np.linalg.norm(x, axis=1)).max() < 1e-12, "norms"
-    base = posenc.build_phase_table(cfg, (2, 2, 2), segment_index=0)
-    assert np.array_equal(base.segment, np.zeros(4)), "segment 0 must be the identity"
-    freqs = cfg.segment_frequencies()
-    assert np.array_equal(table.segment, 2 * freqs), "segment phase = index * frequency"
-    assert table.segment[0] == 2.0, "pair 0 phase must equal the raw index"
+    plain = seq.segment_indices <= 0  # text and target rows
+    assert np.array_equal(on[plain], off[plain]), "text and segment 0 must carry no segment phase"
+    origin = on[seq.span_of(sequence.VISUAL_SOURCE, 2)[0]]  # (0, 0, 0) of segment 2: no spatial phase
+    assert np.array_equal(origin, 2 * cfg.segment_frequencies()), "segment phase = index * frequency"
+    assert origin[0] == 2.0, "pair 0 phase must equal the raw index"
 
 
 def _schedule_shapes():
@@ -153,7 +154,8 @@ def _zero_init_conditioning():
     from .renderer import RendererConfig, RendererModel, build_cond_tokens, renderer_forward
 
     rng = Rng(47)
-    model = RendererModel(RendererConfig(hidden_dim=16, blocks=1, heads=2, patch=(1, 2, 2), planner_dim=16), rng)
+    model = RendererModel(RendererConfig(hidden_dim=16, blocks=1, heads=2, patch=(1, 2, 2), segment_phases=True,
+                                         planner_dim=16), rng)
     x_t = rng.normal((1, 4, 4, 4))
     ids = np.array([1, 3], dtype=np.intp)
     out_a = renderer_forward(model, x_t, 0.3, build_cond_tokens(model, ids, rng.normal((5, 16)))).data
@@ -166,7 +168,7 @@ def _ragged_guidance_batch():
                            patchify, render, renderer_forward, unpatchify)
 
     rng = Rng(59)
-    cfg = RendererConfig(hidden_dim=16, blocks=2, heads=2, patch=(1, 2, 2), planner_dim=16)
+    cfg = RendererConfig(hidden_dim=16, blocks=2, heads=2, patch=(1, 2, 2), segment_phases=True, planner_dim=16)
     model = RendererModel(cfg, rng.child(0))
     model.params["cond_proj"].data[:] = rng.normal((16, 16)) * 0.3  # let the planner states count
     cond_in = CondInputs(text_ids=np.array([1, 3], dtype=np.intp), planner_states=rng.normal((4, 16)),
@@ -193,15 +195,16 @@ def _ragged_guidance_batch():
 
 
 def _generator_oracle():
+    cfg = Config()
+    thresholds = cfg.get_float("eval.edit_threshold"), cfg.get_float("eval.keep_threshold")
     rng = Rng(53)
     for i in range(20):
-        case = toydata.gen_edit_case(rng.child(i), schedules.TaskKind.V2V)
-        tgt = case.target.rasterize()
-        assert toydata.oracle_passes(case, tgt), f"{case.family}: ground truth must pass"
+        case = toydata.gen_edit_case(rng.child(i), schedules.TaskKind.V2V, cfg.get_ints("data.grid"))
+        truth = toydata.oracle_scores(case, case.target.rasterize())
+        assert toydata.oracle_passes(truth, *thresholds), f"{case.family}: ground truth must pass"
         if case.source is not None and case.source.grid == case.target.grid:
-            assert not toydata.oracle_passes(case, case.source.rasterize()), (
-                f"{case.family}: unedited source must fail"
-            )
+            unedited = toydata.oracle_scores(case, case.source.rasterize())
+            assert not toydata.oracle_passes(unedited, *thresholds), f"{case.family}: unedited source must fail"
 
 
 def run_all(quick: bool = False) -> list[tuple[str, bool, str]]:

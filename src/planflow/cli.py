@@ -21,7 +21,7 @@ from .config import Config, ConfigError, load_config
 from .guidance import GuidanceValidationError
 from .numerics import Rng
 from .schedules import DomainError
-from .toydata import Dataset, EditCase, frames_to_ids, generate_dataset
+from .toydata import MALFORMED, Dataset, EditCase, frames_to_ids, generate_dataset, malformed
 
 
 def _common(sub):
@@ -100,10 +100,8 @@ def load_case(path: str) -> EditCase:
         raise ConfigError(f"record {idx} not found in {file}")
     try:
         return EditCase.from_dict(json.loads(text))
-    except KeyError as exc:
-        raise ConfigError(f"case {path} lacks the field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"case {path} is malformed: {exc}") from None
+    except MALFORMED as exc:
+        raise malformed(f"case {path}", exc) from None
 
 
 def _bundle_from_ckpt(cfg: Config, ckpt_path: str | None):

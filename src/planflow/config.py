@@ -1,6 +1,6 @@
 """Flat, human-editable run configuration: one `section.key = value` per line.
 
-`default_config()` is the single source of truth for the toy run; a config file
+`DEFAULTS` is the single source of truth for the toy run; a config file
 passed on the CLI overrides individual keys. Values are stored as strings with
 typed accessors.
 """
@@ -256,10 +256,6 @@ class Config:
         return dict(self.values)
 
 
-def default_config() -> Config:
-    return Config()
-
-
 def parse_config_text(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -277,12 +273,11 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def load_config(path: str | Path | None) -> Config:
     if path is None:
-        return default_config()
+        return Config()
     return Config(parse_config_text(Path(path).read_text()))
 
 
-def write_config(path: str | Path, cfg: Config | None = None) -> None:
-    cfg = cfg or default_config()
+def write_config(path: str | Path, cfg: Config) -> None:
     lines = []
     section = None
     for key, _, comment in DEFAULTS:

@@ -29,11 +29,9 @@ from .planner import (
     losses_from_hidden,
     plan,
     planner_forward,
-    train_step_planner,
 )
 from .renderer import (
     CondInputs,
-    RenderBatch,
     RendererConfig,
     RendererModel,
     ToyVae,
@@ -60,6 +58,7 @@ from .toydata import (
     Scene,
     encode,
     frames_to_ids,
+    oracle_passes,
     oracle_scores,
 )
 
@@ -308,14 +307,14 @@ class ema_weights:
 class StageConfig:
     name: str
     steps: int
-    lr: float = 1e-5
-    lr_final: float | None = None  # linear decay target; None keeps lr constant
-    ema_decay: float = 0.999
-    batch_size: int = 1
-    lambda_text: float = 0.0
-    lambda_visual: float = 0.0
-    lambda_dit: float = 0.0
-    mixture: dict[str, float] = field(default_factory=dict)
+    lr: float
+    lr_final: float | None  # linear decay target; None keeps lr constant
+    ema_decay: float
+    batch_size: int
+    lambda_text: float
+    lambda_visual: float
+    lambda_dit: float
+    mixture: dict[str, float]
 
     def lr_at(self, step: int) -> float:
         if self.lr_final is None or self.steps <= 1:
@@ -360,9 +359,6 @@ class StageConfig:
 def total_loss(l_ntp, l_visual, l_dit, lambdas: tuple[float, float, float]):
     """lambda_text * L_ntp + lambda_visual * L_visual + lambda_dit * L_dit."""
     lt, lv, ld = lambdas
-    for lam in lambdas:
-        if lam < 0:
-            raise ConfigError(f"loss weights must be nonnegative, got {lam}")
     return lt * l_ntp + lv * l_visual + ld * l_dit
 
 
@@ -481,7 +477,7 @@ def _planner_case_loss(bundle: ModelBundle, run: RunConfig, case: EditCase, stag
     conditioned on the planner states of the sequence's conditioning rows."""
     seq, tgt_emb = planner_sequence(case, bundle.vit)
     ratio = sample_mask_ratio(run.mask_ratio, case.task, rngs["mask"])
-    seq = apply_target_mask(seq, ratio, rngs["mask"], bundle.planner.mask_embedding.data[0])
+    seq = apply_target_mask(seq, ratio, rngs["mask"])
     z = planner_forward(bundle.planner, seq)
     losses = losses_from_hidden(bundle.planner, bundle.decoder, seq, z, tgt_emb, rngs["noise"])
     l_dit = Tensor(0.0)
@@ -500,8 +496,8 @@ def _renderer_loss(bundle: ModelBundle, run: RunConfig, case: EditCase, states: 
     latents, _ = renderer_sources(case, bundle.vae)
     kept = [lat for lat in latents if rngs["drop"].uniform() >= run.drop_source]
     cond = build_cond_tokens(bundle.renderer, text, states)
-    batch = RenderBatch(bundle.vae.encode(case.target.normalized()), cond, kept)
-    l_dit, _ = train_step_renderer(bundle.renderer, batch, case.task, run.timestep, rngs["noise"])
+    l_dit, _ = train_step_renderer(bundle.renderer, bundle.vae.encode(case.target.normalized()), cond, kept,
+                                   case.task, run.timestep, rngs["noise"])
     return l_dit
 
 
@@ -567,14 +563,15 @@ def run_stage(
             record = data.records[idx]
             if task_name == TEXT_TASK:
                 seq = text_sequence(record["instruction"])
-                losses = train_step_planner(bundle.planner, bundle.decoder, seq, None, state.rngs["noise"])
+                z = planner_forward(bundle.planner, seq)
+                losses = losses_from_hidden(bundle.planner, bundle.decoder, seq, z, None, state.rngs["noise"])
                 loss = total_loss(losses.ntp, losses.visual, Tensor(0.0), lambdas)
             elif task_name == PAIR_TASK or stage == "II":
-                case = pair_case(record) if task_name == PAIR_TASK else EditCase.from_dict(record)
+                case = pair_case(record) if task_name == PAIR_TASK else data.case(idx)
                 l_dit = _renderer_loss(bundle, run, case, None, state.rngs)
                 loss = total_loss(Tensor(0.0), Tensor(0.0), l_dit, lambdas)
             else:
-                loss = _planner_case_loss(bundle, run, EditCase.from_dict(record), stage, state.rngs, lambdas)
+                loss = _planner_case_loss(bundle, run, data.case(idx), stage, state.rngs, lambdas)
             batch_losses.append(loss)
         batch_loss = (1.0 / stage_cfg.batch_size) * sum(batch_losses[1:], batch_losses[0])
         last_loss = batch_loss.item()
@@ -742,7 +739,7 @@ def evaluate(
                 continue
             if max_cases is not None and n_done >= max_cases:
                 break
-            case = EditCase.from_dict(record)
+            case = data.case(i)
             rng = rng_root.child(i)
             if random_baseline:
                 noise = rng.normal((*case.target.grid, bundle.renderer.cfg.channels))
@@ -750,7 +747,7 @@ def evaluate(
             else:
                 ids = run_pipeline(bundle, run, case, rng, phase_seconds)
             e_acc, k_acc = oracle_scores(case, ids)
-            ok = e_acc >= run.edit_threshold and k_acc >= run.keep_threshold
+            ok = oracle_passes((e_acc, k_acc), run.edit_threshold, run.keep_threshold)
             succ.setdefault(case.task.value, []).append(ok)
             fam_succ.setdefault(case.family, []).append(ok)
             edited.append(e_acc)
@@ -783,7 +780,7 @@ def edit_case(bundle: ModelBundle, run: RunConfig, case: EditCase, seed: int,
         "family": case.family,
         "edited_accuracy": round(e_acc, 6),
         "untouched_agreement": round(k_acc, 6),
-        "oracle_pass": bool(e_acc >= run.edit_threshold and k_acc >= run.keep_threshold),
+        "oracle_pass": oracle_passes((e_acc, k_acc), run.edit_threshold, run.keep_threshold),
         "seed": seed,
     }
     return ids, report

@@ -57,7 +57,7 @@ from .toydata import VOCAB
 class ToyVit:
     """Frozen random patch encoder; its output space is what the planner predicts."""
 
-    def __init__(self, patch: tuple[int, int, int] = (1, 2, 2), embed_dim: int = 16, seed: int = 7101):
+    def __init__(self, patch: tuple[int, int, int], embed_dim: int, seed: int):
         self.patch = tuple(patch)
         self.embed_dim = embed_dim
         rng = Rng(seed)
@@ -80,10 +80,10 @@ class PlannerConfig:
     hidden_dim: int
     blocks: int
     heads: int
-    embed_dim: int = 16           # target embedding space dim
-    segment_phases: bool = False  # standard 3D rotation by default in the planner
-    decoder_dim: int = 64
-    decoder_blocks: int = 2
+    embed_dim: int        # target embedding space dim
+    segment_phases: bool
+    decoder_dim: int
+    decoder_blocks: int
 
     @property
     def head_dim(self) -> int:
@@ -110,10 +110,6 @@ class PlannerModel:
         p["text_head"] = nets.weight(rng.child(90), d, len(VOCAB))
         p["text_head_b"] = nets.zeros_param(1, len(VOCAB))
         self.params = p
-
-    @property
-    def mask_embedding(self) -> Tensor:
-        return self.params["mask_embed"]
 
 
 class EmbeddingDecoder:
@@ -320,25 +316,6 @@ def cross_entropy_rows(logits: Tensor, labels: np.ndarray) -> Tensor:
 class PlannerLosses:
     ntp: Tensor
     visual: Tensor
-    masked_count: int
-    visual_skipped: bool
-
-
-def train_step_planner(
-    model: PlannerModel,
-    decoder: EmbeddingDecoder,
-    seq: TokenSequence,
-    target_embeddings: np.ndarray | None,
-    rng: Rng,
-) -> PlannerLosses:
-    """Joint text NTP + masked-embedding flow-matching losses for one sequence.
-
-    `seq` already carries its mask flags (the harness samples the task-dependent
-    ratio); `target_embeddings` are the ground-truth rows for the target
-    segment, None for a sequence without one.
-    """
-    z = planner_forward(model, seq)
-    return losses_from_hidden(model, decoder, seq, z, target_embeddings, rng)
 
 
 def losses_from_hidden(
@@ -349,8 +326,10 @@ def losses_from_hidden(
     target_embeddings: np.ndarray | None,
     rng: Rng,
 ) -> PlannerLosses:
-    """Loss assembly on precomputed hidden states (shared with joint training).
-    A sequence with no masked rows, such as a text-only one, has no visual loss."""
+    """Joint text NTP + masked-embedding flow-matching losses of a sequence
+    with its mask flags set, from its planner states `z`; `target_embeddings`
+    are the target segment's ground-truth rows, None without a target. A
+    sequence with no masked rows, such as a text-only one, has no visual loss."""
     p = model.params
 
     if seq.text_len >= 2:
@@ -364,19 +343,18 @@ def losses_from_hidden(
 
     rows = np.flatnonzero(seq.masked)  # only target rows are ever masked
     if rows.size == 0:
-        return PlannerLosses(l_ntp, Tensor(0.0), 0, True)
+        return PlannerLosses(l_ntp, Tensor(0.0))
     masked_rel = rows - seq.span_of(VISUAL_TARGET)[0]
     z_masked = embedding(z, rows)
     gt = target_embeddings[masked_rel]
-    m = len(masked_rel)
-    t = rng.uniform((m,))
+    t = rng.uniform((len(masked_rel),))
     eps = rng.normal(gt.shape)
     x_t = t[:, None] * gt + (1.0 - t[:, None]) * eps
     v_target = gt - eps
     pred = decoder_forward(decoder, Tensor(x_t), t, z_masked)
     resid = sub(pred, Tensor(v_target))
     l_visual = tmean(mul(resid, resid))
-    return PlannerLosses(l_ntp, l_visual, m, False)
+    return PlannerLosses(l_ntp, l_visual)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +403,11 @@ def plan(
     model: PlannerModel,
     decoder: EmbeddingDecoder,
     seq: TokenSequence,
-    total_steps: int = 25,
-    decoder_steps: int = 5,
-    g_text: float = 1.2,
-    g_image: float = 1.0,
-    rng: Rng | None = None,
+    total_steps: int,
+    decoder_steps: int,
+    g_text: float,
+    g_image: float,
+    rng: Rng,
 ) -> PlanResult:
     """Iterative masked-generative inference over a fully masked target.
 
@@ -449,7 +427,6 @@ def plan(
     """
     if total_steps < 1:
         raise ContractError(f"total_steps must be >= 1, got {total_steps}")
-    rng = rng or Rng(0)
     seq = seq.copy()
     t0, t1 = seq.span_of(VISUAL_TARGET)
     if not seq.masked[t0:t1].all():

@@ -146,10 +146,10 @@ class RendererConfig:
     hidden_dim: int
     blocks: int
     heads: int
-    patch: tuple[int, int, int] = (1, 2, 2)
+    patch: tuple[int, int, int]
+    segment_phases: bool
+    planner_dim: int              # width of the planner states fed to the projector
     channels: int = LATENT_CHANNELS
-    segment_phases: bool = True   # segment-aware rotary phases on by default
-    planner_dim: int = 32         # width of the planner states fed to the projector
 
     @property
     def head_dim(self) -> int:
@@ -394,21 +394,14 @@ def renderer_forward(
     return add(matmul(nets.ln(p, "ln_f.", x), p["out_proj"]), p["out_bias"])
 
 
-@dataclass
-class RenderBatch:
-    """One training example with its conditioning already assembled."""
-
-    target_latent: np.ndarray
-    cond: Tensor
-    source_latents: list[np.ndarray] = field(default_factory=list)
-
-
-def train_step_renderer(model: RendererModel, batch: RenderBatch, task, timestep_cfg, rng: Rng) -> tuple[Tensor, FlowSample]:
-    """Velocity-MSE flow-matching loss at a task-weighted timestep."""
+def train_step_renderer(model: RendererModel, target_latent: np.ndarray, cond: Tensor,
+                        source_latents: list[np.ndarray], task, timestep_cfg, rng: Rng) -> tuple[Tensor, FlowSample]:
+    """Velocity-MSE flow-matching loss on one target latent, conditioned on
+    `cond` and the source latents, at a task-weighted timestep."""
     t = float(np.asarray(sample_timestep(timestep_cfg, task, rng)))
-    noise = rng.normal(batch.target_latent.shape)
-    fs = FlowSample(batch.target_latent, noise, t)
-    pred = renderer_forward(model, fs.x_t, t, batch.cond, batch.source_latents)
+    noise = rng.normal(target_latent.shape)
+    fs = FlowSample(target_latent, noise, t)
+    pred = renderer_forward(model, fs.x_t, t, cond, source_latents)
     _, v_tok = patchify(fs.v_target, model.cfg.patch)
     resid = sub(pred, Tensor(v_tok))
     return tmean(mul(resid, resid)), fs

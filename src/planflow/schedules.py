@@ -8,12 +8,12 @@ Time convention everywhere: t = 1 is clean data, t = 0 is pure noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .config import DEFAULTS, ConfigError
+from .config import ConfigError
 from .numerics import ContractError, Rng
 from .sequence import round_half_up
 
@@ -30,8 +30,6 @@ class TaskKind(str, Enum):
     V2V = "v2v"
     IV2V = "iv2v"
 
-
-ALL_TASKS = tuple(TaskKind)
 
 def parse_mask_ratio(text: str) -> tuple[float, float]:
     """'alpha,beta' -> (alpha, beta), the config form of a mask-ratio Beta."""
@@ -54,25 +52,12 @@ def parse_timestep(text: str) -> tuple[str, tuple[float, ...], float]:
         raise ConfigError(f"expected 'kind,params...,shift' for a timestep weighting, got {text!r}") from None
 
 
-# The config's defaults (schedules.* keys). Per-task Beta(alpha, beta) for the
-# training mask ratio: more informative inputs get distributions pushed toward
-# ratio 1 so the planner cannot lean on visible target tokens. Per-task
-# timestep weighting and shift: logit-normal(0.5, 1) for image tasks,
-# mode(1.29) for video tasks.
-_DEFAULTS = {key: value for key, value, _ in DEFAULTS}
-DEFAULT_MASK_RATIO: dict[TaskKind, tuple[float, float]] = {
-    t: parse_mask_ratio(_DEFAULTS[f"schedules.mask_ratio.{t.value}"]) for t in TaskKind
-}
-DEFAULT_TIMESTEP: dict[TaskKind, tuple[str, tuple[float, ...], float]] = {
-    t: parse_timestep(_DEFAULTS[f"schedules.timestep.{t.value}"]) for t in TaskKind
-}
-
-
 @dataclass
 class MaskRatioConfig:
-    params: dict[TaskKind, tuple[float, float]] = field(
-        default_factory=lambda: dict(DEFAULT_MASK_RATIO)
-    )
+    """Per-task Beta(alpha, beta) of the training mask ratio; more informative
+    inputs get ratios nearer 1, so the planner cannot lean on visible targets."""
+
+    params: dict[TaskKind, tuple[float, float]]
 
     def __post_init__(self):
         for task, (a, b) in self.params.items():
@@ -85,9 +70,9 @@ _WEIGHTING_ARITY = {"logit-normal": 2, "mode": 1}
 
 @dataclass
 class TimestepConfig:
-    params: dict[TaskKind, tuple[str, tuple[float, ...], float]] = field(
-        default_factory=lambda: dict(DEFAULT_TIMESTEP)
-    )
+    """Per-task training timestep weighting and shift: (kind, params, shift)."""
+
+    params: dict[TaskKind, tuple[str, tuple[float, ...], float]]
 
     def __post_init__(self):
         for task, (kind, args, shift) in self.params.items():

@@ -164,17 +164,10 @@ def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def apply_target_mask(
-    seq: TokenSequence,
-    ratio: float,
-    rng: Rng,
-    mask_embedding: np.ndarray | None = None,
-) -> TokenSequence:
-    """Mask exactly round(ratio * target_count) target tokens, chosen uniformly.
-
-    Non-target tokens are untouched. If `mask_embedding` is given, masked rows
-    of `embeddings` are replaced by it (the planner re-substitutes its live
-    parameter at forward time; the flags are authoritative).
+def apply_target_mask(seq: TokenSequence, ratio: float, rng: Rng) -> TokenSequence:
+    """Flag exactly round(ratio * target_count) target tokens as masked, chosen
+    uniformly; the embeddings are untouched, since the planner reads masked
+    rows from the flags.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"apply_target_mask: ratio {ratio} outside [0, 1]")
@@ -186,6 +179,4 @@ def apply_target_mask(
     if count:
         chosen = rng.permutation(m)[:count]
         out.masked[start + chosen] = True
-        if mask_embedding is not None and out.embeddings is not None:
-            out.embeddings[start + chosen] = np.asarray(mask_embedding, dtype=np.float64)
     return out

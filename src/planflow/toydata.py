@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError
 from .numerics import Rng
 from .schedules import TaskKind
 
@@ -277,9 +278,9 @@ def oracle_scores(case: EditCase, frames_ids: np.ndarray) -> tuple[float, float]
     return edited_acc, keep_acc
 
 
-def oracle_passes(case: EditCase, frames_ids: np.ndarray,
-                  edit_threshold: float = 0.8, keep_threshold: float = 0.8) -> bool:
-    edited_acc, keep_acc = oracle_scores(case, frames_ids)
+def oracle_passes(scores: tuple[float, float], edit_threshold: float, keep_threshold: float) -> bool:
+    """Whether `oracle_scores` clear both thresholds (`eval.*_threshold`)."""
+    edited_acc, keep_acc = scores
     return edited_acc >= edit_threshold and keep_acc >= keep_threshold
 
 
@@ -288,7 +289,7 @@ def _pick_color(rng: Rng, exclude: set[int]) -> int:
     return choices[rng.integers(0, len(choices))]
 
 
-def gen_edit_case(rng: Rng, task: TaskKind, grid: tuple[int, int, int] = (2, 8, 8),
+def gen_edit_case(rng: Rng, task: TaskKind, grid: tuple[int, int, int],
                   families: tuple[str, ...] | None = None) -> EditCase:
     """One procedurally generated task instance with oracle ground truth."""
     task = TaskKind(task)
@@ -527,7 +528,7 @@ def gen_text_record(rng: Rng, grid) -> dict:
 
 
 def generate_dataset(out_dir: str | Path, seed: int, counts: dict[str, int],
-                     grid: tuple[int, int, int] = (2, 8, 8),
+                     grid: tuple[int, int, int],
                      v2v_families: tuple[str, ...] | None = None) -> dict:
     """Write records.jsonl + manifest.json; returns the manifest. Frames are
     rasterized from the records, so no pixel data is stored."""
@@ -580,6 +581,18 @@ def generate_dataset(out_dir: str | Path, seed: int, counts: dict[str, int],
     return manifest
 
 
+# what reading a record that is not JSON, lacks a field or holds a malformed one raises
+MALFORMED = (KeyError, TypeError, ValueError)
+
+
+def malformed(where: str, exc: Exception) -> ConfigError:
+    """The one-line error for the malformed file or record at `where`, from
+    the MALFORMED exception `exc` that reading it raised."""
+    if isinstance(exc, KeyError):
+        return ConfigError(f"{where} lacks the field {exc}")
+    return ConfigError(f"{where} is malformed: {exc}")
+
+
 class Dataset:
     """In-memory view over a generated dataset directory."""
 
@@ -587,12 +600,20 @@ class Dataset:
         import json
 
         self.root = Path(root)
-        with open(self.root / "manifest.json") as fh:
-            self.manifest = json.load(fh)
+        path = self.root / "manifest.json"
+        with open(path) as fh:
+            try:
+                self.manifest = json.load(fh)
+            except ValueError as exc:
+                raise malformed(str(path), exc) from None
         self.records: list[dict] = []
-        with open(self.root / "records.jsonl") as fh:
-            for line in fh:
-                self.records.append(json.loads(line))
+        path = self.root / "records.jsonl"
+        with open(path) as fh:
+            try:
+                for line in fh:
+                    self.records.append(json.loads(line))
+            except ValueError as exc:
+                raise malformed(f"{path} line {len(self.records) + 1}", exc) from None
         self.by_task: dict[str, list[int]] = {}
         for i, rec in enumerate(self.records):
             key = rec.get("task", rec["kind"])
@@ -602,4 +623,7 @@ class Dataset:
         rec = self.records[i]
         if rec["kind"] != "case":
             raise ValueError(f"record {i} is a {rec['kind']} record, not a case")
-        return EditCase.from_dict(rec)
+        try:
+            return EditCase.from_dict(rec)
+        except MALFORMED as exc:
+            raise malformed(f"{self.root / 'records.jsonl'} line {i + 1}", exc) from None

@@ -13,7 +13,7 @@ from scipy import integrate, stats
 
 from planflow import tensorio
 from planflow.checkpoint import Checkpoint
-from planflow.config import Config, default_config
+from planflow.config import Config
 from planflow.guidance import (
     DUAL_BRANCH_KEYS,
     DualBranchSpec,
@@ -30,13 +30,11 @@ from planflow.harness import (
     evaluate,
     run_stage,
 )
-from planflow.numerics import Rng, Tensor, backward, fd_gradient
-from planflow.posenc import RopeConfig, apply_rope, build_phase_table, spatial_angles
-from planflow.renderer import RenderBatch, RendererConfig, RendererModel, build_cond_tokens, renderer_forward, train_step_renderer
+from planflow.numerics import Rng, Tensor, backward, fd_gradient, rotate_pairs
+from planflow.nets import rotary
+from planflow.posenc import RopeConfig, token_angles
+from planflow.renderer import RendererConfig, RendererModel, build_cond_tokens, renderer_forward, train_step_renderer
 from planflow.schedules import (
-    ALL_TASKS,
-    DEFAULT_MASK_RATIO,
-    TimestepConfig,
     inference_mask_ratio,
     masked_count_trace,
     timestep_density_logit_normal,
@@ -44,9 +42,9 @@ from planflow.schedules import (
     sample_timestep_logit_normal,
 )
 from planflow.sequence import VISUAL_TARGET, apply_target_mask, serialize
-from planflow.planner import plan, train_step_planner
+from planflow.planner import losses_from_hidden, plan, planner_forward
 from planflow.toydata import Dataset, generate_dataset
-from util import rel_err
+from util import rel_err, row_at
 
 
 def _report(num: int, detail: str):
@@ -131,8 +129,7 @@ def test_criterion_3_beta_mask_ratio_means():
     t0 = time.monotonic()
     rng = Rng(3003)
     details = []
-    for task in ALL_TASKS:
-        a, b = DEFAULT_MASK_RATIO[task]
+    for task, (a, b) in RunConfig.from_config(Config()).mask_ratio.params.items():
         draws = rng.beta(a, b, (100_000,))
         mean = a / (a + b)
         err = abs(float(draws.mean()) - mean)
@@ -150,44 +147,50 @@ def test_criterion_3_beta_mask_ratio_means():
 # -------------------------------------------------------------------------
 
 def test_criterion_4_segment_aware_rotary():
+    """On the angles both models use, `token_angles` of a serialized layout,
+    rotated by `rotate_pairs` as `nets.self_attention` does."""
     t0 = time.monotonic()
     cfg = RopeConfig(head_dim=16)
     rng = Rng(4004)
+    # text, a large source 1, sources 2..7, then the target (segment 0)
+    seq = serialize(4, [(8, 7, 6)] + [(1, 2, 2)] * 6, (2, 3, 3))
+    on, off = (token_angles(cfg, seq, phases) for phases in (True, False))
 
-    table = build_phase_table(cfg, (2, 3, 3), segment_index=3)
-    x = rng.normal((18, 16))
-    rotated = apply_rope(Tensor(x), table).data
-    norm_err = float(np.abs(np.linalg.norm(rotated, axis=1) - np.linalg.norm(x, axis=1)).max())
+    heads = 2
+    x = rng.normal((len(seq), heads * 16))
+    rotated = rotate_pairs(Tensor(x), rotary(on, heads)).data
+    per_head = [np.linalg.norm(a.reshape(len(seq), heads, 16), axis=-1) for a in (rotated, x)]
+    norm_err = float(np.abs(per_head[0] - per_head[1]).max())
     assert norm_err < 1e-12
 
-    # relative-offset invariance of q.k within a segment
+    # relative-offset invariance of q.k within a segment, segment phase included
     q, k = rng.normal((16,)), rng.normal((16,))
     worst_rel = 0.0
     for delta in ((1, 0, 0), (0, 1, 2), (2, 2, 1)):
         dots = []
         for shift in ((0, 0, 0), (1, 1, 1), (3, 0, 2), (5, 4, 3)):
-            pq = np.array([shift])
-            pk = np.array([[shift[0] + delta[0], shift[1] + delta[1], shift[2] + delta[2]]])
-            rq = apply_rope(Tensor(q[None, :]), spatial_angles(cfg, pq)).data[0]
-            rk = apply_rope(Tensor(k[None, :]), spatial_angles(cfg, pk)).data[0]
+            rq = rotate_pairs(Tensor(q[None, :]), on[row_at(seq, 1, shift)]).data[0]
+            rk = rotate_pairs(Tensor(k[None, :]), on[row_at(seq, 1, np.add(shift, delta))]).data[0]
             dots.append(float(rq @ rk))
         worst_rel = max(worst_rel, max(dots) - min(dots))
     assert worst_rel < 1e-10
 
-    # exact per-pair segment phase difference and reduction at segment 0
+    # exact per-pair segment phase at each segment's origin, where the spatial
+    # phase is 0; segment 0 and the text reduce to the plain rotation
     freqs = cfg.segment_frequencies()
+    origin = (0, 0, 0)
     for i in (1, 2, 4, 7):
-        ti = build_phase_table(cfg, (1, 2, 2), i)
-        t0_table = build_phase_table(cfg, (1, 2, 2), 0)
-        assert np.array_equal(ti.segment - t0_table.segment, i * freqs)
-        assert np.array_equal(t0_table.angles, t0_table.spatial)
-    t5, t2 = build_phase_table(cfg, (1, 2, 2), 5), build_phase_table(cfg, (1, 2, 2), 2)
-    assert np.allclose(t5.segment - t2.segment, 3 * freqs, rtol=4e-16, atol=0)
+        assert np.array_equal(on[row_at(seq, i, origin)] - on[row_at(seq, 0, origin)], i * freqs)
+        assert np.array_equal(off[row_at(seq, i, origin)], np.zeros(8))
+    plain = seq.segment_indices <= 0
+    assert np.array_equal(on[plain], off[plain])
+    assert np.allclose(on[row_at(seq, 5, origin)] - on[row_at(seq, 2, origin)], 3 * freqs, rtol=4e-16, atol=0)
 
     # two-source swap: detectable with segment phases, invisible without
     for phases, detectable in ((True, True), (False, False)):
         model = RendererModel(
-            RendererConfig(hidden_dim=16, blocks=1, heads=2, planner_dim=16, segment_phases=phases),
+            RendererConfig(hidden_dim=16, blocks=1, heads=2, patch=(1, 2, 2), segment_phases=phases,
+                           planner_dim=16),
             Rng(4104),
         )
         cond = build_cond_tokens(model, np.array([3], dtype=np.intp), None)
@@ -225,11 +228,12 @@ def test_criterion_5_gradient_integrity():
     seq.text_ids = rng.integers(1, 50, (4,))
     seq.embeddings = rng.normal((len(seq), 16))
     seq.embeddings[:4] = 0.0
-    seq = apply_target_mask(seq, 0.8, Rng(5105), bundle.planner.mask_embedding.data[0])
+    seq = apply_target_mask(seq, 0.8, Rng(5105))
     tgt = seq.embeddings[slice(*seq.span_of(VISUAL_TARGET))].copy()
 
     def stage1_loss():
-        losses = train_step_planner(bundle.planner, bundle.decoder, seq, tgt, Rng(5205))
+        z = planner_forward(bundle.planner, seq)
+        losses = losses_from_hidden(bundle.planner, bundle.decoder, seq, z, tgt, Rng(5205))
         return 0.2 * losses.ntp + 1.0 * losses.visual
 
     grads = backward(stage1_loss())
@@ -255,8 +259,8 @@ def test_criterion_5_gradient_integrity():
     def stage2_loss():
         cond = build_cond_tokens(bundle.renderer, ids, None)
         loss, _ = train_step_renderer(
-            bundle.renderer, RenderBatch(target, cond, [src]),
-            "v2v", TimestepConfig(), Rng(5405),
+            bundle.renderer, target, cond, [src],
+            "v2v", RunConfig.from_config(cfg).timestep, Rng(5405),
         )
         return loss
 
@@ -357,13 +361,16 @@ def test_criterion_8_schedule_conformance():
     assert masked_count_trace(25, 64)[-1] == 0
     from planflow.planner import EmbeddingDecoder, PlannerConfig, PlannerModel
 
-    pcfg = PlannerConfig(hidden_dim=16, blocks=1, heads=2, embed_dim=8, decoder_dim=16, decoder_blocks=1)
+    cfg = Config()
+    pcfg = PlannerConfig(hidden_dim=16, blocks=1, heads=2, embed_dim=8,
+                         segment_phases=cfg.get_bool("planner.segment_phases"), decoder_dim=16, decoder_blocks=1)
     model, decoder = PlannerModel(pcfg, Rng(88)), EmbeddingDecoder(pcfg, Rng(89))
     seq = serialize(2, [], (1, 2, 2))
     seq.text_ids = np.array([1, 2])
     seq.embeddings = np.zeros((len(seq), 8))
     seq.masked[2:] = True
-    res = plan(model, decoder, seq, total_steps=25, decoder_steps=1, rng=Rng(90))
+    res = plan(model, decoder, seq, total_steps=25, decoder_steps=1, g_text=cfg.get_float("infer.g_text"),
+               g_image=cfg.get_float("infer.g_image"), rng=Rng(90))
     assert res.masked_counts == masked_count_trace(25, 4)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"runtime {elapsed:.2f}s"
@@ -377,7 +384,7 @@ def test_criterion_8_schedule_conformance():
 @pytest.mark.slow
 def test_criterion_7_end_to_end_learning(tmp_path):
     t_start = time.monotonic()
-    cfg = default_config()
+    cfg = Config()
     run = RunConfig.from_config(cfg)
     grid = cfg.get_ints("data.grid")
     assert grid <= (8, 16, 16)

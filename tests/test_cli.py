@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -377,6 +378,49 @@ class TestEditDeterminism:
                        "--ckpt", str(trained_ckpt), "--config", str(workdir / "tiny.cfg"),
                        "--out", str(workdir / "e3")])
         assert rc == 0
+
+
+class TestMalformedDataset:
+    """A dataset file that is not JSON, or a case record that lacks a field,
+    ends in one `error:` line that names the file and line, and exit code 1."""
+
+    @staticmethod
+    def _copy(generated, workdir, stage, name):
+        data = workdir / name
+        shutil.copytree(generated / stage, data, dirs_exist_ok=True)
+        return data
+
+    def _fails(self, argv, workdir, capsys, where):
+        rc = cli.main([*argv, "--config", str(workdir / "tiny.cfg"), "--out", str(workdir / "malformed_out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}") and err.count("\n") == 1
+        return err
+
+    def test_records_line_not_json_exits_1(self, workdir, generated, capsys):
+        data = self._copy(generated, workdir, "eval", "not_json")
+        lines = (data / "records.jsonl").read_text().splitlines(keepends=True)
+        lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
+        (data / "records.jsonl").write_text("".join(lines))
+        err = self._fails(["eval", "--data", str(data)], workdir, capsys, f"{data / 'records.jsonl'} line 2 ")
+        assert "malformed" in err
+
+    def test_case_record_without_family_exits_1(self, workdir, generated, capsys):
+        data = self._copy(generated, workdir, "eval", "no_family")
+        lines = (data / "records.jsonl").read_text().splitlines(keepends=True)
+        record = json.loads(lines[0])
+        del record["family"]
+        lines[0] = json.dumps(record) + "\n"
+        (data / "records.jsonl").write_text("".join(lines))
+        err = self._fails(["eval", "--data", str(data)], workdir, capsys, f"{data / 'records.jsonl'} line 1 ")
+        assert "'family'" in err
+
+    def test_manifest_not_json_exits_1(self, workdir, generated, capsys):
+        data = self._copy(generated, workdir, "stage_I", "bad_manifest")
+        (data / "manifest.json").write_text('{"version": 1, "seed": ')
+        err = self._fails(["train", "--stage", "I", "--data", str(data), "--log-every", "0"], workdir, capsys,
+                          f"{data / 'manifest.json'} ")
+        assert "malformed" in err
 
 
 class TestPlanRenderEval:

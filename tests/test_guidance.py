@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planflow.config import default_config
+from planflow.config import Config
 from planflow.guidance import (
     BRANCHES,
     DUAL_BRANCH_KEYS,
@@ -22,7 +22,7 @@ GUIDANCE_KEYS = ("t2v", "s2v", "v2v", "rv2v")
 
 
 def default_scales(key):
-    return default_config().get_weighted(f"guidance.{key}")
+    return Config().get_weighted(f"guidance.{key}")
 
 
 def full_spec(weights=None):
@@ -190,7 +190,7 @@ class TestValidate:
 
     def test_table_rows_load_as_specs(self):
         # the four-increment weights carry no constraint; every table row loads
-        cfg = default_config()
+        cfg = Config()
         for key in GUIDANCE_KEYS:
             scales = default_scales(key)
             spec = GuidanceSpec(scales, tuple(scales))

@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import inspect
 import hashlib
 import re
 import struct
@@ -8,8 +10,8 @@ import numpy as np
 import pytest
 
 from planflow.checkpoint import Checkpoint, CheckpointError
-from planflow.config import DEFAULTS, Config, ConfigError, default_config, load_config, parse_config_text, write_config
-from planflow import harness, planner as planner_mod
+from planflow.config import DEFAULTS, Config, ConfigError, load_config, parse_config_text, write_config
+from planflow import harness, planner as planner_mod, toydata
 from planflow.harness import (
     GUIDANCE_KEY,
     MEANING_KEYS,
@@ -40,7 +42,8 @@ from planflow.harness import (
 )
 from planflow.numerics import Rng, Tensor
 from planflow import renderer as renderer_mod
-from planflow.renderer import CondInputs, ToyVae, conditioning_rows
+from planflow.planner import PlannerConfig
+from planflow.renderer import CondInputs, RendererConfig, ToyVae, conditioning_rows
 from planflow.schedules import TaskKind, pair_decay_weight, parse_mask_ratio
 from planflow.sequence import apply_target_mask
 from planflow.toydata import Dataset, gen_edit_case, generate_dataset
@@ -110,28 +113,32 @@ class TestTotalLoss:
         out = total_loss(Tensor(1.0), Tensor(2.0), Tensor(3.0), (0.2, 1.0, 1.0))
         assert out.item() == pytest.approx(5.2)
 
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ConfigError):
-            total_loss(1.0, 1.0, 1.0, (-0.1, 1.0, 0.0))
+
+def stage_config(name: str, **changes) -> StageConfig:
+    """The configured stage `name` with `changes` applied."""
+    return dataclasses.replace(StageConfig.from_config(Config(), name), **changes)
 
 
 class TestStageConfig:
     def test_mixture_normalized(self):
-        cfg = StageConfig("I", steps=10, lambda_text=0.2, lambda_visual=1.0,
-                          mixture={"v2v": 2.0, "t2v": 2.0})
+        cfg = stage_config("I", steps=10, mixture={"v2v": 2.0, "t2v": 2.0})
         assert cfg.mixture == {"v2v": 0.5, "t2v": 0.5}
 
     def test_stage_i_lambda_dit_must_be_zero(self):
         with pytest.raises(ConfigError):
-            StageConfig("I", steps=1, lambda_dit=1.0, mixture={"v2v": 1.0})
+            stage_config("I", steps=1, lambda_dit=1.0, mixture={"v2v": 1.0})
 
     def test_stage_ii_text_weights_must_be_zero(self):
         with pytest.raises(ConfigError):
-            StageConfig("II", steps=1, lambda_text=0.2, lambda_dit=1.0, mixture={"v2v": 1.0})
+            stage_config("II", steps=1, lambda_text=0.2, lambda_dit=1.0, mixture={"v2v": 1.0})
 
     def test_negative_mixture_rejected(self):
         with pytest.raises(ConfigError):
-            StageConfig("I", steps=1, mixture={"v2v": -1.0})
+            stage_config("I", steps=1, mixture={"v2v": -1.0})
+
+    def test_negative_lambda_rejected(self):
+        with pytest.raises(ConfigError, match="nonnegative"):
+            stage_config("III", lambda_text=-0.1)
 
 
 class TestOptimizersAndEma:
@@ -244,8 +251,7 @@ class TestMixtureSampling:
             assert abs(counts[k] / n - w) < 0.01
 
     def test_pair_weight_decays_linearly(self):
-        cfg = StageConfig("II", steps=100, lambda_dit=1.0,
-                          mixture={"v2v": 0.6, "t2v": 0.2, "pair": 0.2})
+        cfg = stage_config("II", steps=100, mixture={"v2v": 0.6, "t2v": 0.2, "pair": 0.2})
         for step in (0, 25, 50, 99, 100):
             mix = _effective_mixture(cfg, step)
             expected_pair = pair_decay_weight(step, 100, 0.2)
@@ -607,7 +613,7 @@ class TestEvaluation:
 
 class TestConfigFile:
     def test_defaults_parse(self):
-        cfg = default_config()
+        cfg = Config()
         assert parse_mask_ratio(cfg.get("schedules.mask_ratio.v2v")) == (12.0, 0.9)
         assert cfg.get_weighted("guidance.v2v") == {"txt": 4.0, "vid": 1.25, "img": 1.25, "tgt": 0.5}
         assert cfg.get_int("guidance.steps.t2v") == 15
@@ -647,6 +653,32 @@ class TestConfigFile:
                     "renderer.rope_base", "planner.segment_base", "renderer.segment_base", "renderer.channels"):
             with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
                 Config({key: "1"})
+
+    def test_config_backed_settings_have_no_default(self):
+        """Settings that the config supplies take no default of their own, so
+        no second value can drift from the config's."""
+        fields = {
+            PlannerConfig: ("hidden_dim", "blocks", "heads", "embed_dim", "segment_phases", "decoder_dim",
+                            "decoder_blocks"),
+            RendererConfig: ("hidden_dim", "blocks", "heads", "patch", "segment_phases", "planner_dim"),
+            StageConfig: ("steps", "lr", "lr_final", "ema_decay", "batch_size", "lambda_text", "lambda_visual",
+                          "lambda_dit", "mixture"),
+        }
+        for cls, names in fields.items():
+            defaulted = {f.name for f in dataclasses.fields(cls)
+                         if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING}
+            assert defaulted.isdisjoint(names), (cls.__name__, defaulted & set(names))
+        params = {
+            planner_mod.plan: ("total_steps", "decoder_steps", "g_text", "g_image"),
+            planner_mod.ToyVit: ("patch", "embed_dim", "seed"),
+            toydata.gen_edit_case: ("grid",),
+            toydata.generate_dataset: ("grid",),
+            toydata.oracle_passes: ("edit_threshold", "keep_threshold"),
+        }
+        for fn, names in params.items():
+            signature = inspect.signature(fn)
+            defaulted = [n for n in names if signature.parameters[n].default is not inspect.Parameter.empty]
+            assert defaulted == [], (fn.__name__, defaulted)
 
     @pytest.mark.parametrize("overrides, message", [
         ({"renderer.heads": "5"}, "not divisible"),
@@ -691,7 +723,7 @@ class TestConfigFile:
         assert cfg.get_weighted("stage.I.mixture") == {"text": 0.5, "v2v": 0.25, "iv2v": 0.25}
 
     def test_set_validates(self):
-        cfg = default_config()
+        cfg = Config()
         with pytest.raises(ConfigError, match="renderer.heads"):
             cfg.set("renderer.heads", 5)
 
@@ -707,7 +739,7 @@ class TestConfigFile:
         assert again.snapshot() == cfg.snapshot()
 
     def test_dataset_counts_cover_mixture(self):
-        cfg = default_config()
+        cfg = Config()
         counts = dataset_counts(cfg, "II")
         mixture = cfg.get_weighted("stage.II.mixture")
         assert set(counts) == set(mixture)
@@ -720,13 +752,13 @@ class TestConfigFile:
     def _supplied_branches(task):
         """The guidance branches render_case's conditions hold for a case of
         `task` rendered with planner states."""
-        case = gen_edit_case(Rng(3), task)
+        case = gen_edit_case(Rng(3), task, Config().get_ints("data.grid"))
         latents, roles = renderer_sources(case, ToyVae())
         return CondInputs(np.asarray(case.instruction), np.zeros((1, 1)), latents, roles).branches()
 
     def test_default_guidance_rows_name_supplied_branches(self):
         """A row weights only branches that one of the tasks it serves has."""
-        run = RunConfig.from_config(default_config())
+        run = RunConfig.from_config(Config())
         supplied = {key: set() for key in run.guidance_scales}
         for task, key in GUIDANCE_KEY.items():
             supplied[key] |= set(self._supplied_branches(task))
@@ -736,7 +768,7 @@ class TestConfigFile:
     def test_default_render_chains_are_full(self, monkeypatch):
         """No default table starts with a unit weight, so every task's render
         composes its full chain, from the unconditional subset on."""
-        cfg = default_config()
+        cfg = Config()
         bundle, run = ModelBundle(cfg), RunConfig.from_config(cfg)
         specs = []
 
@@ -749,7 +781,7 @@ class TestConfigFile:
 
         monkeypatch.setattr(renderer_mod, "compose", record)
         for task in TaskKind:
-            case = gen_edit_case(Rng(3), task)
+            case = gen_edit_case(Rng(3), task, cfg.get_ints("data.grid"))
             with pytest.raises(FirstStep):
                 render_case(bundle, run, case, np.zeros((4, cfg.get_int("planner.hidden_dim"))), Rng(0))
             spec = specs[-1]

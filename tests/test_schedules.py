@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from planflow.config import ConfigError, default_config
+from planflow.config import Config, ConfigError
 from planflow.harness import RunConfig
 from planflow.numerics import ContractError, Rng
 from planflow.schedules import (
-    ALL_TASKS,
     shift_toward_noise,
-    DEFAULT_MASK_RATIO,
-    DEFAULT_TIMESTEP,
     DomainError,
     MaskRatioConfig,
     TaskKind,
@@ -30,22 +27,26 @@ from planflow.schedules import (
     timestep_map_mode,
 )
 
+# the configured per-task tables
+RUN = RunConfig.from_config(Config())
+MASK_RATIO, TIMESTEP = RUN.mask_ratio.params, RUN.timestep.params
+
 
 class TestMaskRatioSampling:
     def test_default_table(self):
-        assert DEFAULT_MASK_RATIO[TaskKind.T2I] == (5.0, 1.1)
-        assert DEFAULT_MASK_RATIO[TaskKind.T2V] == (8.0, 1.05)
-        assert DEFAULT_MASK_RATIO[TaskKind.I2I] == (8.0, 1.05)
-        assert DEFAULT_MASK_RATIO[TaskKind.I2V] == (10.0, 1.0)
-        assert DEFAULT_MASK_RATIO[TaskKind.V2V] == (12.0, 0.9)
-        assert DEFAULT_MASK_RATIO[TaskKind.IV2V] == (12.0, 0.9)
+        assert MASK_RATIO[TaskKind.T2I] == (5.0, 1.1)
+        assert MASK_RATIO[TaskKind.T2V] == (8.0, 1.05)
+        assert MASK_RATIO[TaskKind.I2I] == (8.0, 1.05)
+        assert MASK_RATIO[TaskKind.I2V] == (10.0, 1.0)
+        assert MASK_RATIO[TaskKind.V2V] == (12.0, 0.9)
+        assert MASK_RATIO[TaskKind.IV2V] == (12.0, 0.9)
 
     def test_t2i_mean_monte_carlo(self):
         rng = Rng(2024)
         draws = rng.beta(5.0, 1.1, (100_000,))
         assert abs(draws.mean() - 5.0 / 6.1) < 0.01
         # the per-task sampler draws from the same stream machinery
-        cfg = MaskRatioConfig()
+        cfg = RUN.mask_ratio
         few = np.array([sample_mask_ratio(cfg, TaskKind.T2I, Rng(2024, c)) for c in range(0, 40, 4)])
         assert ((few >= 0) & (few <= 1)).all()
 
@@ -64,8 +65,7 @@ class TestMaskRatioSampling:
 
     def test_moments_converge_for_every_task(self):
         rng = Rng(99)
-        for task in ALL_TASKS:
-            a, b = DEFAULT_MASK_RATIO[task]
+        for task, (a, b) in MASK_RATIO.items():
             draws = rng.beta(a, b, (100_000,))
             mean = a / (a + b)
             var = a * b / ((a + b) ** 2 * (a + b + 1))
@@ -186,24 +186,24 @@ class TestShift:
 
 class TestTimestepConfig:
     def test_default_table(self):
-        assert DEFAULT_TIMESTEP[TaskKind.T2I] == ("logit-normal", (0.5, 1.0), 3.0)
-        assert DEFAULT_TIMESTEP[TaskKind.I2I] == ("logit-normal", (0.5, 1.0), 4.0)
-        assert DEFAULT_TIMESTEP[TaskKind.T2V] == ("mode", (1.29,), 3.0)
+        assert TIMESTEP[TaskKind.T2I] == ("logit-normal", (0.5, 1.0), 3.0)
+        assert TIMESTEP[TaskKind.I2I] == ("logit-normal", (0.5, 1.0), 4.0)
+        assert TIMESTEP[TaskKind.T2V] == ("mode", (1.29,), 3.0)
         for t in (TaskKind.I2V, TaskKind.V2V, TaskKind.IV2V):
-            assert DEFAULT_TIMESTEP[t] == ("mode", (1.29,), 5.0)
+            assert TIMESTEP[t] == ("mode", (1.29,), 5.0)
 
     def test_sampled_timesteps_in_range(self):
-        cfg = TimestepConfig()
+        cfg = RUN.timestep
         rng = Rng(12)
-        for task in ALL_TASKS:
+        for task in TaskKind:
             t = np.array([sample_timestep(cfg, task, rng) for _ in range(200)])
             assert ((t >= 0) & (t <= 1)).all(), task
 
     def test_shift_flag_respected(self):
-        kind, args, shift = DEFAULT_TIMESTEP[TaskKind.V2V]
+        kind, args, shift = TIMESTEP[TaskKind.V2V]
         assert shift == 5.0
-        no_shift = TimestepConfig({**DEFAULT_TIMESTEP, TaskKind.V2V: (kind, args, 1.0)})
-        shifted = TimestepConfig()
+        no_shift = TimestepConfig({**TIMESTEP, TaskKind.V2V: (kind, args, 1.0)})
+        shifted = RUN.timestep
         a = np.array([sample_timestep(no_shift, TaskKind.V2V, Rng(3, c)) for c in range(0, 400, 2)])
         b = np.array([sample_timestep(shifted, TaskKind.V2V, Rng(3, c)) for c in range(0, 400, 2)])
         assert np.allclose(shift_toward_noise(a, 5.0), b)
@@ -235,9 +235,8 @@ class TestTimestepConfig:
 
 class TestDefaultsFromConfig:
     def test_defaults_are_the_config_defaults(self):
-        run = RunConfig.from_config(default_config())
-        assert DEFAULT_MASK_RATIO == run.mask_ratio.params
-        assert DEFAULT_TIMESTEP == run.timestep.params
+        """The config holds a mask ratio and a timestep weighting for every task."""
+        assert set(MASK_RATIO) == set(TaskKind) == set(TIMESTEP)
 
     def test_one_domain_error(self):
         from planflow import renderer

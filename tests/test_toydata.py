@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from planflow.config import Config
 from planflow.numerics import Rng
 from planflow.schedules import TaskKind
 from planflow.toydata import (
@@ -26,6 +27,15 @@ from planflow.toydata import (
     oracle_scores,
 )
 from util import decode_tokens
+
+CFG = Config()
+GRID = CFG.get_ints("data.grid")
+
+
+def passes(case: EditCase, frames: np.ndarray) -> bool:
+    """The oracle's verdict on `frames` at the configured thresholds."""
+    thresholds = CFG.get_float("eval.edit_threshold"), CFG.get_float("eval.keep_threshold")
+    return oracle_passes(oracle_scores(case, frames), *thresholds)
 
 
 def clip_similarity(a: Scene, b: Scene) -> float:
@@ -80,22 +90,22 @@ class TestEditCases:
     def test_ground_truth_passes_oracle(self, task):
         root = Rng(31)
         for i in range(25):
-            case = gen_edit_case(root.child(i * 7 + hash(task.value) % 1000), task)
-            assert oracle_passes(case, case.target.rasterize()), (task, case.family, i)
+            case = gen_edit_case(root.child(i * 7 + hash(task.value) % 1000), task, GRID)
+            assert passes(case, case.target.rasterize()), (task, case.family, i)
 
     def test_recolor_oracle_rejects_source(self):
         root = Rng(33)
         found = 0
         for i in range(200):
-            case = gen_edit_case(root.child(i), TaskKind.V2V, families=("recolor",))
-            assert oracle_passes(case, case.target.rasterize())
-            assert not oracle_passes(case, case.source.rasterize())
+            case = gen_edit_case(root.child(i), TaskKind.V2V, GRID, families=("recolor",))
+            assert passes(case, case.target.rasterize())
+            assert not passes(case, case.source.rasterize())
             found += 1
             if found > 30:
                 break
 
     def test_remove_object_count(self):
-        case = gen_edit_case(Rng(35), TaskKind.V2V, families=("remove",))
+        case = gen_edit_case(Rng(35), TaskKind.V2V, GRID, families=("remove",))
         assert len(case.target.objects) == len(case.source.objects) - 1
 
     def test_generator_oracle_consistency_sweep(self):
@@ -103,12 +113,12 @@ class TestEditCases:
         unedited source fails."""
         root = Rng(37)
         for i in range(500):
-            case = gen_edit_case(root.child(i), TaskKind.V2V)
-            assert oracle_passes(case, case.target.rasterize()), (i, case.family)
-            assert not oracle_passes(case, case.source.rasterize()), (i, case.family)
+            case = gen_edit_case(root.child(i), TaskKind.V2V, GRID)
+            assert passes(case, case.target.rasterize()), (i, case.family)
+            assert not passes(case, case.source.rasterize()), (i, case.family)
 
     def test_instruction_tokens_decode(self):
-        case = gen_edit_case(Rng(39), TaskKind.V2V, families=("recolor",))
+        case = gen_edit_case(Rng(39), TaskKind.V2V, GRID, families=("recolor",))
         words = decode_tokens(case.instruction)
         assert words[0] == "<bos>" and words[-1] == "<eos>"
         assert "recolor" in words and "to" in words
@@ -116,7 +126,7 @@ class TestEditCases:
     def test_edited_mask_matches_difference(self):
         root = Rng(41)
         for i in range(50):
-            case = gen_edit_case(root.child(i), TaskKind.V2V)
+            case = gen_edit_case(root.child(i), TaskKind.V2V, GRID)
             src = case.source.rasterize()
             tgt = case.target.rasterize()
             mask = edited_mask(case)
@@ -124,7 +134,7 @@ class TestEditCases:
             assert np.array_equal(src[~mask], tgt[~mask]), (i, case.family)
 
     def test_oracle_scores_are_fractions(self):
-        case = gen_edit_case(Rng(43), TaskKind.I2I)
+        case = gen_edit_case(Rng(43), TaskKind.I2I, GRID)
         e, k = oracle_scores(case, case.target.rasterize())
         assert e == 1.0 and k == 1.0
         noise = frames_to_ids(Rng(44).uniform(case.target.grid))
@@ -132,7 +142,7 @@ class TestEditCases:
         assert 0.0 <= e2 <= 1.0 and 0.0 <= k2 <= 1.0
 
     def test_case_dict_roundtrip(self):
-        case = gen_edit_case(Rng(45), TaskKind.IV2V)
+        case = gen_edit_case(Rng(45), TaskKind.IV2V, GRID)
         again = EditCase.from_dict(case.to_dict())
         assert again.task == case.task
         assert np.array_equal(again.target.rasterize(), case.target.rasterize())
@@ -140,7 +150,7 @@ class TestEditCases:
         assert np.array_equal(edited_mask(again), edited_mask(case))
 
     def test_comparison_frames_fall_back_to_target(self):
-        case = gen_edit_case(Rng(46), TaskKind.T2V)
+        case = gen_edit_case(Rng(46), TaskKind.T2V, GRID)
         assert np.array_equal(comparison_frames(case), case.target.rasterize())
 
 
@@ -222,8 +232,8 @@ class TestDatasetFiles:
 
     def test_generation_deterministic(self, tmp_path):
         counts = {"v2v": 4, "text": 2}
-        generate_dataset(tmp_path / "a", seed=21, counts=counts)
-        generate_dataset(tmp_path / "b", seed=21, counts=counts)
+        generate_dataset(tmp_path / "a", seed=21, counts=counts, grid=GRID)
+        generate_dataset(tmp_path / "b", seed=21, counts=counts, grid=GRID)
         a = (tmp_path / "a" / "records.jsonl").read_bytes()
         b = (tmp_path / "b" / "records.jsonl").read_bytes()
         assert a == b
