@@ -69,7 +69,7 @@ DEFAULTS: list[tuple[str, str, str]] = [
     ("guidance.steps.v2v", "10", ""),
     ("guidance.steps.rv2v", "5", ""),
 
-    ("infer.plan_steps", "25", "iterative planning steps"),
+    ("infer.plan_steps", "8", "iterative planning steps"),
     ("infer.decoder_steps", "5", "embedding-decoder denoising steps"),
     ("infer.g_text", "1.2", "embedding-decoder text guidance"),
     ("infer.g_image", "1.0", "embedding-decoder image guidance"),

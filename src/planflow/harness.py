@@ -671,17 +671,18 @@ def render_case(bundle: ModelBundle, run: RunConfig, case: EditCase, states: np.
 
 
 def run_pipeline(bundle: ModelBundle, run: RunConfig, case: EditCase, rng: Rng,
-                 seconds: list[float] | None = None) -> np.ndarray:
-    """plan -> render -> decoded palette frames for one case; adds the plan
-    and render wall seconds to `seconds[0]` and `seconds[1]` when given."""
+                 seconds: list[float] | None = None) -> tuple[np.ndarray, PlanResult]:
+    """plan -> render for one case: (decoded palette frames, the plan); adds
+    the plan and render wall seconds to `seconds[0]` and `seconds[1]` when
+    given."""
     t0 = time.monotonic()
-    states = plan_case(bundle, run, case, rng.child(1)).hidden
+    planned = plan_case(bundle, run, case, rng.child(1))
     t1 = time.monotonic()
-    latent = render_case(bundle, run, case, states, rng.child(2))
+    latent = render_case(bundle, run, case, planned.hidden, rng.child(2))
     if seconds is not None:
         seconds[0] += t1 - t0
         seconds[1] += time.monotonic() - t1
-    return frames_to_ids(bundle.vae.decode(latent))
+    return frames_to_ids(bundle.vae.decode(latent)), planned
 
 
 @dataclass
@@ -695,6 +696,10 @@ class EvalReport:
     plan_seconds: float = field(default=0.0, compare=False)
     render_seconds: float = field(default=0.0, compare=False)
     per_family_success: dict[str, float] = field(default_factory=dict)
+    # family -> (success, edited accuracy, untouched agreement) of the plan
+    # alone, its embeddings decoded through the frozen ViT; empty for the
+    # random baseline, which makes no plan
+    plan_only_by_family: dict[str, tuple[float, float, float]] = field(default_factory=dict)
 
     def to_text(self) -> str:
         lines = []
@@ -703,6 +708,9 @@ class EvalReport:
             lines.append(f"cases.{task} {self.per_task_count[task]}")
         for family in sorted(self.per_family_success):
             lines.append(f"success.family.{family} {self.per_family_success[family]:.4f}")
+        for family in sorted(self.plan_only_by_family):
+            for name, value in zip(("success", "edited_accuracy", "untouched"), self.plan_only_by_family[family]):
+                lines.append(f"plan_only.{name}.family.{family} {value:.4f}")
         lines.append(f"edited_accuracy {self.edited_accuracy:.4f}")
         lines.append(f"untouched_exactness {self.untouched_exactness:.4f}")
         if self.invariants_ok is not None:
@@ -731,6 +739,7 @@ def evaluate(
     fam_succ: dict[str, list[bool]] = {}
     edited: list[float] = []
     kept: list[float] = []
+    plan_only: dict[str, list[tuple[bool, float, float]]] = {}
     phase_seconds = [0.0, 0.0]  # plan, render
     n_done = 0
     with ema_weights(bundle, ema if run.use_ema else None):
@@ -745,7 +754,11 @@ def evaluate(
                 noise = rng.normal((*case.target.grid, bundle.renderer.cfg.channels))
                 ids = frames_to_ids(bundle.vae.decode(noise))
             else:
-                ids = run_pipeline(bundle, run, case, rng, phase_seconds)
+                ids, planned = run_pipeline(bundle, run, case, rng, phase_seconds)
+                plan_ids = frames_to_ids(bundle.vit.decode(planned.embeddings, case.target.grid))
+                scores = oracle_scores(case, plan_ids)
+                passed = oracle_passes(scores, run.edit_threshold, run.keep_threshold)
+                plan_only.setdefault(case.family, []).append((passed, *scores))
             e_acc, k_acc = oracle_scores(case, ids)
             ok = oracle_passes((e_acc, k_acc), run.edit_threshold, run.keep_threshold)
             succ.setdefault(case.task.value, []).append(ok)
@@ -766,6 +779,7 @@ def evaluate(
         plan_seconds=phase_seconds[0],
         render_seconds=phase_seconds[1],
         per_family_success={k: float(np.mean(v)) for k, v in fam_succ.items()},
+        plan_only_by_family={k: tuple(float(x) for x in np.mean(v, axis=0)) for k, v in plan_only.items()},
     )
 
 
@@ -773,7 +787,7 @@ def edit_case(bundle: ModelBundle, run: RunConfig, case: EditCase, seed: int,
               ema: dict[str, np.ndarray] | None = None) -> tuple[np.ndarray, dict]:
     """Single-case plan+render; returns (frames ids, deterministic report dict)."""
     with ema_weights(bundle, ema if run.use_ema else None):
-        ids = run_pipeline(bundle, run, case, Rng(seed).child(0xED17))
+        ids, _ = run_pipeline(bundle, run, case, Rng(seed).child(0xED17))
     e_acc, k_acc = oracle_scores(case, ids)
     report = {
         "task": case.task.value,

@@ -37,7 +37,7 @@ from .numerics import (
     logsumexp_rows,
 )
 from .posenc import RopeConfig, token_angles
-from .renderer import conditioning_rows, euler_integrate, patchify
+from .renderer import conditioning_rows, euler_integrate, patchify, unpatchify
 from .schedules import masked_count_trace
 from .sequence import (
     NEG_BIAS,
@@ -69,6 +69,14 @@ class ToyVit:
         """(token grid, (n, embed_dim) embeddings) for normalized frames."""
         grid, patches = patchify(frames[..., None], self.patch)
         return grid, patches @ self.weight + self.bias
+
+    def decode(self, embeddings: np.ndarray, frame_grid: tuple[int, int, int]) -> np.ndarray:
+        """Normalized frames of shape `frame_grid` whose encoding is nearest
+        to `embeddings` in least squares. Where a patch has no more values
+        than an embedding (4 against 16 by default), this inverts `encode` exactly."""
+        grid = tuple(n // p for n, p in zip(frame_grid, self.patch))
+        patches = (embeddings - self.bias) @ np.linalg.pinv(self.weight)
+        return unpatchify(patches, grid, self.patch, 1)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +465,13 @@ def plan(
             cond = decoder_condition(decoder, z[:, masked_rel].reshape(-1, z.shape[2]), time_terms)
             noise = rng.normal((len(masked_rel), decoder.cfg.embed_dim))
             pred = decode_embedding(decoder, cond, decoder_steps, spec, noise)
-            term = _composed_velocity(decoder, pred, 1.0, cond, spec)
-            conf = np.linalg.norm(term, axis=1)
-            order = np.argsort(conf, kind="stable")
-            chosen = masked_rel[order[:n_reveal]]
-            seq.embeddings[t0 + chosen] = pred[order[:n_reveal]]
+            if keep:
+                term = _composed_velocity(decoder, pred, 1.0, cond, spec)
+                order = np.argsort(np.linalg.norm(term, axis=1), kind="stable")[:n_reveal]
+            else:  # every masked row is revealed, so no ranking can change the result
+                order = np.arange(n_reveal)
+            chosen = masked_rel[order]
+            seq.embeddings[t0 + chosen] = pred[order]
             seq.masked[t0 + chosen] = False
             masked_counts.append(keep)
             norms.append(float(np.linalg.norm(pred, axis=1).mean()))

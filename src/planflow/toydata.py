@@ -616,7 +616,12 @@ class Dataset:
                 raise malformed(f"{path} line {len(self.records) + 1}", exc) from None
         self.by_task: dict[str, list[int]] = {}
         for i, rec in enumerate(self.records):
-            key = rec.get("task", rec["kind"])
+            try:
+                if not isinstance(rec, dict):
+                    raise TypeError("not a JSON object")
+                key = rec.get("task", rec["kind"])
+            except MALFORMED as exc:
+                raise malformed(f"{path} line {i + 1}", exc) from None
             self.by_task.setdefault(key, []).append(i)
 
     def case(self, i: int) -> EditCase:

@@ -357,11 +357,12 @@ def test_criterion_8_schedule_conformance():
             assert trace == expected
             assert all(a >= b for a, b in zip(trace, trace[1:]))
             assert trace[-1] == 0
-    # the default 25-step horizon, and live conformance through plan()
-    assert masked_count_trace(25, 64)[-1] == 0
+    # the configured default horizon, and live conformance through plan()
+    cfg = Config()
+    total_steps = cfg.get_int("infer.plan_steps")
+    assert masked_count_trace(total_steps, 64)[-1] == 0
     from planflow.planner import EmbeddingDecoder, PlannerConfig, PlannerModel
 
-    cfg = Config()
     pcfg = PlannerConfig(hidden_dim=16, blocks=1, heads=2, embed_dim=8,
                          segment_phases=cfg.get_bool("planner.segment_phases"), decoder_dim=16, decoder_blocks=1)
     model, decoder = PlannerModel(pcfg, Rng(88)), EmbeddingDecoder(pcfg, Rng(89))
@@ -369,12 +370,12 @@ def test_criterion_8_schedule_conformance():
     seq.text_ids = np.array([1, 2])
     seq.embeddings = np.zeros((len(seq), 8))
     seq.masked[2:] = True
-    res = plan(model, decoder, seq, total_steps=25, decoder_steps=1, g_text=cfg.get_float("infer.g_text"),
+    res = plan(model, decoder, seq, total_steps=total_steps, decoder_steps=1, g_text=cfg.get_float("infer.g_text"),
                g_image=cfg.get_float("infer.g_image"), rng=Rng(90))
-    assert res.masked_counts == masked_count_trace(25, 4)
+    assert res.masked_counts == masked_count_trace(total_steps, 4)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"runtime {elapsed:.2f}s"
-    _report(8, f"all (K, M) in 1..50 x 1..64 conform; 25-step default verified live ({elapsed:.1f}s)")
+    _report(8, f"all (K, M) in 1..50 x 1..64 conform; {total_steps}-step default verified live ({elapsed:.1f}s)")
 
 
 # -------------------------------------------------------------------------

@@ -381,8 +381,9 @@ class TestEditDeterminism:
 
 
 class TestMalformedDataset:
-    """A dataset file that is not JSON, or a case record that lacks a field,
-    ends in one `error:` line that names the file and line, and exit code 1."""
+    """A dataset file that is not JSON, a records line that is not a JSON
+    object or lacks `kind`, or a case record that lacks a field, ends in one
+    `error:` line that names the file and line, and exit code 1."""
 
     @staticmethod
     def _copy(generated, workdir, stage, name):
@@ -414,6 +415,16 @@ class TestMalformedDataset:
         (data / "records.jsonl").write_text("".join(lines))
         err = self._fails(["eval", "--data", str(data)], workdir, capsys, f"{data / 'records.jsonl'} line 1 ")
         assert "'family'" in err
+
+    @pytest.mark.parametrize("line, words", [("5", "not a JSON object"), ('{"index": 0}', "'kind'")],
+                             ids=["not-an-object", "without-kind"])
+    def test_records_line_not_a_record_exits_1(self, workdir, generated, capsys, line, words):
+        data = self._copy(generated, workdir, "eval", "not_a_record")
+        lines = (data / "records.jsonl").read_text().splitlines(keepends=True)
+        lines[2] = line + "\n"
+        (data / "records.jsonl").write_text("".join(lines))
+        err = self._fails(["eval", "--data", str(data)], workdir, capsys, f"{data / 'records.jsonl'} line 3 ")
+        assert words in err
 
     def test_manifest_not_json_exits_1(self, workdir, generated, capsys):
         data = self._copy(generated, workdir, "stage_I", "bad_manifest")

@@ -550,9 +550,34 @@ class TestEvaluation:
         bundle = ModelBundle(cfg)
         run = RunConfig.from_config(cfg)
         case = gen_edit_case(Rng(31), TaskKind.V2V, grid=(2, 6, 6))
-        ids = run_pipeline(bundle, run, case, Rng(32))
+        ids, planned = run_pipeline(bundle, run, case, Rng(32))
         assert ids.shape == case.target.grid
         assert ids.min() >= 0 and ids.max() <= 5
+        assert planned.embeddings.shape == (case.target.grid[0] * 9, 8)
+
+    @pytest.mark.parametrize("task", list(TaskKind))
+    def test_vit_decode_inverts_ground_truth(self, task):
+        vit = ModelBundle(Config()).vit
+        case = gen_edit_case(Rng(51), task, grid=(2, 8, 8))
+        _, target = planner_sequence(case, vit)
+        ids = toydata.frames_to_ids(vit.decode(target, case.target.grid))
+        assert np.array_equal(ids, case.target.rasterize())
+
+    def test_report_scores_the_plan_alone(self, tiny_dataset, monkeypatch):
+        cfg = tiny_config()
+        bundle = ModelBundle(cfg)
+        run = RunConfig.from_config(cfg)
+        rep = evaluate(bundle, tiny_dataset, run, seed=5, max_cases=6)
+        assert set(rep.plan_only_by_family) == set(rep.per_family_success)
+        for family, scores in rep.plan_only_by_family.items():
+            assert len(scores) == 3 and all(0.0 <= x <= 1.0 for x in scores)
+            for name, value in zip(("success", "edited_accuracy", "untouched"), scores):
+                assert f"plan_only.{name}.family.{family} {value:.4f}" in rep.to_text()
+        # the plan-only decode draws no RNG and moves no other field
+        monkeypatch.setattr(planner_mod.ToyVit, "decode", lambda self, emb, grid: np.zeros(grid))
+        blind = evaluate(bundle, tiny_dataset, run, seed=5, max_cases=6)
+        assert dataclasses.replace(blind, plan_only_by_family={}) == dataclasses.replace(rep, plan_only_by_family={})
+        assert evaluate(bundle, tiny_dataset, run, seed=6, random_baseline=True, max_cases=2).plan_only_by_family == {}
 
     def test_report_deterministic(self, tiny_dataset):
         cfg = tiny_config()
@@ -610,6 +635,17 @@ class TestEvaluation:
         ids3, _ = edit_case(bundle, run, case, seed=8)
         assert not np.array_equal(ids1, ids3)
 
+    def test_edit_case_does_not_decode_the_plan(self, monkeypatch):
+        cfg = tiny_config()
+        bundle = ModelBundle(cfg)
+        case = gen_edit_case(Rng(41), TaskKind.V2V, grid=(2, 6, 6))
+
+        def refuse(*args):
+            raise AssertionError("edit_case decoded the plan")
+
+        monkeypatch.setattr(planner_mod.ToyVit, "decode", refuse)
+        edit_case(bundle, RunConfig.from_config(cfg), case, seed=7)
+
 
 class TestConfigFile:
     def test_defaults_parse(self):
@@ -617,7 +653,7 @@ class TestConfigFile:
         assert parse_mask_ratio(cfg.get("schedules.mask_ratio.v2v")) == (12.0, 0.9)
         assert cfg.get_weighted("guidance.v2v") == {"txt": 4.0, "vid": 1.25, "img": 1.25, "tgt": 0.5}
         assert cfg.get_int("guidance.steps.t2v") == 15
-        assert cfg.get_int("infer.plan_steps") == 25
+        assert cfg.get_int("infer.plan_steps") == 8
         assert cfg.get_int("infer.decoder_steps") == 5
         assert cfg.get_float("infer.g_text") == 1.2
         assert cfg.get_float("infer.g_image") == 1.0

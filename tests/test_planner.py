@@ -390,14 +390,18 @@ class TestGuidanceVariants:
             calls["decoder"].clear()
             res = plan(model, decoder, seq, total, decoder_steps, g_text=1.5, g_image=g_image, rng=Rng(44))
             trace = [6] + res.masked_counts
-            revealed_from = [a for a, b in zip(trace, trace[1:]) if b < a]
-            assert len(revealed_from) < total  # the cosine trace holds steps that reveal nothing
+            revealing = [(a, b) for a, b in zip(trace, trace[1:]) if b < a]
+            assert len(revealing) < total  # the cosine trace holds steps that reveal nothing
             # a unit image weight telescopes the unconditional copy away
             copies = 3 if sources and g_image != 1.0 else 2
             # one prefix pass, one pass per revealing step and one final
             # pass, each with one entry per subset of the chain
-            assert calls["planner"] == [copies] * (len(revealed_from) + 2)
-            assert calls["decoder"] == [copies * m for m in revealed_from for _ in range(decoder_steps + 1)]
+            assert calls["planner"] == [copies] * (len(revealing) + 2)
+            # decoder_steps Euler forwards per revealing step, then one terminal
+            # forward to rank the rows, except on the last step, which reveals
+            # every masked row
+            assert revealing[-1][1] == 0 and all(b > 0 for _, b in revealing[:-1])
+            assert calls["decoder"] == [copies * a for a, b in revealing for _ in range(decoder_steps + (b > 0))]
 
 
 def reference_plan(model, decoder, seq, total_steps, decoder_steps, g_text, g_image, rng):
