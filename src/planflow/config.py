@@ -1,13 +1,15 @@
 """Flat, human-editable run configuration: one `section.key = value` per line.
 
 `DEFAULTS` is the single source of truth for the toy run; a config file
-passed on the CLI overrides individual keys. Values are stored as strings with
-typed accessors.
+passed on the CLI overrides individual keys. Settings that no run varies are
+constants of the code that reads them, not keys. Values are stored as strings
+with typed accessors.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 from .guidance import BRANCHES
@@ -17,101 +19,82 @@ class ConfigError(ValueError):
     pass
 
 
-# (key, default, comment) -- ordered; comments land in the written file.
-DEFAULTS: list[tuple[str, str, str]] = [
-    ("run.seed", "0", "master seed; all streams derive from it"),
-    ("data.grid", "2,8,8", "toy video grid (frames, height, width)"),
-    ("data.cases_per_stage", "2200", "generated cases per training stage"),
-    ("data.eval_cases", "200", "held-out primary eval cases"),
-    ("data.eval_families", "recolor,remove", "edit families for the primary eval set"),
-    ("data.train_families", "recolor,recolor,recolor,remove,remove,add,replace,move,palette",
-     "editing-family sampling pool for train sets (repeating a family weights it)"),
+# key -> default, in the order a config file lists them
+DEFAULTS: dict[str, str] = {
+    "run.seed": "0",  # master seed; all streams derive from it
+    "data.grid": "2,8,8",  # toy video grid (frames, height, width)
+    "data.cases_per_stage": "2200",  # generated cases per training stage
+    "data.eval_cases": "200",  # held-out primary eval cases
+    "data.eval_families": "recolor,remove",  # edit families for the primary eval set
+    # editing-family sampling pool for train sets (repeating a family weights it)
+    "data.train_families": "recolor,recolor,recolor,remove,remove,add,replace,move,palette",
 
-    ("vit.patch", "1,2,2", "frozen patch encoder: patch size over (t, h, w)"),
-    ("vit.embed_dim", "16", "target embedding space width"),
-    ("vit.seed", "7101", "frozen encoder init seed"),
+    "vit.patch": "1,2,2",  # frozen patch encoder: patch size over (t, h, w)
+    "vit.embed_dim": "16",  # target embedding space width
+    "vit.seed": "7101",  # frozen encoder init seed
 
-    ("planner.hidden_dim", "32", ""),
-    ("planner.blocks", "2", ""),
-    ("planner.heads", "2", ""),
-    ("planner.decoder_dim", "64", "embedding decoder width"),
-    ("planner.decoder_blocks", "2", ""),
-    ("planner.segment_phases", "false", "segment-aware phases in the planner (ablation knob)"),
+    "planner.hidden_dim": "32",
+    "planner.blocks": "2",
+    "planner.heads": "2",
+    "planner.decoder_dim": "64",  # embedding decoder width
+    "planner.decoder_blocks": "2",
+    "planner.segment_phases": "false",  # segment-aware phases in the planner (ablation knob)
 
-    ("renderer.hidden_dim", "48", ""),
-    ("renderer.blocks", "2", ""),
-    ("renderer.heads", "3", ""),
-    ("renderer.patch", "1,2,2", ""),
-    ("renderer.segment_phases", "true", "segment-aware rotary phases (ablation knob)"),
-    ("renderer.drop_text", "0.1", "training-time condition dropout rates"),
-    ("renderer.drop_target", "0.1", ""),
-    ("renderer.drop_source", "0.1", ""),
+    "renderer.hidden_dim": "48",
+    "renderer.blocks": "2",
+    "renderer.heads": "3",
+    "renderer.patch": "1,2,2",
+    "renderer.segment_phases": "true",  # segment-aware rotary phases (ablation knob)
+    "renderer.drop_text": "0.1",  # training-time condition dropout rates
+    "renderer.drop_target": "0.1",
+    "renderer.drop_source": "0.1",
 
-    ("schedules.mask_ratio.t2i", "5.0,1.1", "per-task Beta(alpha, beta) for the training mask ratio"),
-    ("schedules.mask_ratio.t2v", "8.0,1.05", ""),
-    ("schedules.mask_ratio.i2i", "8.0,1.05", ""),
-    ("schedules.mask_ratio.i2v", "10.0,1.0", ""),
-    ("schedules.mask_ratio.v2v", "12.0,0.9", ""),
-    ("schedules.mask_ratio.iv2v", "12.0,0.9", ""),
-    ("schedules.timestep.t2i", "logit-normal,0.5,1.0,3.0", "weighting kind, params, shift"),
-    ("schedules.timestep.i2i", "logit-normal,0.5,1.0,4.0", ""),
-    ("schedules.timestep.t2v", "mode,1.29,3.0", ""),
-    ("schedules.timestep.i2v", "mode,1.29,5.0", ""),
-    ("schedules.timestep.v2v", "mode,1.29,5.0", ""),
-    ("schedules.timestep.iv2v", "mode,1.29,5.0", ""),
+    "schedules.timestep.t2i": "logit-normal,0.5,1.0,3.0",  # weighting kind, params, shift
+    "schedules.timestep.i2i": "logit-normal,0.5,1.0,4.0",
+    "schedules.timestep.t2v": "mode,1.29,3.0",
+    "schedules.timestep.i2v": "mode,1.29,5.0",
+    "schedules.timestep.v2v": "mode,1.29,5.0",
+    "schedules.timestep.iv2v": "mode,1.29,5.0",
 
-    ("guidance.t2v", "txt:4.0,tgt:1.0", "per-task guidance scales at inference"),
-    ("guidance.s2v", "txt:4.0,img:2.5,tgt:1.5", ""),
-    ("guidance.v2v", "txt:4.0,vid:1.25,img:1.25,tgt:0.5", ""),
-    ("guidance.rv2v", "txt:4.0,vid:1.25,img:3.0,tgt:1.5", ""),
-    ("guidance.steps.t2v", "15", "renderer Euler steps per guidance table"),
-    ("guidance.steps.s2v", "5", ""),
-    ("guidance.steps.v2v", "10", ""),
-    ("guidance.steps.rv2v", "5", ""),
+    "guidance.t2v": "txt:4.0,tgt:1.0",  # per-task guidance scales at inference
+    "guidance.s2v": "txt:4.0,img:2.5,tgt:1.5",
+    "guidance.v2v": "txt:4.0,vid:1.25,img:1.25,tgt:0.5",
+    "guidance.rv2v": "txt:4.0,vid:1.25,img:3.0,tgt:1.5",
+    "guidance.steps.t2v": "15",  # renderer Euler steps per guidance table
+    "guidance.steps.s2v": "5",
+    "guidance.steps.v2v": "10",
+    "guidance.steps.rv2v": "5",
 
-    ("infer.plan_steps", "8", "iterative planning steps"),
-    ("infer.decoder_steps", "5", "embedding-decoder denoising steps"),
-    ("infer.g_text", "1.2", "embedding-decoder text guidance"),
-    ("infer.g_image", "1.0", "embedding-decoder image guidance"),
-    ("infer.flow_shift", "5.0", "renderer sampling-time shift"),
-    ("infer.use_ema", "true", "evaluate with EMA weights"),
+    "infer.plan_steps": "8",  # iterative planning steps
+    "infer.decoder_steps": "5",  # embedding-decoder denoising steps
+    "infer.g_text": "1.2",  # embedding-decoder text guidance
+    "infer.g_image": "1.0",  # embedding-decoder image guidance
+    "infer.flow_shift": "5.0",  # renderer sampling-time shift, at least 1
+    "infer.use_ema": "true",  # evaluate with EMA weights
 
-    ("stage.I.steps", "2600", ""),
-    ("stage.I.lr", "0.003", "scaled for toy dimensionality"),
-    ("stage.I.lr_final", "none", "linear decay target; none keeps lr constant"),
-    ("stage.I.ema", "0.999", ""),
-    ("stage.I.batch", "2", ""),
-    ("stage.I.lambda_text", "0.2", "loss weights (text, visual, renderer)"),
-    ("stage.I.lambda_visual", "1.0", ""),
-    ("stage.I.lambda_dit", "0.0", ""),
-    ("stage.I.mixture", "text:0.15,t2i:0.08,t2v:0.12,i2i:0.1,i2v:0.1,v2v:0.33,iv2v:0.12", ""),
+    "stage.I.steps": "2600",
+    "stage.I.lr": "0.003",  # constant over the stage; scaled for toy dimensionality
+    "stage.I.ema": "0.999",
+    "stage.I.batch": "2",
+    "stage.I.mixture": "text:0.15,t2i:0.08,t2v:0.12,i2i:0.1,i2v:0.1,v2v:0.33,iv2v:0.12",
 
-    ("stage.II.steps", "3200", ""),
-    ("stage.II.lr", "0.003", ""),
-    ("stage.II.lr_final", "none", "linear decay target; none keeps lr constant"),
-    ("stage.II.ema", "0.9995", ""),
-    ("stage.II.batch", "2", ""),
-    ("stage.II.lambda_text", "0.0", ""),
-    ("stage.II.lambda_visual", "0.0", ""),
-    ("stage.II.lambda_dit", "1.0", ""),
-    ("stage.II.mixture", "t2i:0.07,t2v:0.1,i2i:0.1,i2v:0.1,v2v:0.41,iv2v:0.12,pair:0.1", "pair weight is the linear-decay start fraction"),
+    "stage.II.steps": "3200",
+    "stage.II.lr": "0.003",
+    "stage.II.ema": "0.9995",
+    "stage.II.batch": "2",
+    # the pair weight is the linear-decay start fraction
+    "stage.II.mixture": "t2i:0.07,t2v:0.1,i2i:0.1,i2v:0.1,v2v:0.41,iv2v:0.12,pair:0.1",
 
-    ("stage.III.steps", "1400", ""),
-    ("stage.III.lr", "0.001", ""),
-    ("stage.III.lr_final", "none", "linear decay target; none keeps lr constant"),
-    ("stage.III.ema", "0.9995", ""),
-    ("stage.III.batch", "2", ""),
-    ("stage.III.lambda_text", "0.2", ""),
-    ("stage.III.lambda_visual", "1.0", ""),
-    ("stage.III.lambda_dit", "1.0", ""),
-    ("stage.III.mixture", "text:0.12,t2i:0.06,t2v:0.1,i2i:0.1,i2v:0.1,v2v:0.38,iv2v:0.14", ""),
+    "stage.III.steps": "1400",
+    "stage.III.lr": "0.001",
+    "stage.III.ema": "0.9995",
+    "stage.III.batch": "2",
+    "stage.III.mixture": "text:0.12,t2i:0.06,t2v:0.1,i2i:0.1,i2v:0.1,v2v:0.38,iv2v:0.14",
 
-    ("train.checkpoint_every", "500", "0 disables periodic checkpoints"),
-    ("eval.edit_threshold", "0.8", "oracle: min edited-region accuracy"),
-    ("eval.keep_threshold", "0.8", "oracle: min untouched-region agreement"),
-]
-
-_DEFAULT_MAP = {k: v for k, v, _ in DEFAULTS}
+    "train.checkpoint_every": "500",  # 0 disables periodic checkpoints
+    "eval.edit_threshold": "0.8",  # oracle: min edited-region accuracy
+    "eval.keep_threshold": "0.8",  # oracle: min untouched-region agreement
+}
 
 # model sizes, batch sizes and step counts that must be positive integers
 _POSITIVE_INTS = (
@@ -129,17 +112,13 @@ _TRIPLES = ("data.grid", "vit.patch", "renderer.patch")
 # per-task guidance scales, `branch:weight` lists
 _GUIDANCE_SCALES = ("guidance.t2v", "guidance.s2v", "guidance.v2v", "guidance.rv2v")
 
-# numbers that must be finite: inference guidance and each stage's settings;
-# `lr_final` may also be `none`, and mixtures are `task:weight` lists
-_STAGES = ("I", "II", "III")
-_FINITE = ("infer.g_text", "infer.g_image", *(f"stage.{s}.{k}" for s in _STAGES
-           for k in ("lr", "lr_final", "ema", "lambda_text", "lambda_visual", "lambda_dit")))
-_MIXTURES = tuple(f"stage.{s}.mixture" for s in _STAGES)
+# per-stage task mixtures, `task:weight` lists
+_MIXTURES = ("stage.I.mixture", "stage.II.mixture", "stage.III.mixture")
 
 
 class Config:
     def __init__(self, overrides: dict[str, str] | None = None):
-        self.values: dict[str, str] = dict(_DEFAULT_MAP)
+        self.values: dict[str, str] = dict(DEFAULTS)
         for k, v in (overrides or {}).items():
             if k not in self.values:
                 raise ConfigError(f"unknown config key {k!r}")
@@ -149,9 +128,17 @@ class Config:
     def validate(self) -> None:
         """Refuse model sizes the networks cannot be built with, batch sizes
         and step counts below 1, grids that are not triples of positive
-        sizes, a negative checkpoint interval, unknown guidance branches,
-        tasks or edit families, and non-finite guidance weights or stage
-        settings."""
+        sizes, a negative checkpoint interval, a sampling shift below 1,
+        unknown guidance branches, tasks or edit families, and any number
+        that is not finite."""
+        for key, value in self.values.items():
+            for number in re.split("[,:]", value):
+                try:
+                    finite = math.isfinite(float(number))
+                except ValueError:  # a name, or a malformed value that the typed getters name
+                    continue
+                if not finite:
+                    raise ConfigError(f"{key}: values must be finite, got {number.strip()!r}")
         for key in _TRIPLES:
             if len(self.get(key).split(",")) != 3:
                 raise ConfigError(f"{key}: expected three values (frames, height, width), got {self.values[key]!r}")
@@ -171,20 +158,13 @@ class Config:
                     raise ConfigError(f"{key}: unknown edit family {name!r}; expected one of {', '.join(EDIT_FAMILIES)}")
         names = {**dict.fromkeys(_GUIDANCE_SCALES, ("guidance branch", BRANCHES)),
                  **dict.fromkeys(_MIXTURES, ("task", TASK_NAMES))}
-        numbers = [(key, self.get(key)) for key in _FINITE]
         for key, (noun, known) in names.items():
             for part in self.get(key).split(","):
-                name, _, weight = part.partition(":")
-                if part.strip() and name.strip() not in known:
-                    raise ConfigError(f"{key}: unknown {noun} {name.strip()!r}; expected one of {', '.join(known)}")
-                numbers.append((key, weight))
-        for key, number in numbers:
-            try:
-                finite = math.isfinite(float(number))
-            except ValueError:  # `none`, or a malformed value that the typed getters name
-                continue
-            if not finite:
-                raise ConfigError(f"{key}: values must be finite, got {number.strip()!r}")
+                name = part.partition(":")[0].strip()
+                if name and name not in known:
+                    raise ConfigError(f"{key}: unknown {noun} {name!r}; expected one of {', '.join(known)}")
+        if self.get_float("infer.flow_shift") < 1.0:
+            raise ConfigError(f"infer.flow_shift: must be >= 1, got {self.values['infer.flow_shift']!r}")
         for key in _POSITIVE_INTS:
             if min(self.get_ints(key)) < 1:
                 raise ConfigError(f"{key}: values must be positive integers, got {self.values[key]!r}")
@@ -276,18 +256,3 @@ def load_config(path: str | Path | None) -> Config:
         return Config()
     return Config(parse_config_text(Path(path).read_text()))
 
-
-def write_config(path: str | Path, cfg: Config) -> None:
-    lines = []
-    section = None
-    for key, _, comment in DEFAULTS:
-        sec = key.split(".", 1)[0]
-        if sec != section:
-            if section is not None:
-                lines.append("")
-            section = sec
-        entry = f"{key} = {cfg.values[key]}"
-        if comment:
-            entry += f"  # {comment}"
-        lines.append(entry)
-    Path(path).write_text("\n".join(lines) + "\n")

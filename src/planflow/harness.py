@@ -40,23 +40,13 @@ from .renderer import (
     render,
     train_step_renderer,
 )
-from .schedules import (
-    MaskRatioConfig,
-    TaskKind,
-    TimestepConfig,
-    pair_decay_weight,
-    parse_mask_ratio,
-    parse_timestep,
-    sample_mask_ratio,
-)
+from .schedules import TaskKind, TimestepConfig, pair_decay_weight, parse_timestep, sample_mask_ratio
 from .sequence import TEXT, VISUAL_TARGET, apply_target_mask, serialize
 from .toydata import (
     PAIR_TASK,
     TEXT_TASK,
     Dataset,
     EditCase,
-    Scene,
-    encode,
     frames_to_ids,
     oracle_passes,
     oracle_scores,
@@ -99,7 +89,6 @@ def _parsed(cfg: Config, key: str, parse):
 @dataclass
 class RunConfig:
     config: Config
-    mask_ratio: MaskRatioConfig
     timestep: TimestepConfig
     guidance_scales: dict[str, dict[str, float]]
     guidance_steps: dict[str, int]
@@ -117,15 +106,12 @@ class RunConfig:
 
     @classmethod
     def from_config(cls, cfg: Config) -> "RunConfig":
-        mask = MaskRatioConfig(
-            {t: _parsed(cfg, f"schedules.mask_ratio.{t.value}", parse_mask_ratio) for t in TaskKind})
         timestep = TimestepConfig(
             {t: _parsed(cfg, f"schedules.timestep.{t.value}", parse_timestep) for t in TaskKind})
         scales = {key: cfg.get_weighted(f"guidance.{key}") for key in ("t2v", "s2v", "v2v", "rv2v")}
         steps = {key: cfg.get_int(f"guidance.steps.{key}") for key in ("t2v", "s2v", "v2v", "rv2v")}
         return cls(
             config=cfg,
-            mask_ratio=mask,
             timestep=timestep,
             guidance_scales=scales,
             guidance_steps=steps,
@@ -300,38 +286,38 @@ class ema_weights:
 
 
 # ---------------------------------------------------------------------------
-# stage configuration and the loss assembly
+# stage configuration
 # ---------------------------------------------------------------------------
+
+# Each stage's losses are fixed by the models it trains: stages I and III add
+# TEXT_LOSS_WEIGHT * L_ntp + L_visual on planner records, stages II and III
+# add L_dit on renderer records.
+TEXT_LOSS_WEIGHT = 0.2
+
+# the record kind of a mixture that a stage has no loss on
+_IDLE_TASK = {"I": PAIR_TASK, "II": TEXT_TASK}
+
 
 @dataclass
 class StageConfig:
     name: str
     steps: int
     lr: float
-    lr_final: float | None  # linear decay target; None keeps lr constant
     ema_decay: float
     batch_size: int
-    lambda_text: float
-    lambda_visual: float
-    lambda_dit: float
     mixture: dict[str, float]
 
     def lr_at(self, step: int) -> float:
-        if self.lr_final is None or self.steps <= 1:
-            return self.lr
-        frac = min(1.0, step / max(1, self.steps - 1))
-        return self.lr + (self.lr_final - self.lr) * frac
+        """The learning rate of `step`, constant over the stage; `run_stage`
+        asks once per step, after backward and before the update."""
+        return self.lr
 
     def __post_init__(self):
         if self.name not in STAGES:
             raise ConfigError(f"stage must be one of {STAGES}, got {self.name!r}")
-        for lam in (self.lambda_text, self.lambda_visual, self.lambda_dit):
-            if lam < 0:
-                raise ConfigError(f"loss weights must be nonnegative, got {lam}")
-        if self.name == "I" and self.lambda_dit != 0.0:
-            raise ConfigError("stage I must have lambda_dit = 0")
-        if self.name == "II" and (self.lambda_text != 0.0 or self.lambda_visual != 0.0):
-            raise ConfigError("stage II must have lambda_text = lambda_visual = 0")
+        if _IDLE_TASK.get(self.name) in self.mixture:
+            raise ConfigError(f"stage.{self.name}.mixture: stage {self.name} has no loss on "
+                              f"{_IDLE_TASK[self.name]} records")
         if any(w < 0 for w in self.mixture.values()):
             raise ConfigError(f"mixture weights must be nonnegative: {self.mixture}")
         total = sum(self.mixture.values())
@@ -341,25 +327,14 @@ class StageConfig:
 
     @classmethod
     def from_config(cls, cfg: Config, name: str) -> "StageConfig":
-        raw_final = cfg.get(f"stage.{name}.lr_final").strip()
         return cls(
             name=name,
             steps=cfg.get_int(f"stage.{name}.steps"),
             lr=cfg.get_float(f"stage.{name}.lr"),
-            lr_final=cfg.get_float(f"stage.{name}.lr_final") if raw_final and raw_final != "none" else None,
             ema_decay=cfg.get_float(f"stage.{name}.ema"),
             batch_size=cfg.get_int(f"stage.{name}.batch"),
-            lambda_text=cfg.get_float(f"stage.{name}.lambda_text"),
-            lambda_visual=cfg.get_float(f"stage.{name}.lambda_visual"),
-            lambda_dit=cfg.get_float(f"stage.{name}.lambda_dit"),
             mixture=cfg.get_weighted(f"stage.{name}.mixture"),
         )
-
-
-def total_loss(l_ntp, l_visual, l_dit, lambdas: tuple[float, float, float]):
-    """lambda_text * L_ntp + lambda_visual * L_visual + lambda_dit * L_dit."""
-    lt, lv, ld = lambdas
-    return lt * l_ntp + lv * l_visual + ld * l_dit
 
 
 # ---------------------------------------------------------------------------
@@ -413,18 +388,6 @@ def text_sequence(instruction: list[int]):
     return seq
 
 
-def pair_case(record: dict) -> EditCase:
-    """Mined pair as an instruction-free editing sample."""
-    return EditCase(
-        task=TaskKind.V2V,
-        family="pair",
-        instruction=encode("<bos>", "<eos>"),
-        target=Scene.from_dict(record["b"]),
-        source=Scene.from_dict(record["a"]),
-        edit={},
-    )
-
-
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -472,18 +435,18 @@ def _effective_mixture(cfg: StageConfig, step: int) -> dict[str, float]:
     return out
 
 
-def _planner_case_loss(bundle: ModelBundle, run: RunConfig, case: EditCase, stage: str, rngs, lambdas):
+def _planner_case_loss(bundle: ModelBundle, run: RunConfig, case: EditCase, stage: str, rngs) -> Tensor:
     """Stage I or III loss for one case. Stage III also trains the renderer,
     conditioned on the planner states of the sequence's conditioning rows."""
     seq, tgt_emb = planner_sequence(case, bundle.vit)
-    ratio = sample_mask_ratio(run.mask_ratio, case.task, rngs["mask"])
+    ratio = sample_mask_ratio(case.task, rngs["mask"])
     seq = apply_target_mask(seq, ratio, rngs["mask"])
     z = planner_forward(bundle.planner, seq)
     losses = losses_from_hidden(bundle.planner, bundle.decoder, seq, z, tgt_emb, rngs["noise"])
-    l_dit = Tensor(0.0)
+    loss = TEXT_LOSS_WEIGHT * losses.ntp + losses.visual
     if stage == "III":
-        l_dit = _renderer_loss(bundle, run, case, gather_rows(z, conditioning_rows(seq)), rngs)
-    return total_loss(losses.ntp, losses.visual, l_dit, lambdas)
+        loss = loss + _renderer_loss(bundle, run, case, gather_rows(z, conditioning_rows(seq)), rngs)
+    return loss
 
 
 def _renderer_loss(bundle: ModelBundle, run: RunConfig, case: EditCase, states: Tensor | None, rngs) -> Tensor:
@@ -552,7 +515,6 @@ def run_stage(
             ema.setdefault(name, p.data.copy())
         state = TrainState(0, Adam(stage_cfg.lr), ema, _fresh_streams(seed, stage), stages_done)
 
-    lambdas = (stage_cfg.lambda_text, stage_cfg.lambda_visual, stage_cfg.lambda_dit)
     while state.step < stage_cfg.steps:
         mixture = _effective_mixture(stage_cfg, state.step)
         batch_losses = []
@@ -560,18 +522,15 @@ def run_stage(
             task_name = _sample_mixture(mixture, state.rngs["task"])
             indices = data.by_task[task_name]
             idx = indices[state.rngs["case"].integers(0, len(indices))]
-            record = data.records[idx]
             if task_name == TEXT_TASK:
-                seq = text_sequence(record["instruction"])
+                seq = text_sequence(data.instruction(idx))
                 z = planner_forward(bundle.planner, seq)
-                losses = losses_from_hidden(bundle.planner, bundle.decoder, seq, z, None, state.rngs["noise"])
-                loss = total_loss(losses.ntp, losses.visual, Tensor(0.0), lambdas)
+                loss = TEXT_LOSS_WEIGHT * losses_from_hidden(
+                    bundle.planner, bundle.decoder, seq, z, None, state.rngs["noise"]).ntp
             elif task_name == PAIR_TASK or stage == "II":
-                case = pair_case(record) if task_name == PAIR_TASK else data.case(idx)
-                l_dit = _renderer_loss(bundle, run, case, None, state.rngs)
-                loss = total_loss(Tensor(0.0), Tensor(0.0), l_dit, lambdas)
+                loss = _renderer_loss(bundle, run, data.case(idx), None, state.rngs)
             else:
-                loss = _planner_case_loss(bundle, run, data.case(idx), stage, state.rngs, lambdas)
+                loss = _planner_case_loss(bundle, run, data.case(idx), stage, state.rngs)
             batch_losses.append(loss)
         batch_loss = (1.0 / stage_cfg.batch_size) * sum(batch_losses[1:], batch_losses[0])
         last_loss = batch_loss.item()
@@ -579,8 +538,7 @@ def run_stage(
             raise NonFiniteError(f"stage {stage} step {state.step + 1}: loss is {last_loss}")
         for p in trainable.values():
             p.grad = None
-        if batch_loss.requires_grad:
-            backward(batch_loss)
+        backward(batch_loss)
         state.opt.lr = stage_cfg.lr_at(state.step)
         state.opt.step(trainable)
         ema_update(state.ema, trainable, stage_cfg.ema_decay)

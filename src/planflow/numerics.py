@@ -597,8 +597,8 @@ class Rng:
 
     def gamma(self, alpha: float, shape=()) -> np.ndarray:
         """Gamma(alpha, 1) via Marsaglia-Tsang squeeze-rejection (deterministic)."""
-        if alpha <= 0:
-            raise ContractError(f"gamma: alpha must be positive, got {alpha}")
+        if not (math.isfinite(alpha) and alpha > 0):  # rejection would never accept a draw
+            raise ContractError(f"gamma: alpha must be positive and finite, got {alpha}")
         n = math.prod(shape) if shape else 1
         if alpha < 1.0:
             g = self.gamma(alpha + 1.0, (n,))
@@ -620,7 +620,8 @@ class Rng:
         return out.reshape(shape) if shape else out[0]
 
     def beta(self, a: float, b: float, shape=()) -> np.ndarray:
-        """Beta(a, b) by the two-Gamma construction."""
+        """Beta(a, b) by the two-Gamma construction, which refuses a parameter
+        that is not positive and finite."""
         ga = self.gamma(a, shape if shape else (1,))
         gb = self.gamma(b, shape if shape else (1,))
         out = ga / (ga + gb)

@@ -31,15 +31,6 @@ class TaskKind(str, Enum):
     IV2V = "iv2v"
 
 
-def parse_mask_ratio(text: str) -> tuple[float, float]:
-    """'alpha,beta' -> (alpha, beta), the config form of a mask-ratio Beta."""
-    try:
-        a, b = (float(x) for x in text.split(","))
-    except ValueError:
-        raise ConfigError(f"expected 'alpha,beta' for a mask ratio, got {text!r}") from None
-    return a, b
-
-
 def parse_timestep(text: str) -> tuple[str, tuple[float, ...], float]:
     """'kind,params...,shift' -> (kind, params, shift), the config form of a
     timestep weighting."""
@@ -50,19 +41,6 @@ def parse_timestep(text: str) -> tuple[str, tuple[float, ...], float]:
         return parts[0], tuple(float(x) for x in parts[1:-1]), float(parts[-1])
     except ValueError:
         raise ConfigError(f"expected 'kind,params...,shift' for a timestep weighting, got {text!r}") from None
-
-
-@dataclass
-class MaskRatioConfig:
-    """Per-task Beta(alpha, beta) of the training mask ratio; more informative
-    inputs get ratios nearer 1, so the planner cannot lean on visible targets."""
-
-    params: dict[TaskKind, tuple[float, float]]
-
-    def __post_init__(self):
-        for task, (a, b) in self.params.items():
-            if a <= 0 or b <= 0:
-                raise DomainError(f"mask ratio Beta params for {task} must be positive: {(a, b)}")
 
 
 _WEIGHTING_ARITY = {"logit-normal": 2, "mode": 1}
@@ -86,9 +64,20 @@ class TimestepConfig:
                 raise DomainError(f"logit-normal s must be positive, got {args[1]}")
 
 
-def sample_mask_ratio(cfg: MaskRatioConfig, task: TaskKind, rng: Rng) -> float:
-    a, b = cfg.params[TaskKind(task)]
-    return float(rng.beta(a, b))
+# Per-task Beta(alpha, beta) of the training mask ratio: more informative
+# inputs get ratios nearer 1, so the planner cannot lean on visible targets.
+MASK_RATIO_BETA: dict[TaskKind, tuple[float, float]] = {
+    TaskKind.T2I: (5.0, 1.1),
+    TaskKind.T2V: (8.0, 1.05),
+    TaskKind.I2I: (8.0, 1.05),
+    TaskKind.I2V: (10.0, 1.0),
+    TaskKind.V2V: (12.0, 0.9),
+    TaskKind.IV2V: (12.0, 0.9),
+}
+
+
+def sample_mask_ratio(task: TaskKind, rng: Rng) -> float:
+    return float(rng.beta(*MASK_RATIO_BETA[TaskKind(task)]))
 
 
 def inference_mask_ratio(k: int, total_steps: int) -> float:

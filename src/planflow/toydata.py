@@ -593,6 +593,13 @@ def malformed(where: str, exc: Exception) -> ConfigError:
     return ConfigError(f"{where} is malformed: {exc}")
 
 
+def _pair_case(record: dict) -> EditCase:
+    """A mined pair record as the instruction-free v2v edit of its clip `a`
+    into its clip `b`."""
+    return EditCase(task=TaskKind.V2V, family=PAIR_TASK, instruction=encode("<bos>", "<eos>"),
+                    target=Scene.from_dict(record["b"]), source=Scene.from_dict(record["a"]), edit={})
+
+
 class Dataset:
     """In-memory view over a generated dataset directory."""
 
@@ -624,11 +631,20 @@ class Dataset:
                 raise malformed(f"{path} line {i + 1}", exc) from None
             self.by_task.setdefault(key, []).append(i)
 
-    def case(self, i: int) -> EditCase:
-        rec = self.records[i]
-        if rec["kind"] != "case":
-            raise ValueError(f"record {i} is a {rec['kind']} record, not a case")
+    def _read(self, i: int, parse):
+        """`parse` applied to record `i`; a malformed record's error names its line."""
         try:
-            return EditCase.from_dict(rec)
+            return parse(self.records[i])
         except MALFORMED as exc:
             raise malformed(f"{self.root / 'records.jsonl'} line {i + 1}", exc) from None
+
+    def case(self, i: int) -> EditCase:
+        """Record `i` as an edit case, a mined pair included."""
+        kind = self.records[i]["kind"]
+        if kind not in ("case", PAIR_TASK):
+            raise ValueError(f"record {i} is a {kind} record, not a case")
+        return self._read(i, EditCase.from_dict if kind == "case" else _pair_case)
+
+    def instruction(self, i: int) -> list[int]:
+        """The token ids of text record `i`."""
+        return self._read(i, lambda rec: list(rec["instruction"]))

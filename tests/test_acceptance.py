@@ -35,6 +35,7 @@ from planflow.nets import rotary
 from planflow.posenc import RopeConfig, token_angles
 from planflow.renderer import RendererConfig, RendererModel, build_cond_tokens, renderer_forward, train_step_renderer
 from planflow.schedules import (
+    MASK_RATIO_BETA,
     inference_mask_ratio,
     masked_count_trace,
     timestep_density_logit_normal,
@@ -44,7 +45,7 @@ from planflow.schedules import (
 from planflow.sequence import VISUAL_TARGET, apply_target_mask, serialize
 from planflow.planner import losses_from_hidden, plan, planner_forward
 from planflow.toydata import Dataset, generate_dataset
-from util import rel_err, row_at
+from util import rel_err, row_at, write_config
 
 
 def _report(num: int, detail: str):
@@ -129,7 +130,7 @@ def test_criterion_3_beta_mask_ratio_means():
     t0 = time.monotonic()
     rng = Rng(3003)
     details = []
-    for task, (a, b) in RunConfig.from_config(Config()).mask_ratio.params.items():
+    for task, (a, b) in MASK_RATIO_BETA.items():
         draws = rng.beta(a, b, (100_000,))
         mean = a / (a + b)
         err = abs(float(draws.mean()) - mean)
@@ -302,10 +303,8 @@ def test_criterion_6_determinism_and_checkpointing(tmp_path):
         "guidance.steps.v2v": "3", "guidance.steps.rv2v": "3",
     }
     cfg = Config(dict(overrides))
-    from planflow.config import write_config
-
     cfg_path = tmp_path / "run.cfg"
-    write_config(cfg_path, cfg)
+    write_config(cfg_path, overrides)
 
     data_dir = tmp_path / "data"
     assert cli.main(["gen-data", "--config", str(cfg_path), "--stage", "I", "--out", str(data_dir)]) == 0

@@ -10,10 +10,22 @@ import pytest
 
 from planflow import cli
 from planflow.checkpoint import Checkpoint
-from planflow.config import write_config, Config
+from planflow.config import DEFAULTS
 
 from test_harness import MEANING_CHANGES, TINY_OVERRIDES
-from util import read_tensor
+from util import read_tensor, write_config
+
+
+def _numbers(value: str) -> list[str]:
+    """The parts of a config value that are numbers."""
+    numbers = []
+    for part in value.replace(":", ",").split(","):
+        try:
+            float(part)
+        except ValueError:
+            continue
+        numbers.append(part)
+    return numbers
 
 
 SMOKE_OVERRIDES = dict(TINY_OVERRIDES)
@@ -28,7 +40,7 @@ SMOKE_OVERRIDES.update({
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cliws")
     cfg_path = root / "tiny.cfg"
-    write_config(cfg_path, Config(dict(SMOKE_OVERRIDES)))
+    write_config(cfg_path, SMOKE_OVERRIDES)
     return root
 
 
@@ -151,8 +163,8 @@ class TestTrainErrors:
         assert captured.err.startswith(f"error: {key}:") and captured.err.count("\n") == 1
         assert "finite" in captured.err
 
-    @pytest.mark.parametrize("line", ["stage.I.lr = inf", "stage.II.lr_final = nan", "stage.III.ema = -inf",
-                                      "stage.I.lambda_visual = nan", "stage.II.mixture = t2i:0.5,v2v:inf"])
+    @pytest.mark.parametrize("line", ["stage.I.lr = inf", "stage.II.lr = nan", "stage.III.ema = -inf",
+                                      "stage.I.ema = nan", "stage.II.mixture = t2i:0.5,v2v:inf"])
     def test_check_refuses_non_finite_stage_setting(self, workdir, capsys, line):
         bad = workdir / "check_non_finite_stage.cfg"
         bad.write_text(line + "\n")
@@ -162,6 +174,27 @@ class TestTrainErrors:
         key = line.split(" ")[0]
         assert captured.err.startswith(f"error: {key}:") and captured.err.count("\n") == 1
         assert "finite" in captured.err
+
+    @pytest.mark.parametrize("key", [key for key, value in DEFAULTS.items() if _numbers(value)])
+    def test_check_refuses_nan_in_every_numeric_key(self, workdir, capsys, key):
+        """Each number of each value must be finite: NaN in place of a key's
+        first number is refused at load, naming the key."""
+        first = _numbers(DEFAULTS[key])[0]
+        bad = workdir / "check_nan.cfg"
+        bad.write_text(f"{key} = {DEFAULTS[key].replace(first, 'nan', 1)}\n")
+        assert cli.main(["check", "--config", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "invariants hold" not in captured.out
+        assert captured.err.startswith(f"error: {key}:") and captured.err.count("\n") == 1
+        assert "finite" in captured.err
+
+    def test_check_refuses_flow_shift_below_one(self, workdir, capsys):
+        bad = workdir / "check_low_shift.cfg"
+        bad.write_text("infer.flow_shift = 0.5\n")
+        assert cli.main(["check", "--config", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "invariants hold" not in captured.out
+        assert captured.err == "error: infer.flow_shift: must be >= 1, got '0.5'\n"
 
     def test_check_refuses_non_positive_grid(self, workdir, capsys):
         bad = workdir / "check_bad_grid.cfg"
@@ -292,7 +325,7 @@ class TestEditDeterminism:
         case = str(generated / "eval" / "cases" / "case_00000.json")
         for key, value in MEANING_CHANGES[family].items():
             changed = workdir / f"meaning_{key}.cfg"
-            write_config(changed, Config({**SMOKE_OVERRIDES, key: value}))
+            write_config(changed, {**SMOKE_OVERRIDES, key: value})
             for argv in (["plan", "--case", case, "--ckpt", str(trained_ckpt)],
                          ["train", "--stage", "I", "--data", str(generated / "stage_I"),
                           "--resume", str(trained_ckpt), "--log-every", "0"]):
@@ -300,7 +333,8 @@ class TestEditDeterminism:
                 err = capsys.readouterr().err
                 assert err.startswith(f"error: {key}:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("line", ["infer.g_text = nan", "guidance.v2v = txt:nan,vid:1.25,img:1.25,tgt:0.5"])
+    @pytest.mark.parametrize("line", ["infer.g_text = nan", "guidance.v2v = txt:nan,vid:1.25,img:1.25,tgt:0.5",
+                                      "infer.flow_shift = nan", "eval.edit_threshold = nan"])
     def test_non_finite_guidance_weight_exits_1(self, workdir, generated, trained_ckpt, capsys, line):
         bad = workdir / "nan_guidance.cfg"
         bad.write_text("\n".join(f"{k} = {v}" for k, v in SMOKE_OVERRIDES.items()) + "\n" + line + "\n")
@@ -354,9 +388,7 @@ class TestEditDeterminism:
         assert err.startswith("error:") and err.count("\n") == 1 and "bogus" in err
 
     def test_diverging_training_exits_1(self, workdir, generated, capsys):
-        cfg = Config(dict(SMOKE_OVERRIDES))
-        cfg.set("stage.I.lr", "1e300")
-        write_config(workdir / "diverge.cfg", cfg)
+        write_config(workdir / "diverge.cfg", {**SMOKE_OVERRIDES, "stage.I.lr": "1e300"})
         out = workdir / "diverge"
         argv = ["train", "--stage", "I", "--data", str(generated / "stage_I"),
                 "--config", str(workdir / "diverge.cfg"), "--out", str(out), "--log-every", "0"]
@@ -425,6 +457,27 @@ class TestMalformedDataset:
         (data / "records.jsonl").write_text("".join(lines))
         err = self._fails(["eval", "--data", str(data)], workdir, capsys, f"{data / 'records.jsonl'} line 3 ")
         assert words in err
+
+    @pytest.mark.parametrize("stage, kind, field", [("II", "pair", "a"), ("I", "text", "instruction")])
+    def test_training_record_without_field_exits_1(self, workdir, capsys, stage, kind, field):
+        """Training reads pair and text records as checked as case records."""
+        config = workdir / f"only_{kind}.cfg"
+        write_config(config, {**SMOKE_OVERRIDES, f"stage.{stage}.mixture": f"{kind}:1"})
+        data = workdir / f"only_{kind}"
+        assert cli.main(["gen-data", "--config", str(config), "--stage", stage, "--out", str(data)]) == 0
+        data = data / f"stage_{stage}"
+        lines = [json.loads(line) for line in (data / "records.jsonl").read_text().splitlines()]
+        assert {record["kind"] for record in lines} == {kind}
+        for record in lines:
+            del record[field]
+        (data / "records.jsonl").write_text("".join(json.dumps(record) + "\n" for record in lines))
+        capsys.readouterr()
+        rc = cli.main(["train", "--stage", stage, "--data", str(data), "--config", str(config),
+                       "--out", str(workdir / "malformed_out"), "--log-every", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data / 'records.jsonl'} line ") and err.count("\n") == 1
+        assert f"lacks the field '{field}'" in err
 
     def test_manifest_not_json_exits_1(self, workdir, generated, capsys):
         data = self._copy(generated, workdir, "stage_I", "bad_manifest")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from planflow.checkpoint import Checkpoint, CheckpointError
-from planflow.config import DEFAULTS, Config, ConfigError, load_config, parse_config_text, write_config
+from planflow.config import DEFAULTS, Config, ConfigError, load_config, parse_config_text
 from planflow import harness, planner as planner_mod, toydata
 from planflow.harness import (
     GUIDANCE_KEY,
@@ -38,17 +38,16 @@ from planflow.harness import (
     run_stage,
     run_pipeline,
     state_to_checkpoint,
-    total_loss,
 )
 from planflow.numerics import Rng, Tensor
 from planflow import renderer as renderer_mod
 from planflow.planner import PlannerConfig
 from planflow.renderer import CondInputs, RendererConfig, ToyVae, conditioning_rows
-from planflow.schedules import TaskKind, pair_decay_weight, parse_mask_ratio
+from planflow.schedules import TaskKind, pair_decay_weight, parse_timestep
 from planflow.sequence import apply_target_mask
 from planflow.toydata import Dataset, gen_edit_case, generate_dataset
 from planflow import tensorio
-from util import read_tensor
+from util import read_tensor, write_config
 
 
 TINY_OVERRIDES = {
@@ -99,21 +98,6 @@ def tiny_dataset(tmp_path_factory):
     return Dataset(root)
 
 
-class TestTotalLoss:
-    def test_weighted_sum(self):
-        assert total_loss(1.0, 2.0, 3.0, (0.2, 1.0, 1.0)) == pytest.approx(5.2)
-
-    def test_stage_two_projection(self):
-        assert total_loss(9.0, 9.0, 4.0, (0.0, 0.0, 1.0)) == 4.0
-
-    def test_stage_one_weights(self):
-        assert total_loss(2.0, 3.0, 0.0, (0.2, 1.0, 0.0)) == pytest.approx(0.4 + 3.0)
-
-    def test_tensor_inputs(self):
-        out = total_loss(Tensor(1.0), Tensor(2.0), Tensor(3.0), (0.2, 1.0, 1.0))
-        assert out.item() == pytest.approx(5.2)
-
-
 def stage_config(name: str, **changes) -> StageConfig:
     """The configured stage `name` with `changes` applied."""
     return dataclasses.replace(StageConfig.from_config(Config(), name), **changes)
@@ -124,21 +108,16 @@ class TestStageConfig:
         cfg = stage_config("I", steps=10, mixture={"v2v": 2.0, "t2v": 2.0})
         assert cfg.mixture == {"v2v": 0.5, "t2v": 0.5}
 
-    def test_stage_i_lambda_dit_must_be_zero(self):
-        with pytest.raises(ConfigError):
-            stage_config("I", steps=1, lambda_dit=1.0, mixture={"v2v": 1.0})
-
-    def test_stage_ii_text_weights_must_be_zero(self):
-        with pytest.raises(ConfigError):
-            stage_config("II", steps=1, lambda_text=0.2, lambda_dit=1.0, mixture={"v2v": 1.0})
+    @pytest.mark.parametrize("stage, task", [("I", "pair"), ("II", "text")])
+    def test_mixture_task_without_a_loss_refused(self, stage, task):
+        """Stage I trains no renderer and stage II no planner, so neither
+        samples the records only the other model learns from."""
+        with pytest.raises(ConfigError, match=f"^stage.{stage}.mixture: .*{task} records"):
+            stage_config(stage, mixture={"v2v": 1.0, task: 1.0})
 
     def test_negative_mixture_rejected(self):
         with pytest.raises(ConfigError):
             stage_config("I", steps=1, mixture={"v2v": -1.0})
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ConfigError, match="nonnegative"):
-            stage_config("III", lambda_text=-0.1)
 
 
 class TestOptimizersAndEma:
@@ -650,7 +629,7 @@ class TestEvaluation:
 class TestConfigFile:
     def test_defaults_parse(self):
         cfg = Config()
-        assert parse_mask_ratio(cfg.get("schedules.mask_ratio.v2v")) == (12.0, 0.9)
+        assert parse_timestep(cfg.get("schedules.timestep.v2v")) == ("mode", (1.29,), 5.0)
         assert cfg.get_weighted("guidance.v2v") == {"txt": 4.0, "vid": 1.25, "img": 1.25, "tgt": 0.5}
         assert cfg.get_int("guidance.steps.t2v") == 15
         assert cfg.get_int("infer.plan_steps") == 8
@@ -679,14 +658,18 @@ class TestConfigFile:
                     parts = [re.escape(v.value) if isinstance(v, ast.Constant) else "[^.]+" for v in node.values]
                     if any(isinstance(v, ast.Constant) and v.value.strip(".") for v in node.values):
                         patterns.append("".join(parts))
-        unread = [key for key, _, _ in DEFAULTS if not any(re.fullmatch(p, key) for p in patterns)]
+        unread = [key for key in DEFAULTS if not any(re.fullmatch(p, key) for p in patterns)]
         assert unread == []
 
     def test_constant_settings_are_not_keys(self):
         """Values that no run varies are constants of the code: a config
         that sets one is refused."""
-        for key in ("planner.reveal", "planner.time_features", "renderer.time_features", "planner.rope_base",
-                    "renderer.rope_base", "planner.segment_base", "renderer.segment_base", "renderer.channels"):
+        keys = ["planner.reveal", "planner.time_features", "renderer.time_features", "planner.rope_base",
+                "renderer.rope_base", "planner.segment_base", "renderer.segment_base", "renderer.channels",
+                *(f"schedules.mask_ratio.{task.value}" for task in TaskKind),
+                *(f"stage.{stage}.{name}" for stage in ("I", "II", "III")
+                  for name in ("lr_final", "lambda_text", "lambda_visual", "lambda_dit"))]
+        for key in keys:
             with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
                 Config({key: "1"})
 
@@ -697,8 +680,7 @@ class TestConfigFile:
             PlannerConfig: ("hidden_dim", "blocks", "heads", "embed_dim", "segment_phases", "decoder_dim",
                             "decoder_blocks"),
             RendererConfig: ("hidden_dim", "blocks", "heads", "patch", "segment_phases", "planner_dim"),
-            StageConfig: ("steps", "lr", "lr_final", "ema_decay", "batch_size", "lambda_text", "lambda_visual",
-                          "lambda_dit", "mixture"),
+            StageConfig: ("steps", "lr", "ema_decay", "batch_size", "mixture"),
         }
         for cls, names in fields.items():
             defaulted = {f.name for f in dataclasses.fields(cls)
@@ -740,7 +722,7 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: .*{re.escape(bad)}"):
             getattr(cfg, getter)(key)
 
-    @pytest.mark.parametrize("key, value", [("schedules.mask_ratio.v2v", "12.0,"),
+    @pytest.mark.parametrize("key, value", [("schedules.timestep.v2v", "mode"),
                                             ("schedules.timestep.t2i", "mode,abc,3.0")])
     def test_malformed_schedule_names_key_and_value(self, key, value):
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: .*{re.escape(repr(value))}"):
@@ -770,7 +752,7 @@ class TestConfigFile:
     def test_write_then_load_roundtrip(self, tmp_path):
         path = tmp_path / "run.cfg"
         cfg = tiny_config()
-        write_config(path, cfg)
+        write_config(path, cfg.values)
         again = load_config(path)
         assert again.snapshot() == cfg.snapshot()
 

@@ -365,6 +365,18 @@ class TestRng:
         be = r.beta(12.0, 0.9, (500,))
         assert ((be >= 0) & (be <= 1)).all()
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_gamma_beta_refuse_bad_parameters(self, bad):
+        """A parameter that is not positive and finite is refused; a NaN or
+        infinite one would otherwise keep the rejection loop from ever
+        accepting a draw."""
+        r = Rng(9)
+        with pytest.raises(ContractError, match="positive and finite"):
+            r.gamma(bad)
+        for params in ((bad, 0.9), (12.0, bad)):
+            with pytest.raises(ContractError, match="positive and finite"):
+                r.beta(*params)
+
     def test_permutation_is_permutation(self):
         p = Rng(3).permutation(50)
         assert sorted(p.tolist()) == list(range(50))

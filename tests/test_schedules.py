@@ -9,15 +9,14 @@ from planflow.harness import RunConfig
 from planflow.numerics import ContractError, Rng
 from planflow.schedules import (
     shift_toward_noise,
+    MASK_RATIO_BETA,
     DomainError,
-    MaskRatioConfig,
     TaskKind,
     TimestepConfig,
     apply_shift,
     inference_mask_ratio,
     masked_count_trace,
     pair_decay_weight,
-    parse_mask_ratio,
     parse_timestep,
     sample_mask_ratio,
     sample_timestep,
@@ -27,9 +26,9 @@ from planflow.schedules import (
     timestep_map_mode,
 )
 
-# the configured per-task tables
+# the per-task tables: mask ratios are constants, timestep weightings configured
 RUN = RunConfig.from_config(Config())
-MASK_RATIO, TIMESTEP = RUN.mask_ratio.params, RUN.timestep.params
+MASK_RATIO, TIMESTEP = MASK_RATIO_BETA, RUN.timestep.params
 
 
 class TestMaskRatioSampling:
@@ -46,8 +45,7 @@ class TestMaskRatioSampling:
         draws = rng.beta(5.0, 1.1, (100_000,))
         assert abs(draws.mean() - 5.0 / 6.1) < 0.01
         # the per-task sampler draws from the same stream machinery
-        cfg = RUN.mask_ratio
-        few = np.array([sample_mask_ratio(cfg, TaskKind.T2I, Rng(2024, c)) for c in range(0, 40, 4)])
+        few = np.array([sample_mask_ratio(TaskKind.T2I, Rng(2024, c)) for c in range(0, 40, 4)])
         assert ((few >= 0) & (few <= 1)).all()
 
     def test_v2v_mean_monte_carlo(self):
@@ -55,10 +53,10 @@ class TestMaskRatioSampling:
         draws = rng.beta(12.0, 0.9, (100_000,))
         assert abs(draws.mean() - 12.0 / 12.9) < 0.01
 
-    def test_uniform_override(self):
-        cfg = MaskRatioConfig({t: (1.0, 1.0) for t in TaskKind})
+    def test_uniform_override(self, monkeypatch):
+        monkeypatch.setitem(MASK_RATIO_BETA, TaskKind.V2V, (1.0, 1.0))
         rng = Rng(5)
-        draws = np.sort(np.array([sample_mask_ratio(cfg, TaskKind.V2V, rng) for _ in range(20_000)]))
+        draws = np.sort(np.array([sample_mask_ratio(TaskKind.V2V, rng) for _ in range(20_000)]))
         grid = np.arange(1, len(draws) + 1) / len(draws)
         ks = np.abs(draws - grid).max()
         assert ks < 0.012
@@ -72,9 +70,11 @@ class TestMaskRatioSampling:
             assert abs(draws.mean() - mean) < 0.01, task
             assert abs(draws.var() - var) < 0.01, task
 
-    def test_positive_params_required(self):
-        with pytest.raises(DomainError):
-            MaskRatioConfig({TaskKind.T2I: (0.0, 1.0)})
+    def test_positive_params_required(self, monkeypatch):
+        assert all(a > 0 and b > 0 for a, b in MASK_RATIO.values())
+        monkeypatch.setitem(MASK_RATIO_BETA, TaskKind.T2I, (0.0, 1.0))
+        with pytest.raises(ContractError, match="positive and finite"):
+            sample_mask_ratio(TaskKind.T2I, Rng(5))
 
 
 class TestInferenceMaskRatio:
@@ -229,13 +229,11 @@ class TestTimestepConfig:
             parse_timestep("mode,abc,3.0")
         with pytest.raises(ConfigError):
             parse_timestep("mode")
-        with pytest.raises(ConfigError):
-            parse_mask_ratio("5.0")
 
 
 class TestDefaultsFromConfig:
     def test_defaults_are_the_config_defaults(self):
-        """The config holds a mask ratio and a timestep weighting for every task."""
+        """Every task has a mask ratio and a configured timestep weighting."""
         assert set(MASK_RATIO) == set(TaskKind) == set(TIMESTEP)
 
     def test_one_domain_error(self):

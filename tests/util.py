@@ -8,6 +8,11 @@ from planflow.tensorio import tensor_from_bytes
 from planflow.toydata import VOCAB
 
 
+def write_config(path: Path, values: dict[str, str]) -> None:
+    """A config file setting each key of `values`, one `key = value` line each."""
+    Path(path).write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+
+
 def rel_err(analytic: np.ndarray, reference: np.ndarray, floor: float = 1e-6) -> float:
     a = np.asarray(analytic, dtype=np.float64).reshape(-1)
     r = np.asarray(reference, dtype=np.float64).reshape(-1)
