@@ -196,15 +196,14 @@ def _ragged_guidance_batch():
 
 def _generator_oracle():
     cfg = Config()
-    thresholds = cfg.get_float("eval.edit_threshold"), cfg.get_float("eval.keep_threshold")
     rng = Rng(53)
     for i in range(20):
         case = toydata.gen_edit_case(rng.child(i), schedules.TaskKind.V2V, cfg.get_ints("data.grid"))
         truth = toydata.oracle_scores(case, case.target.rasterize())
-        assert toydata.oracle_passes(truth, *thresholds), f"{case.family}: ground truth must pass"
+        assert toydata.oracle_passes(truth), f"{case.family}: ground truth must pass"
         if case.source is not None and case.source.grid == case.target.grid:
             unedited = toydata.oracle_scores(case, case.source.rasterize())
-            assert not toydata.oracle_passes(unedited, *thresholds), f"{case.family}: unedited source must fail"
+            assert not toydata.oracle_passes(unedited), f"{case.family}: unedited source must fail"
 
 
 def run_all(quick: bool = False) -> list[tuple[str, bool, str]]:

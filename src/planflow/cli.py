@@ -87,9 +87,9 @@ def _out_dir(args, default: str) -> Path:
     return out
 
 
-def load_case(path: str) -> EditCase:
+def load_case(path: str, bundle: harness.ModelBundle) -> EditCase:
     """A standalone case file, or 'records.jsonl:INDEX'; refuses a malformed
-    case with ConfigError."""
+    case, or one that `bundle` cannot take, with ConfigError."""
     file, _, idx = path.rpartition(":")
     indexed = ":" in path and not Path(path).exists()
     if indexed and not idx.isdigit():
@@ -99,7 +99,7 @@ def load_case(path: str) -> EditCase:
     if text is None:
         raise ConfigError(f"record {idx} not found in {file}")
     try:
-        return EditCase.from_dict(json.loads(text))
+        return bundle.admit(EditCase.from_dict(json.loads(text)))
     except MALFORMED as exc:
         raise malformed(f"case {path}", exc) from None
 
@@ -170,8 +170,8 @@ def cmd_train(args) -> int:
 def cmd_plan(args) -> int:
     cfg, seed = _load(args)
     out = _out_dir(args, "plan_out")
-    case = load_case(args.case)
     bundle, ema = _bundle_from_ckpt(cfg, args.ckpt)
+    case = load_case(args.case, bundle)
     run = harness.RunConfig.from_config(cfg)
     with harness.ema_weights(bundle, ema if run.use_ema else None):
         result = harness.plan_case(bundle, run, case, Rng(seed).child(0xED17))
@@ -192,8 +192,8 @@ def cmd_plan(args) -> int:
 def cmd_render(args) -> int:
     cfg, seed = _load(args)
     out = _out_dir(args, "render_out")
-    case = load_case(args.case)
     bundle, ema = _bundle_from_ckpt(cfg, args.ckpt)
+    case = load_case(args.case, bundle)
     run = harness.RunConfig.from_config(cfg)
     with harness.ema_weights(bundle, ema if run.use_ema else None):
         latent = harness.render_case(bundle, run, case, None, Rng(seed).child(0xD1))
@@ -206,10 +206,10 @@ def cmd_render(args) -> int:
 def cmd_edit(args) -> int:
     cfg, seed = _load(args)
     out = _out_dir(args, "edit_out")
-    case = load_case(args.case)
+    bundle, ema = _bundle_from_ckpt(cfg, args.ckpt)
+    case = load_case(args.case, bundle)
     if args.task is not None and case.task.value != args.task.lower():
         raise ConfigError(f"case is {case.task.value!r}, not {args.task!r}")
-    bundle, ema = _bundle_from_ckpt(cfg, args.ckpt)
     run = harness.RunConfig.from_config(cfg)
     ids, report = harness.edit_case(bundle, run, case, seed, ema)
     tensorio.write_tensor(out / "frames.pft", ids.astype(np.float64))

@@ -49,13 +49,6 @@ DEFAULTS: dict[str, str] = {
     "renderer.drop_target": "0.1",
     "renderer.drop_source": "0.1",
 
-    "schedules.timestep.t2i": "logit-normal,0.5,1.0,3.0",  # weighting kind, params, shift
-    "schedules.timestep.i2i": "logit-normal,0.5,1.0,4.0",
-    "schedules.timestep.t2v": "mode,1.29,3.0",
-    "schedules.timestep.i2v": "mode,1.29,5.0",
-    "schedules.timestep.v2v": "mode,1.29,5.0",
-    "schedules.timestep.iv2v": "mode,1.29,5.0",
-
     "guidance.t2v": "txt:4.0,tgt:1.0",  # per-task guidance scales at inference
     "guidance.s2v": "txt:4.0,img:2.5,tgt:1.5",
     "guidance.v2v": "txt:4.0,vid:1.25,img:1.25,tgt:0.5",
@@ -92,8 +85,6 @@ DEFAULTS: dict[str, str] = {
     "stage.III.mixture": "text:0.12,t2i:0.06,t2v:0.1,i2i:0.1,i2v:0.1,v2v:0.38,iv2v:0.14",
 
     "train.checkpoint_every": "500",  # 0 disables periodic checkpoints
-    "eval.edit_threshold": "0.8",  # oracle: min edited-region accuracy
-    "eval.keep_threshold": "0.8",  # oracle: min untouched-region agreement
 }
 
 # model sizes, batch sizes and step counts that must be positive integers
@@ -115,6 +106,14 @@ _GUIDANCE_SCALES = ("guidance.t2v", "guidance.s2v", "guidance.v2v", "guidance.rv
 # per-stage task mixtures, `task:weight` lists
 _MIXTURES = ("stage.I.mixture", "stage.II.mixture", "stage.III.mixture")
 
+# numbers that must lie in a range: key -> (whether a value does, the rule)
+_RANGES = {
+    "infer.flow_shift": (lambda x: x >= 1.0, "must be >= 1"),
+    **{f"stage.{s}.lr": (lambda x: x > 0.0, "must be positive") for s in ("I", "II", "III")},
+    **{f"stage.{s}.ema": (lambda x: 0.0 <= x < 1.0, "must be in [0, 1)") for s in ("I", "II", "III")},
+    **{f"renderer.drop_{c}": (lambda x: 0.0 <= x <= 1.0, "must be in [0, 1]") for c in ("text", "target", "source")},
+}
+
 
 class Config:
     def __init__(self, overrides: dict[str, str] | None = None):
@@ -128,9 +127,10 @@ class Config:
     def validate(self) -> None:
         """Refuse model sizes the networks cannot be built with, batch sizes
         and step counts below 1, grids that are not triples of positive
-        sizes, a negative checkpoint interval, a sampling shift below 1,
-        unknown guidance branches, tasks or edit families, and any number
-        that is not finite."""
+        sizes, a negative checkpoint interval, a sampling shift below 1, a
+        learning rate that is not positive, an EMA decay outside [0, 1), a
+        dropout rate outside [0, 1], unknown guidance branches, tasks or edit
+        families, and any number that is not finite."""
         for key, value in self.values.items():
             for number in re.split("[,:]", value):
                 try:
@@ -163,8 +163,9 @@ class Config:
                 name = part.partition(":")[0].strip()
                 if name and name not in known:
                     raise ConfigError(f"{key}: unknown {noun} {name!r}; expected one of {', '.join(known)}")
-        if self.get_float("infer.flow_shift") < 1.0:
-            raise ConfigError(f"infer.flow_shift: must be >= 1, got {self.values['infer.flow_shift']!r}")
+        for key, (within, rule) in _RANGES.items():
+            if not within(self.get_float(key)):
+                raise ConfigError(f"{key}: {rule}, got {self.values[key]!r}")
         for key in _POSITIVE_INTS:
             if min(self.get_ints(key)) < 1:
                 raise ConfigError(f"{key}: values must be positive integers, got {self.values[key]!r}")

@@ -40,7 +40,7 @@ from .renderer import (
     render,
     train_step_renderer,
 )
-from .schedules import TaskKind, TimestepConfig, pair_decay_weight, parse_timestep, sample_mask_ratio
+from .schedules import TaskKind, pair_decay_weight, sample_mask_ratio
 from .sequence import TEXT, VISUAL_TARGET, apply_target_mask, serialize
 from .toydata import (
     PAIR_TASK,
@@ -78,18 +78,9 @@ GUIDANCE_KEY = {
 # run configuration
 # ---------------------------------------------------------------------------
 
-def _parsed(cfg: Config, key: str, parse):
-    """`parse` applied to the value of `key`; a malformed value's error names the key."""
-    try:
-        return parse(cfg.get(key))
-    except ConfigError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-
-
 @dataclass
 class RunConfig:
     config: Config
-    timestep: TimestepConfig
     guidance_scales: dict[str, dict[str, float]]
     guidance_steps: dict[str, int]
     plan_steps: int
@@ -101,18 +92,13 @@ class RunConfig:
     drop_text: float
     drop_target: float
     drop_source: float
-    edit_threshold: float
-    keep_threshold: float
 
     @classmethod
     def from_config(cls, cfg: Config) -> "RunConfig":
-        timestep = TimestepConfig(
-            {t: _parsed(cfg, f"schedules.timestep.{t.value}", parse_timestep) for t in TaskKind})
         scales = {key: cfg.get_weighted(f"guidance.{key}") for key in ("t2v", "s2v", "v2v", "rv2v")}
         steps = {key: cfg.get_int(f"guidance.steps.{key}") for key in ("t2v", "s2v", "v2v", "rv2v")}
         return cls(
             config=cfg,
-            timestep=timestep,
             guidance_scales=scales,
             guidance_steps=steps,
             plan_steps=cfg.get_int("infer.plan_steps"),
@@ -124,8 +110,6 @@ class RunConfig:
             drop_text=cfg.get_float("renderer.drop_text"),
             drop_target=cfg.get_float("renderer.drop_target"),
             drop_source=cfg.get_float("renderer.drop_source"),
-            edit_threshold=cfg.get_float("eval.edit_threshold"),
-            keep_threshold=cfg.get_float("eval.keep_threshold"),
         )
 
 
@@ -183,6 +167,15 @@ class ModelBundle:
             seed=cfg.get_int("vit.seed"),
         )
         self.vae = ToyVae(channels=rcfg.channels)
+
+    def admit(self, case: EditCase) -> EditCase:
+        """The case, refused if `vit.patch` or `renderer.patch` does not
+        divide one of its grids."""
+        for key, patch in (("vit.patch", self.vit.patch), ("renderer.patch", self.renderer.cfg.patch)):
+            for scene in (case.target, case.source, case.reference):
+                if scene is not None and any(n % p for n, p in zip(scene.grid, patch)):
+                    raise ConfigError(f"{key} = {self.config.get(key)} does not divide the grid {list(scene.grid)}")
+        return case
 
     def named_params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -460,7 +453,7 @@ def _renderer_loss(bundle: ModelBundle, run: RunConfig, case: EditCase, states: 
     kept = [lat for lat in latents if rngs["drop"].uniform() >= run.drop_source]
     cond = build_cond_tokens(bundle.renderer, text, states)
     l_dit, _ = train_step_renderer(bundle.renderer, bundle.vae.encode(case.target.normalized()), cond, kept,
-                                   case.task, run.timestep, rngs["noise"])
+                                   case.task, rngs["noise"])
     return l_dit
 
 
@@ -528,9 +521,9 @@ def run_stage(
                 loss = TEXT_LOSS_WEIGHT * losses_from_hidden(
                     bundle.planner, bundle.decoder, seq, z, None, state.rngs["noise"]).ntp
             elif task_name == PAIR_TASK or stage == "II":
-                loss = _renderer_loss(bundle, run, data.case(idx), None, state.rngs)
+                loss = _renderer_loss(bundle, run, data.case(idx, bundle.admit), None, state.rngs)
             else:
-                loss = _planner_case_loss(bundle, run, data.case(idx), stage, state.rngs)
+                loss = _planner_case_loss(bundle, run, data.case(idx, bundle.admit), stage, state.rngs)
             batch_losses.append(loss)
         batch_loss = (1.0 / stage_cfg.batch_size) * sum(batch_losses[1:], batch_losses[0])
         last_loss = batch_loss.item()
@@ -706,7 +699,7 @@ def evaluate(
                 continue
             if max_cases is not None and n_done >= max_cases:
                 break
-            case = data.case(i)
+            case = data.case(i, bundle.admit)
             rng = rng_root.child(i)
             if random_baseline:
                 noise = rng.normal((*case.target.grid, bundle.renderer.cfg.channels))
@@ -715,10 +708,10 @@ def evaluate(
                 ids, planned = run_pipeline(bundle, run, case, rng, phase_seconds)
                 plan_ids = frames_to_ids(bundle.vit.decode(planned.embeddings, case.target.grid))
                 scores = oracle_scores(case, plan_ids)
-                passed = oracle_passes(scores, run.edit_threshold, run.keep_threshold)
+                passed = oracle_passes(scores)
                 plan_only.setdefault(case.family, []).append((passed, *scores))
             e_acc, k_acc = oracle_scores(case, ids)
-            ok = oracle_passes((e_acc, k_acc), run.edit_threshold, run.keep_threshold)
+            ok = oracle_passes((e_acc, k_acc))
             succ.setdefault(case.task.value, []).append(ok)
             fam_succ.setdefault(case.family, []).append(ok)
             edited.append(e_acc)
@@ -752,7 +745,7 @@ def edit_case(bundle: ModelBundle, run: RunConfig, case: EditCase, seed: int,
         "family": case.family,
         "edited_accuracy": round(e_acc, 6),
         "untouched_agreement": round(k_acc, 6),
-        "oracle_pass": oracle_passes((e_acc, k_acc), run.edit_threshold, run.keep_threshold),
+        "oracle_pass": oracle_passes((e_acc, k_acc)),
         "seed": seed,
     }
     return ids, report

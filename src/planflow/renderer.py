@@ -27,7 +27,7 @@ from .numerics import DimensionError, ContractError, Rng, Rotation, Run, Tensor,
 from .posenc import RopeConfig, token_angles
 from .schedules import DomainError, sample_timestep, shift_toward_noise
 from .sequence import TokenSequence, serialize
-from .toydata import VOCAB
+from .toydata import MAX_TEXT_TOKENS, VOCAB
 
 
 class LayoutError(ValueError):
@@ -43,9 +43,6 @@ PALETTE_SCALE = 3.0
 
 # Width of the toy latent; the palette polyline uses three of its axes.
 LATENT_CHANNELS = 4
-
-# Rows of learned text positions; the grammar's longest instruction has 9 tokens.
-MAX_TEXT_TOKENS = 16
 
 
 class ToyVae:
@@ -395,10 +392,10 @@ def renderer_forward(
 
 
 def train_step_renderer(model: RendererModel, target_latent: np.ndarray, cond: Tensor,
-                        source_latents: list[np.ndarray], task, timestep_cfg, rng: Rng) -> tuple[Tensor, FlowSample]:
+                        source_latents: list[np.ndarray], task, rng: Rng) -> tuple[Tensor, FlowSample]:
     """Velocity-MSE flow-matching loss on one target latent, conditioned on
     `cond` and the source latents, at a task-weighted timestep."""
-    t = float(np.asarray(sample_timestep(timestep_cfg, task, rng)))
+    t = float(np.asarray(sample_timestep(task, rng)))
     noise = rng.normal(target_latent.shape)
     fs = FlowSample(target_latent, noise, t)
     pred = renderer_forward(model, fs.x_t, t, cond, source_latents)

@@ -8,12 +8,10 @@ Time convention everywhere: t = 1 is clean data, t = 0 is pure noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .config import ConfigError
 from .numerics import ContractError, Rng
 from .sequence import round_half_up
 
@@ -31,39 +29,6 @@ class TaskKind(str, Enum):
     IV2V = "iv2v"
 
 
-def parse_timestep(text: str) -> tuple[str, tuple[float, ...], float]:
-    """'kind,params...,shift' -> (kind, params, shift), the config form of a
-    timestep weighting."""
-    parts = [x.strip() for x in text.split(",") if x.strip()]
-    try:
-        if len(parts) < 2:
-            raise ValueError
-        return parts[0], tuple(float(x) for x in parts[1:-1]), float(parts[-1])
-    except ValueError:
-        raise ConfigError(f"expected 'kind,params...,shift' for a timestep weighting, got {text!r}") from None
-
-
-_WEIGHTING_ARITY = {"logit-normal": 2, "mode": 1}
-
-
-@dataclass
-class TimestepConfig:
-    """Per-task training timestep weighting and shift: (kind, params, shift)."""
-
-    params: dict[TaskKind, tuple[str, tuple[float, ...], float]]
-
-    def __post_init__(self):
-        for task, (kind, args, shift) in self.params.items():
-            if kind not in _WEIGHTING_ARITY:
-                raise DomainError(f"unknown timestep weighting {kind!r} for {task}")
-            if len(args) != _WEIGHTING_ARITY[kind]:
-                raise DomainError(f"{kind} weighting takes {_WEIGHTING_ARITY[kind]} parameter(s), got {args} for {task}")
-            if shift < 1.0:
-                raise DomainError(f"shift must be >= 1, got {shift} for {task}")
-            if kind == "logit-normal" and args[1] <= 0:
-                raise DomainError(f"logit-normal s must be positive, got {args[1]}")
-
-
 # Per-task Beta(alpha, beta) of the training mask ratio: more informative
 # inputs get ratios nearer 1, so the planner cannot lean on visible targets.
 MASK_RATIO_BETA: dict[TaskKind, tuple[float, float]] = {
@@ -78,6 +43,19 @@ MASK_RATIO_BETA: dict[TaskKind, tuple[float, float]] = {
 
 def sample_mask_ratio(task: TaskKind, rng: Rng) -> float:
     return float(rng.beta(*MASK_RATIO_BETA[TaskKind(task)]))
+
+
+# Per-task training timestep weighting (kind, params, shift), the SD3 recipe
+# (Esser et al. 2024): logit-normal (m, s) for images, mode (s) for video,
+# each warped toward noise by its task's shift.
+TIMESTEP_WEIGHTING: dict[TaskKind, tuple[str, tuple[float, ...], float]] = {
+    TaskKind.T2I: ("logit-normal", (0.5, 1.0), 3.0),
+    TaskKind.I2I: ("logit-normal", (0.5, 1.0), 4.0),
+    TaskKind.T2V: ("mode", (1.29,), 3.0),
+    TaskKind.I2V: ("mode", (1.29,), 5.0),
+    TaskKind.V2V: ("mode", (1.29,), 5.0),
+    TaskKind.IV2V: ("mode", (1.29,), 5.0),
+}
 
 
 def inference_mask_ratio(k: int, total_steps: int) -> float:
@@ -148,16 +126,11 @@ def shift_toward_noise(t, shift: float):
     return 1.0 - apply_shift(1.0 - np.asarray(t, dtype=np.float64), shift)
 
 
-def sample_timestep(cfg: TimestepConfig, task: TaskKind, rng: Rng, shape=()):
+def sample_timestep(task: TaskKind, rng: Rng, shape=()):
     """Draw a training timestep for the task, warped by its shift."""
-    kind, args, shift = cfg.params[TaskKind(task)]
-    if kind == "logit-normal":
-        t = sample_timestep_logit_normal(rng, args[0], args[1], shape)
-    else:
-        t = sample_timestep_mode(rng, args[0], shape)
-    if shift != 1.0:
-        t = shift_toward_noise(t, shift)
-    return t
+    kind, args, shift = TIMESTEP_WEIGHTING[TaskKind(task)]
+    sampler = {"logit-normal": sample_timestep_logit_normal, "mode": sample_timestep_mode}[kind]
+    return shift_toward_noise(sampler(rng, *args, shape), shift)
 
 
 def pair_decay_weight(step: int, total_steps: int, start_fraction: float) -> float:

@@ -25,6 +25,7 @@ SHAPES = ("square", "circle", "bar")
 COLOR_TOKENS = {1: "red", 2: "green", 3: "blue", 4: "yellow", 5: "white"}
 DIRECTIONS = {"up": (-1, 0), "down": (1, 0), "left": (0, -1), "right": (0, 1), "stay": (0, 0)}
 EDIT_FAMILIES = ("recolor", "remove", "add", "replace", "move", "palette")
+CASE_FAMILIES = ("generate", "animate", *EDIT_FAMILIES)  # every family the oracle scores
 
 MAX_COORD = 16
 
@@ -40,6 +41,8 @@ VOCAB: tuple[str, ...] = (
 )
 TOK = {name: i for i, name in enumerate(VOCAB)}
 assert len(VOCAB) <= 64
+# longest instruction, one learned renderer text position each; the grammar's longest has 9 tokens
+MAX_TEXT_TOKENS = 16
 
 
 class GenerationError(RuntimeError):
@@ -131,7 +134,16 @@ class Scene:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scene":
-        return cls(tuple(d["grid"]), [ObjectSpec.from_dict(o) for o in d["objects"]], d["background"])
+        """A scene record; refuses a grid that is not three positive sizes
+        and an object that leaves it."""
+        grid = tuple(d["grid"])
+        if len(grid) != 3 or not all(isinstance(n, int) and n > 0 for n in grid):
+            raise ValueError(f"grid {list(grid)} is not three positive sizes")
+        scene = cls(grid, [ObjectSpec.from_dict(o) for o in d["objects"]], d["background"])
+        for obj in scene.objects:
+            if not scene.in_bounds(obj):
+                raise ValueError(f"a {obj.shape} at {list(obj.start)} leaves the grid {list(grid)}")
+        return scene
 
 
 def frames_to_ids(frames: np.ndarray) -> np.ndarray:
@@ -212,15 +224,30 @@ class EditCase:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EditCase":
+        """A case record; refuses a family the oracle does not score, and
+        what `instruction_ids` and `Scene.from_dict` refuse."""
+        if d["family"] not in CASE_FAMILIES:
+            raise ValueError(f"unknown family {d['family']!r}; expected one of {', '.join(CASE_FAMILIES)}")
         return cls(
             task=TaskKind(d["task"]),
             family=d["family"],
-            instruction=list(d["instruction"]),
+            instruction=instruction_ids(d["instruction"]),
             target=Scene.from_dict(d["target"]),
             source=Scene.from_dict(d["source"]) if d.get("source") else None,
             reference=Scene.from_dict(d["reference"]) if d.get("reference") else None,
             edit=d.get("edit", {}),
         )
+
+
+def instruction_ids(ids) -> list[int]:
+    """The token ids of an instruction record; refuses more than
+    MAX_TEXT_TOKENS of them and an id outside the vocabulary."""
+    ids = list(ids)
+    if len(ids) > MAX_TEXT_TOKENS:
+        raise ValueError(f"instruction has {len(ids)} tokens, more than {MAX_TEXT_TOKENS}")
+    if not all(isinstance(i, int) and 0 <= i < len(VOCAB) for i in ids):
+        raise ValueError(f"instruction holds a token id outside [0, {len(VOCAB)}): {ids}")
+    return ids
 
 
 def _coord_tokens(r: int, c: int) -> list[str]:
@@ -278,10 +305,15 @@ def oracle_scores(case: EditCase, frames_ids: np.ndarray) -> tuple[float, float]
     return edited_acc, keep_acc
 
 
-def oracle_passes(scores: tuple[float, float], edit_threshold: float, keep_threshold: float) -> bool:
-    """Whether `oracle_scores` clear both thresholds (`eval.*_threshold`)."""
+# the oracle's bar: least edited-region accuracy and untouched-region agreement
+EDIT_THRESHOLD = 0.8
+KEEP_THRESHOLD = 0.8
+
+
+def oracle_passes(scores: tuple[float, float]) -> bool:
+    """Whether `oracle_scores` clear both thresholds."""
     edited_acc, keep_acc = scores
-    return edited_acc >= edit_threshold and keep_acc >= keep_threshold
+    return edited_acc >= EDIT_THRESHOLD and keep_acc >= KEEP_THRESHOLD
 
 
 def _pick_color(rng: Rng, exclude: set[int]) -> int:
@@ -638,13 +670,15 @@ class Dataset:
         except MALFORMED as exc:
             raise malformed(f"{self.root / 'records.jsonl'} line {i + 1}", exc) from None
 
-    def case(self, i: int) -> EditCase:
-        """Record `i` as an edit case, a mined pair included."""
+    def case(self, i: int, admit=None) -> EditCase:
+        """Record `i` as an edit case, a mined pair included, passed through
+        `admit`, a check that refuses a case with ValueError, when given."""
         kind = self.records[i]["kind"]
         if kind not in ("case", PAIR_TASK):
             raise ValueError(f"record {i} is a {kind} record, not a case")
-        return self._read(i, EditCase.from_dict if kind == "case" else _pair_case)
+        parse = EditCase.from_dict if kind == "case" else _pair_case
+        return self._read(i, parse if admit is None else lambda record: admit(parse(record)))
 
     def instruction(self, i: int) -> list[int]:
         """The token ids of text record `i`."""
-        return self._read(i, lambda rec: list(rec["instruction"]))
+        return self._read(i, lambda rec: instruction_ids(rec["instruction"]))

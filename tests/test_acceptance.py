@@ -260,8 +260,7 @@ def test_criterion_5_gradient_integrity():
     def stage2_loss():
         cond = build_cond_tokens(bundle.renderer, ids, None)
         loss, _ = train_step_renderer(
-            bundle.renderer, target, cond, [src],
-            "v2v", RunConfig.from_config(cfg).timestep, Rng(5405),
+            bundle.renderer, target, cond, [src], "v2v", Rng(5405),
         )
         return loss
 

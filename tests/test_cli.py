@@ -131,12 +131,13 @@ class TestTrainErrors:
         assert "infer.plan_steps" in err and "'abc'" in err
 
     def test_check_refuses_unknown_timestep_weighting(self, workdir, capsys):
+        """The timestep weightings are constants: a config that sets one is refused."""
         bad = workdir / "check_bad_timestep.cfg"
         bad.write_text("schedules.timestep.t2i = bogus,0.5,1.0,3.0\n")
         assert cli.main(["check", "--config", str(bad)]) == 1
         captured = capsys.readouterr()
         assert "invariants hold" not in captured.out
-        assert captured.err.startswith("error:") and captured.err.count("\n") == 1 and "bogus" in captured.err
+        assert captured.err == "error: unknown config key 'schedules.timestep.t2i'\n"
 
 
     @pytest.mark.parametrize("line", ["data.grid = 2,8", "renderer.patch = 1,2"])
@@ -334,7 +335,7 @@ class TestEditDeterminism:
                 assert err.startswith(f"error: {key}:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("line", ["infer.g_text = nan", "guidance.v2v = txt:nan,vid:1.25,img:1.25,tgt:0.5",
-                                      "infer.flow_shift = nan", "eval.edit_threshold = nan"])
+                                      "infer.flow_shift = nan", "infer.g_image = nan"])
     def test_non_finite_guidance_weight_exits_1(self, workdir, generated, trained_ckpt, capsys, line):
         bad = workdir / "nan_guidance.cfg"
         bad.write_text("\n".join(f"{k} = {v}" for k, v in SMOKE_OVERRIDES.items()) + "\n" + line + "\n")
@@ -367,6 +368,39 @@ class TestEditDeterminism:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "'family'" in err
 
+    @pytest.mark.parametrize("command", ["edit", "eval"])
+    @pytest.mark.parametrize("change, words", [
+        (lambda r: r.update(instruction=[1] * 17), "instruction has 17 tokens, more than 16"),
+        (lambda r: r["instruction"].append(56), "token id outside [0, 56)"),
+        (lambda r: r["instruction"].append(-1), "token id outside [0, 56)"),
+        (lambda r: r["source"]["objects"][0].update(start=[40, 0]), "at [40, 0] leaves the grid [2, 6, 6]"),
+        (lambda r: r.update(family="bogus"), "unknown family 'bogus'"),
+        (lambda r: r["target"].update(grid=[2, 6]), "grid [2, 6] is not three positive sizes"),
+        (lambda r: r["target"].update(grid=[2, 7, 7]), "vit.patch = 1,2,2 does not divide the grid [2, 7, 7]"),
+    ], ids=["long-instruction", "token-above-vocab", "negative-token", "object-outside-grid", "unknown-family",
+            "two-value-grid", "grid-patches-do-not-divide"])
+    def test_malformed_case_content_exits_1(self, workdir, generated, trained_ckpt, capsys, command, change, words):
+        """A case whose content the models cannot take, in a case file given
+        to `edit` or a records line read by `eval`, ends in one `error:` line
+        that names the file."""
+        data = workdir / "bad_content"
+        shutil.copytree(generated / "eval", data, dirs_exist_ok=True)
+        lines = (data / "records.jsonl").read_text().splitlines(keepends=True)
+        record = json.loads(lines[0])
+        change(record)
+        lines[0] = json.dumps(record) + "\n"
+        (data / "records.jsonl").write_text("".join(lines))
+        case = data / "bad_case.json"
+        case.write_text(lines[0])
+        argv = (["edit", "--case", str(case)] if command == "edit" else
+                ["eval", "--data", str(data), "--max-cases", "1"])
+        rc = cli.main([*argv, "--ckpt", str(trained_ckpt), "--config", str(workdir / "tiny.cfg"),
+                       "--out", str(workdir / "bad_content_out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        where = f"case {case}" if command == "edit" else f"{data / 'records.jsonl'} line 1"
+        assert err.startswith(f"error: {where} is malformed: ") and err.count("\n") == 1 and words in err
+
     def test_garbled_case_exits_1(self, workdir, generated, trained_ckpt, capsys):
         case = workdir / "garbled.json"
         case.write_text('{"task": "v2v", "family": ')
@@ -379,13 +413,13 @@ class TestEditDeterminism:
             assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
     def test_unknown_timestep_weighting_exits_1(self, workdir, generated, capsys):
+        """The timestep weightings are constants: a config that sets one is refused."""
         bad = workdir / "bad_timestep.cfg"
         bad.write_text("schedules.timestep.t2i = bogus,0.5,1.0,3.0\n")
         rc = cli.main(["train", "--stage", "I", "--data", str(generated / "stage_I"),
                        "--config", str(bad), "--out", str(workdir / "bad_ts"), "--log-every", "0"])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1 and "bogus" in err
+        assert capsys.readouterr().err == "error: unknown config key 'schedules.timestep.t2i'\n"
 
     def test_diverging_training_exits_1(self, workdir, generated, capsys):
         write_config(workdir / "diverge.cfg", {**SMOKE_OVERRIDES, "stage.I.lr": "1e300"})

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from planflow.config import Config, ConfigError
-from planflow.harness import RunConfig
+from planflow.config import ConfigError
 from planflow import nets, renderer as renderer_mod
 from planflow.guidance import GuidanceSpec, compose
 from planflow.numerics import ContractError, DimensionError, Rng, Tensor, backward, concat, fd_gradient, mul, sub, tmean
@@ -33,9 +32,6 @@ from util import gelu_np, layernorm_np, rel_err
 
 CFG = RendererConfig(hidden_dim=16, blocks=2, heads=2, patch=(1, 2, 2), segment_phases=True, planner_dim=16,
                      channels=4)
-
-# the configured training timestep weightings
-TIMESTEP = RunConfig.from_config(Config()).timestep
 
 # the six task layouts: (source role, source grid) per source, and the target grid
 LAYOUTS = {
@@ -307,7 +303,7 @@ class TestTrainStep:
         rng = Rng(15)
         target = rng.normal((1, 4, 4, 4))
         cond = build_cond_tokens(model, np.array([2], dtype=np.intp), None)
-        loss, fs = train_step_renderer(model, target, cond, [], TaskKind.V2V, TIMESTEP, Rng(16))
+        loss, fs = train_step_renderer(model, target, cond, [], TaskKind.V2V, Rng(16))
         _, v_tok = patchify(fs.v_target, model.cfg.patch)
         assert loss.item() == pytest.approx((v_tok ** 2).mean(), rel=1e-12)
 
@@ -322,7 +318,7 @@ class TestTrainStep:
         model = make_model()
         cond = build_cond_tokens(model, None, None)
         with pytest.raises(Exception):
-            train_step_renderer(model, np.zeros((1, 4, 4, 4)), cond, [], "w2w", TIMESTEP, Rng(1))
+            train_step_renderer(model, np.zeros((1, 4, 4, 4)), cond, [], "w2w", Rng(1))
 
     def test_gradient_vs_finite_differences(self):
         model = make_model(seed=18, blocks=1)
@@ -334,7 +330,7 @@ class TestTrainStep:
 
         def loss():
             cond = build_cond_tokens(model, ids, states)
-            l, _ = train_step_renderer(model, target, cond, [src], TaskKind.V2V, TIMESTEP, Rng(20))
+            l, _ = train_step_renderer(model, target, cond, [src], TaskKind.V2V, Rng(20))
             return l
 
         grads = backward(loss())

@@ -4,20 +4,17 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from planflow.config import Config, ConfigError
-from planflow.harness import RunConfig
 from planflow.numerics import ContractError, Rng
 from planflow.schedules import (
     shift_toward_noise,
     MASK_RATIO_BETA,
+    TIMESTEP_WEIGHTING,
     DomainError,
     TaskKind,
-    TimestepConfig,
     apply_shift,
     inference_mask_ratio,
     masked_count_trace,
     pair_decay_weight,
-    parse_timestep,
     sample_mask_ratio,
     sample_timestep,
     sample_timestep_logit_normal,
@@ -26,9 +23,8 @@ from planflow.schedules import (
     timestep_map_mode,
 )
 
-# the per-task tables: mask ratios are constants, timestep weightings configured
-RUN = RunConfig.from_config(Config())
-MASK_RATIO, TIMESTEP = MASK_RATIO_BETA, RUN.timestep.params
+# the per-task tables
+MASK_RATIO, TIMESTEP = MASK_RATIO_BETA, TIMESTEP_WEIGHTING
 
 
 class TestMaskRatioSampling:
@@ -193,19 +189,17 @@ class TestTimestepConfig:
             assert TIMESTEP[t] == ("mode", (1.29,), 5.0)
 
     def test_sampled_timesteps_in_range(self):
-        cfg = RUN.timestep
         rng = Rng(12)
         for task in TaskKind:
-            t = np.array([sample_timestep(cfg, task, rng) for _ in range(200)])
+            t = np.array([sample_timestep(task, rng) for _ in range(200)])
             assert ((t >= 0) & (t <= 1)).all(), task
 
-    def test_shift_flag_respected(self):
+    def test_shift_flag_respected(self, monkeypatch):
         kind, args, shift = TIMESTEP[TaskKind.V2V]
         assert shift == 5.0
-        no_shift = TimestepConfig({**TIMESTEP, TaskKind.V2V: (kind, args, 1.0)})
-        shifted = RUN.timestep
-        a = np.array([sample_timestep(no_shift, TaskKind.V2V, Rng(3, c)) for c in range(0, 400, 2)])
-        b = np.array([sample_timestep(shifted, TaskKind.V2V, Rng(3, c)) for c in range(0, 400, 2)])
+        b = np.array([sample_timestep(TaskKind.V2V, Rng(3, c)) for c in range(0, 400, 2)])
+        monkeypatch.setitem(TIMESTEP_WEIGHTING, TaskKind.V2V, (kind, args, 1.0))
+        a = np.array([sample_timestep(TaskKind.V2V, Rng(3, c)) for c in range(0, 400, 2)])
         assert np.allclose(shift_toward_noise(a, 5.0), b)
 
     def test_shift_toward_noise_is_conjugate(self):
@@ -216,24 +210,10 @@ class TestTimestepConfig:
         # mass moves toward the noise end
         assert (shift_toward_noise(t[1:-1], 5.0) < t[1:-1]).all()
 
-    def test_invalid_config(self):
-        with pytest.raises(DomainError):
-            TimestepConfig({TaskKind.T2I: ("mode", (1.0,), 0.5)})
-        with pytest.raises(DomainError):
-            TimestepConfig({TaskKind.T2I: ("banana", (1.0,), 3.0)})
-        with pytest.raises(DomainError, match="takes 2 parameter"):
-            TimestepConfig({TaskKind.T2I: ("logit-normal", (0.5,), 3.0)})
-
-    def test_malformed_config_text(self):
-        with pytest.raises(ConfigError):
-            parse_timestep("mode,abc,3.0")
-        with pytest.raises(ConfigError):
-            parse_timestep("mode")
-
 
 class TestDefaultsFromConfig:
     def test_defaults_are_the_config_defaults(self):
-        """Every task has a mask ratio and a configured timestep weighting."""
+        """Every task has a mask ratio and a timestep weighting."""
         assert set(MASK_RATIO) == set(TaskKind) == set(TIMESTEP)
 
     def test_one_domain_error(self):

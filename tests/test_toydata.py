@@ -33,9 +33,8 @@ GRID = CFG.get_ints("data.grid")
 
 
 def passes(case: EditCase, frames: np.ndarray) -> bool:
-    """The oracle's verdict on `frames` at the configured thresholds."""
-    thresholds = CFG.get_float("eval.edit_threshold"), CFG.get_float("eval.keep_threshold")
-    return oracle_passes(oracle_scores(case, frames), *thresholds)
+    """The oracle's verdict on `frames`."""
+    return oracle_passes(oracle_scores(case, frames))
 
 
 def clip_similarity(a: Scene, b: Scene) -> float:
