@@ -25,7 +25,9 @@ SHAPES = ("square", "circle", "bar")
 COLOR_TOKENS = {1: "red", 2: "green", 3: "blue", 4: "yellow", 5: "white"}
 DIRECTIONS = {"up": (-1, 0), "down": (1, 0), "left": (0, -1), "right": (0, 1), "stay": (0, 0)}
 EDIT_FAMILIES = ("recolor", "remove", "add", "replace", "move", "palette")
-CASE_FAMILIES = ("generate", "animate", *EDIT_FAMILIES)  # every family the oracle scores
+# every family the oracle scores -> the edit fields it reads; it reads "old" and "color_a" in the source
+ORACLE_FIELDS = {"generate": ("object",), "animate": ("object",), "recolor": ("new",), "remove": ("old",),
+                 "add": ("new",), "replace": ("old", "new"), "move": ("old", "new"), "palette": ("color_a",)}
 
 MAX_COORD = 16
 
@@ -88,7 +90,17 @@ class ObjectSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObjectSpec":
-        return cls(d["shape"], d["color"], d["size"], tuple(d["start"]), tuple(d["velocity"]), d.get("orient", "h"))
+        """An object record; refuses an unknown shape, orient or colour and a size below 1."""
+        obj = cls(d["shape"], d["color"], d["size"], tuple(d["start"]), tuple(d["velocity"]), d.get("orient", "h"))
+        if obj.shape not in SHAPES:
+            raise ValueError(f"unknown shape {obj.shape!r}; expected one of {', '.join(SHAPES)}")
+        if obj.orient not in ("h", "v"):
+            raise ValueError(f"orient {obj.orient!r} is neither 'h' nor 'v'")
+        if obj.color not in COLOR_TOKENS:
+            raise ValueError(f"object color {obj.color!r} is not one of the object colors 1-5")
+        if not (isinstance(obj.size, int) and obj.size >= 1):
+            raise ValueError(f"object size {obj.size!r} is not a positive integer")
+        return obj
 
 
 @dataclass
@@ -134,11 +146,13 @@ class Scene:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scene":
-        """A scene record; refuses a grid that is not three positive sizes
-        and an object that leaves it."""
+        """A scene record; refuses a grid that is not three positive sizes, a
+        background outside the palette and an object that leaves the grid."""
         grid = tuple(d["grid"])
         if len(grid) != 3 or not all(isinstance(n, int) and n > 0 for n in grid):
             raise ValueError(f"grid {list(grid)} is not three positive sizes")
+        if not (isinstance(d["background"], int) and 0 <= d["background"] < PALETTE_SIZE):
+            raise ValueError(f"background {d['background']!r} is outside the palette [0, {PALETTE_SIZE - 1}]")
         scene = cls(grid, [ObjectSpec.from_dict(o) for o in d["objects"]], d["background"])
         for obj in scene.objects:
             if not scene.in_bounds(obj):
@@ -224,19 +238,29 @@ class EditCase:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EditCase":
-        """A case record; refuses a family the oracle does not score, and
-        what `instruction_ids` and `Scene.from_dict` refuse."""
-        if d["family"] not in CASE_FAMILIES:
-            raise ValueError(f"unknown family {d['family']!r}; expected one of {', '.join(CASE_FAMILIES)}")
-        return cls(
+        """A case record; refuses a family the oracle does not score, a case
+        without an edit field or the source that its family's oracle reads,
+        and what `instruction_ids` and the `from_dict` of scenes and objects refuse."""
+        family = d["family"]
+        if family not in ORACLE_FIELDS:
+            raise ValueError(f"unknown family {family!r}; expected one of {', '.join(ORACLE_FIELDS)}")
+        case = cls(
             task=TaskKind(d["task"]),
-            family=d["family"],
+            family=family,
             instruction=instruction_ids(d["instruction"]),
             target=Scene.from_dict(d["target"]),
             source=Scene.from_dict(d["source"]) if d.get("source") else None,
             reference=Scene.from_dict(d["reference"]) if d.get("reference") else None,
             edit=d.get("edit", {}),
         )
+        for name in ORACLE_FIELDS[family]:
+            if name not in case.edit:
+                raise ValueError(f"the edit of a {family} case lacks {name!r}")
+            if name in ("old", "color_a") and case.source is None:
+                raise ValueError(f"a {family} case has no source")
+            if name != "color_a":
+                ObjectSpec.from_dict(case.edit[name])
+        return case
 
 
 def instruction_ids(ids) -> list[int]:
@@ -262,28 +286,14 @@ def _direction_name(vel: tuple[int, int]) -> str:
 
 
 def edited_mask(case: EditCase) -> np.ndarray:
-    """Cells whose value the edit is responsible for (union of old and new)."""
-    target = case.target
-    kind = case.family
-    if kind in ("generate", "animate"):
-        obj = ObjectSpec.from_dict(case.edit["object"])
-        return _object_cells_mask(target, obj)
-    if kind == "recolor":
-        return _object_cells_mask(target, ObjectSpec.from_dict(case.edit["new"]))
-    if kind == "remove":
-        assert case.source is not None
-        return _object_cells_mask(case.source, ObjectSpec.from_dict(case.edit["old"]))
-    if kind == "add":
-        return _object_cells_mask(target, ObjectSpec.from_dict(case.edit["new"]))
-    if kind in ("replace", "move"):
-        assert case.source is not None
-        old = _object_cells_mask(case.source, ObjectSpec.from_dict(case.edit["old"]))
-        new = _object_cells_mask(target, ObjectSpec.from_dict(case.edit["new"]))
-        return old | new
-    if kind == "palette":
-        assert case.source is not None
+    """Cells whose value the edit is responsible for: the source cells of the
+    palette colour that changes, or the union of the old object's cells in
+    the source and the new (or generated) object's cells in the target."""
+    if case.family == "palette":
         return case.source.rasterize() == case.edit["color_a"]
-    raise ValueError(f"unknown edit family {kind!r}")
+    masks = [_object_cells_mask(case.source if name == "old" else case.target, ObjectSpec.from_dict(case.edit[name]))
+             for name in ORACLE_FIELDS[case.family]]
+    return np.logical_or.reduce(masks)
 
 
 def comparison_frames(case: EditCase) -> np.ndarray:

@@ -227,6 +227,23 @@ class TestTrainErrors:
             assert captured.err.startswith(f"error: {key}:") and captured.err.count("\n") == 1
             assert "positive" in captured.err
 
+    @pytest.mark.parametrize("line", ["stage.II.steps = 0", "stage.II.steps = -5", "data.eval_cases = 0",
+                                      "data.cases_per_stage = -3", "data.eval_families = ", "stage.I.mixture = "])
+    def test_value_refused_at_load_exits_1(self, workdir, generated, capsys, line):
+        """A value that breaks its key's rule is refused, naming the key, by
+        `check` and by `train`, whatever stage `train` runs."""
+        bad = workdir / "refused_at_load.cfg"
+        bad.write_text("".join(f"{k} = {v}\n" for k, v in SMOKE_OVERRIDES.items()) + line + "\n")
+        out = workdir / "refused_at_load"
+        train = ["train", "--stage", "I", "--data", str(generated / "stage_I"), "--log-every", "0"]
+        for argv in (["check"], train):
+            assert cli.main([*argv, "--config", str(bad), "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert "invariants hold" not in captured.out
+            key = line.split(" ")[0]
+            assert captured.err.startswith(f"error: {key}: ") and captured.err.count("\n") == 1
+        assert not list(out.glob("*.ckpt"))
+
     @pytest.mark.parametrize("source", ["config", "flag"])
     def test_negative_checkpoint_interval_exits_1(self, workdir, generated, capsys, source):
         """A negative checkpoint interval, from the config file or from
@@ -377,8 +394,16 @@ class TestEditDeterminism:
         (lambda r: r.update(family="bogus"), "unknown family 'bogus'"),
         (lambda r: r["target"].update(grid=[2, 6]), "grid [2, 6] is not three positive sizes"),
         (lambda r: r["target"].update(grid=[2, 7, 7]), "vit.patch = 1,2,2 does not divide the grid [2, 7, 7]"),
+        (lambda r: r.update(family="recolor", edit={"old": r["edit"]["old"]}), "the edit of a recolor case lacks 'new'"),
+        (lambda r: r.update(family="remove", source=None), "a remove case has no source"),
+        (lambda r: r["source"]["objects"][0].update(color=9), "object color 9 is not one of"),
+        (lambda r: r["source"]["objects"][0].update(shape="blob"), "unknown shape 'blob'"),
+        (lambda r: r["source"]["objects"][0].update(orient="d"), "orient 'd' is neither 'h' nor 'v'"),
+        (lambda r: r["source"]["objects"][0].update(size=-1), "object size -1 is not a positive integer"),
+        (lambda r: r["target"].update(background=7), "background 7 is outside the palette [0, 5]"),
     ], ids=["long-instruction", "token-above-vocab", "negative-token", "object-outside-grid", "unknown-family",
-            "two-value-grid", "grid-patches-do-not-divide"])
+            "two-value-grid", "grid-patches-do-not-divide", "edit-without-field", "source-missing",
+            "color-outside-palette", "unknown-shape", "unknown-orient", "size-below-one", "background-outside-palette"])
     def test_malformed_case_content_exits_1(self, workdir, generated, trained_ckpt, capsys, command, change, words):
         """A case whose content the models cannot take, in a case file given
         to `edit` or a records line read by `eval`, ends in one `error:` line

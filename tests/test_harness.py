@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from planflow.checkpoint import Checkpoint, CheckpointError
-from planflow.config import DEFAULTS, Config, ConfigError, load_config, parse_config_text
+from planflow.config import DEFAULTS, KEYS, Config, ConfigError, load_config, parse_config_text
 from planflow import harness, planner as planner_mod, toydata
 from planflow.harness import (
     GUIDANCE_KEY,
@@ -114,11 +114,11 @@ class TestStageConfig:
         """Stage I trains no renderer and stage II no planner, so neither
         samples the records only the other model learns from."""
         with pytest.raises(ConfigError, match=f"^stage.{stage}.mixture: .*{task} records"):
-            stage_config(stage, mixture={"v2v": 1.0, task: 1.0})
+            Config({f"stage.{stage}.mixture": f"v2v:1.0,{task}:1.0"})
 
     def test_negative_mixture_rejected(self):
         with pytest.raises(ConfigError):
-            stage_config("I", steps=1, mixture={"v2v": -1.0})
+            Config({"stage.I.mixture": "v2v:-1.0"})
 
 
 class TestOptimizersAndEma:
@@ -260,11 +260,16 @@ class TestConfigSnapshot:
                           resume=ck)
 
     def test_same_meaning_accepted(self):
+        """Saved values are read with their keys' getters, so another spelling
+        of the same value is accepted; a saved value that does not parse is
+        refused as the checkpoint's, not as this config's."""
         cfg = tiny_config()
         check_config_snapshot({}, cfg)  # unknown: a hand-made checkpoint
         check_config_snapshot(cfg.snapshot(), cfg)
         check_config_snapshot({"planner.rope_base": "1e4", "vit.patch": "1, 2, 2", "renderer.segment_phases": "yes",
                                "stage.I.lr": "0.5", "renderer.drop_text": "0.0", "old.key": "1"}, cfg)
+        with pytest.raises(ConfigError, match="^the checkpoint's saved config: planner.heads: .*'two'$"):
+            check_config_snapshot({**cfg.snapshot(), "planner.heads": "two"}, cfg)
 
 
 class TestCheckpoint:
@@ -734,10 +739,18 @@ class TestConfigFile:
                                    ("stage.III.lr", "0", "must be positive"),
                                    ("renderer.drop_text", "1.7", "must be in [0, 1]"),
                                    ("renderer.drop_source", "-0.2", "must be in [0, 1]"))),
+        *(pytest.param({key: value}, f"^{re.escape(key)}: ", id=f"{key} = {value}")
+          for key, value in (("stage.II.steps", "0"), ("stage.II.steps", "-5"), ("data.eval_cases", "0"),
+                             ("data.cases_per_stage", "-3"), ("data.eval_families", ""),
+                             ("stage.I.mixture", "v2v:-1"), ("stage.I.mixture", ""))),
     ])
     def test_inconsistent_model_sizes_refused(self, overrides, message):
         with pytest.raises(ConfigError, match=message):
             Config(overrides)
+        cfg = Config()
+        with pytest.raises(ConfigError, match=message):
+            for key, value in overrides.items():
+                cfg.set(key, value)
 
     @pytest.mark.parametrize("key, value, getter, bad", [
         ("train.checkpoint_every", "abc", "get_int", "'abc'"),
@@ -746,9 +759,10 @@ class TestConfigFile:
         ("guidance.v2v", "txt:4.0,vid:lots", "get_weighted", "'vid:lots'"),
     ])
     def test_malformed_value_names_key_and_value(self, key, value, getter, bad):
-        cfg = Config({key: value})
+        """The key's getter, the one its row names, refuses the value at load."""
+        assert KEYS[key].read is getattr(Config, getter)
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: .*{re.escape(bad)}"):
-            getattr(cfg, getter)(key)
+            Config({key: value})
 
     @pytest.mark.parametrize("key, value, name", [
         ("guidance.v2v", "txt:4.0,vdi:1.25", "vdi"),
