@@ -164,8 +164,8 @@ def _zero_init_conditioning():
 
 
 def _ragged_guidance_batch():
-    from .renderer import (CondInputs, RendererConfig, RendererModel, build_cond_tokens, euler_integrate,
-                           patchify, render, renderer_forward, unpatchify)
+    from .renderer import (LATENT_CHANNELS, CondInputs, RendererConfig, RendererModel, build_cond_tokens,
+                           euler_integrate, patchify, render, renderer_forward, unpatchify)
 
     rng = Rng(59)
     cfg = RendererConfig(hidden_dim=16, blocks=2, heads=2, patch=(1, 2, 2), segment_phases=True, planner_dim=16)
@@ -184,12 +184,13 @@ def _ragged_guidance_batch():
             cond = build_cond_tokens(model, cond_in.text_ids if "txt" in subset else None,
                                      cond_in.planner_states if "tgt" in subset else None)
             held = [lat for lat, role in zip(cond_in.source_latents, cond_in.source_roles) if role in subset]
-            forwards[subset] = unpatchify(renderer_forward(model, x, t, cond, held).data, grid, cfg.patch, cfg.channels)
+            forwards[subset] = unpatchify(renderer_forward(model, x, t, cond, held).data, grid, cfg.patch,
+                                         LATENT_CHANNELS)
         return guidance.compose(spec, forwards)
 
     with numerics.no_grad():
         out = render(model, cond_in, 2, scales, 3.0, Rng(60), (2, 4, 4))
-        expected = euler_integrate(per_subset, Rng(60).normal((2, 4, 4, cfg.channels)), 2, 3.0)
+        expected = euler_integrate(per_subset, Rng(60).normal((2, 4, 4, LATENT_CHANNELS)), 2, 3.0)
     err = np.abs(out - expected).max()
     assert err < 1e-12, f"batched render departs from per-subset forwards by {err:.2e}"
 

@@ -167,13 +167,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_plan(args) -> int:
+def _one_case(args, default_out: str):
+    """What `plan`, `render` and `edit` start from: run config, seed, output directory,
+    bundle, the EMA weights to run with (None unless `infer.use_ema`) and the case."""
     cfg, seed = _load(args)
-    out = _out_dir(args, "plan_out")
+    out = _out_dir(args, default_out)
     bundle, ema = _bundle_from_ckpt(cfg, args.ckpt)
     case = load_case(args.case, bundle)
     run = harness.RunConfig.from_config(cfg)
-    with harness.ema_weights(bundle, ema if run.use_ema else None):
+    return run, seed, out, bundle, ema if run.use_ema else None, case
+
+
+def cmd_plan(args) -> int:
+    run, seed, out, bundle, ema, case = _one_case(args, "plan_out")
+    with harness.ema_weights(bundle, ema):
         result = harness.plan_case(bundle, run, case, Rng(seed).child(0xED17))
     tensorio.write_tensor(out / "embeddings.pft", result.embeddings)
     tensorio.write_tensor(out / "hidden.pft", result.hidden)
@@ -190,12 +197,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_render(args) -> int:
-    cfg, seed = _load(args)
-    out = _out_dir(args, "render_out")
-    bundle, ema = _bundle_from_ckpt(cfg, args.ckpt)
-    case = load_case(args.case, bundle)
-    run = harness.RunConfig.from_config(cfg)
-    with harness.ema_weights(bundle, ema if run.use_ema else None):
+    run, seed, out, bundle, ema, case = _one_case(args, "render_out")
+    with harness.ema_weights(bundle, ema):
         latent = harness.render_case(bundle, run, case, None, Rng(seed).child(0xD1))
     tensorio.write_tensor(out / "latent.pft", latent)
     tensorio.write_tensor(out / "frames.pft", frames_to_ids(bundle.vae.decode(latent)).astype(np.float64))
@@ -204,13 +207,9 @@ def cmd_render(args) -> int:
 
 
 def cmd_edit(args) -> int:
-    cfg, seed = _load(args)
-    out = _out_dir(args, "edit_out")
-    bundle, ema = _bundle_from_ckpt(cfg, args.ckpt)
-    case = load_case(args.case, bundle)
+    run, seed, out, bundle, ema, case = _one_case(args, "edit_out")
     if args.task is not None and case.task.value != args.task.lower():
         raise ConfigError(f"case is {case.task.value!r}, not {args.task!r}")
-    run = harness.RunConfig.from_config(cfg)
     ids, report = harness.edit_case(bundle, run, case, seed, ema)
     tensorio.write_tensor(out / "frames.pft", ids.astype(np.float64))
     (out / "report.txt").write_text("".join(f"{k} {report[k]}\n" for k in sorted(report)))

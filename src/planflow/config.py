@@ -135,11 +135,12 @@ def _known(noun: str, names: Callable[[], tuple[str, ...]], least: int = 0) -> C
 
 def _mixture(stage: str) -> Callable:
     """Known tasks with nonnegative weights of a positive sum, without the
-    records that the stage has no loss on."""
+    records that no model the stage trains has a loss on."""
     def fault(weights):
-        idle = {"I": _toydata().PAIR_TASK, "II": _toydata().TEXT_TASK}.get(stage)
-        if idle in weights:
-            return f"stage {stage} has no loss on {idle} records"
+        from .harness import STAGE_MODELS  # at call time: harness imports this module
+        for idle, model in ((_toydata().TEXT_TASK, "planner"), (_toydata().PAIR_TASK, "renderer")):
+            if idle in weights and model not in STAGE_MODELS[stage]:
+                return f"stage {stage} has no loss on {idle} records"
         if min(weights.values(), default=0.0) < 0.0 or sum(weights.values()) <= 0.0:
             return "weights must be nonnegative with a positive sum"
         return _known("task", lambda: _toydata().TASK_NAMES)(weights)

@@ -100,14 +100,6 @@ class DualBranchSpec:
     i2v: tuple[float, float, float]  # (w_full, w_text, w_image)
     v2v: tuple[float, float, float]  # (w_full, w_text, w_video)
 
-    @classmethod
-    def checked(cls, alpha, beta, i2v, v2v) -> "DualBranchSpec":
-        spec = cls(alpha, beta, tuple(i2v), tuple(v2v))
-        violations = validate(spec)
-        if violations:
-            raise GuidanceValidationError("; ".join(v.describe() for v in violations))
-        return spec
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -31,6 +31,7 @@ from .planner import (
     planner_forward,
 )
 from .renderer import (
+    LATENT_CHANNELS,
     CondInputs,
     RendererConfig,
     RendererModel,
@@ -44,6 +45,7 @@ from .schedules import TaskKind, pair_decay_weight, sample_mask_ratio
 from .sequence import TEXT, VISUAL_TARGET, apply_target_mask, serialize
 from .toydata import (
     PAIR_TASK,
+    SOURCE_FAMILIES,
     TEXT_TASK,
     Dataset,
     EditCase,
@@ -61,7 +63,10 @@ class NonFiniteError(RuntimeError):
     """Training produced a non-finite loss, weight or EMA value."""
 
 
-STAGES = ("I", "II", "III")
+# the models each stage trains, which fix its losses: text records train the planner, pair records
+# the renderer, case records every model of the stage (the renderer on the planner's states if both)
+STAGE_MODELS = {"I": ("planner", "decoder"), "II": ("renderer",), "III": ("planner", "decoder", "renderer")}
+STAGES = tuple(STAGE_MODELS)
 
 # guidance table row serving each task kind
 GUIDANCE_KEY = {
@@ -168,15 +173,19 @@ class ModelBundle:
             embed_dim=cfg.get_int("vit.embed_dim"),
             seed=cfg.get_int("vit.seed"),
         )
-        self.vae = ToyVae(channels=rcfg.channels)
+        self.vae = ToyVae()
 
     def admit(self, case: EditCase) -> EditCase:
         """The case, refused if `vit.patch` or `renderer.patch` does not
-        divide one of its grids."""
+        divide one of its grids, or if its family's oracle reads a source
+        whose grid is not the target's."""
         for key, patch in (("vit.patch", self.vit.patch), ("renderer.patch", self.renderer.cfg.patch)):
             for scene in (case.target, case.source, case.reference):
                 if scene is not None and any(n % p for n, p in zip(scene.grid, patch)):
                     raise ConfigError(f"{key} = {self.config.get(key)} does not divide the grid {list(scene.grid)}")
+        if case.family in SOURCE_FAMILIES and case.source.grid != case.target.grid:
+            raise ValueError(f"the source grid {list(case.source.grid)} of a {case.family} case "
+                             f"is not its target grid {list(case.target.grid)}")
         return case
 
     def named_params(self) -> dict[str, Tensor]:
@@ -187,10 +196,7 @@ class ModelBundle:
         return out
 
     def trainable(self, stage: str) -> dict[str, Tensor]:
-        keep = {"I": ("planner.", "decoder."), "II": ("renderer.",), "III": ("planner.", "decoder.", "renderer.")}
-        if stage not in keep:
-            raise ConfigError(f"unknown stage {stage!r}")
-        return {k: v for k, v in self.named_params().items() if k.startswith(keep[stage])}
+        return {k: v for k, v in self.named_params().items() if k.partition(".")[0] in STAGE_MODELS[stage]}
 
     def load_param_values(self, values: dict[str, np.ndarray]) -> None:
         """Replace every parameter; refuses a set that is not exactly this config's."""
@@ -214,17 +220,20 @@ class ModelBundle:
 # optimizer / EMA
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
+
 class Adam:
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr: float):
+        self.lr = lr
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
     def step(self, params: dict[str, Tensor]) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         for name in sorted(params):
             p = params[name]
             if p.grad is None:
@@ -235,11 +244,11 @@ class Adam:
                 self.v[name] = np.zeros_like(p.data)
             v = self.v[name]
             # in place, bit-identical to m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad * p.grad
-            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * p.grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * p.grad * p.grad
+            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
     def meta(self) -> dict:
         return {"kind": "adam", "t": self.t, "lr": self.lr}
@@ -386,11 +395,10 @@ class TrainState:
 
 
 _STREAMS = ("task", "case", "mask", "noise", "drop")
-_STAGE_TAG = {"I": 101, "II": 102, "III": 103}
 
 
 def _fresh_streams(seed: int, stage: str) -> dict[str, Rng]:
-    base = Rng(seed).child(_STAGE_TAG[stage])
+    base = Rng(seed).child(101 + STAGES.index(stage))
     return {name: base.child(i) for i, name in enumerate(_STREAMS)}
 
 
@@ -419,8 +427,8 @@ def _effective_mixture(cfg: StageConfig, step: int) -> dict[str, float]:
     return out
 
 
-def _planner_case_loss(bundle: ModelBundle, run: RunConfig, case: EditCase, stage: str, rngs) -> Tensor:
-    """Stage I or III loss for one case. Stage III also trains the renderer,
+def _planner_case_loss(bundle: ModelBundle, run: RunConfig, case: EditCase, with_renderer: bool, rngs) -> Tensor:
+    """The planner's loss on one case, plus, `with_renderer`, the renderer's,
     conditioned on the planner states of the sequence's conditioning rows."""
     seq, tgt_emb = planner_sequence(case, bundle.vit)
     ratio = sample_mask_ratio(case.task, rngs["mask"])
@@ -428,7 +436,7 @@ def _planner_case_loss(bundle: ModelBundle, run: RunConfig, case: EditCase, stag
     z = planner_forward(bundle.planner, seq)
     losses = losses_from_hidden(bundle.planner, bundle.decoder, seq, z, tgt_emb, rngs["noise"])
     loss = TEXT_LOSS_WEIGHT * losses.ntp + losses.visual
-    if stage == "III":
+    if with_renderer:
         loss = loss + _renderer_loss(bundle, run, case, gather_rows(z, conditioning_rows(seq)), rngs)
     return loss
 
@@ -476,6 +484,7 @@ def run_stage(
             raise StartupError(f"mixture task {task_name!r} missing from dataset {data.root}")
 
     trainable = bundle.trainable(stage)
+    models = STAGE_MODELS[stage]
     mid_resume = (
         resume is not None
         and resume.stage == stage
@@ -511,10 +520,10 @@ def run_stage(
                 z = planner_forward(bundle.planner, seq)
                 loss = TEXT_LOSS_WEIGHT * losses_from_hidden(
                     bundle.planner, bundle.decoder, seq, z, None, state.rngs["noise"]).ntp
-            elif task_name == PAIR_TASK or stage == "II":
+            elif task_name == PAIR_TASK or "planner" not in models:
                 loss = _renderer_loss(bundle, run, data.case(idx, bundle.admit), None, state.rngs)
             else:
-                loss = _planner_case_loss(bundle, run, data.case(idx, bundle.admit), stage, state.rngs)
+                loss = _planner_case_loss(bundle, run, data.case(idx, bundle.admit), "renderer" in models, state.rngs)
             batch_losses.append(loss)
         batch_loss = (1.0 / stage_cfg.batch_size) * sum(batch_losses[1:], batch_losses[0])
         last_loss = batch_loss.item()
@@ -693,7 +702,7 @@ def evaluate(
             case = data.case(i, bundle.admit)
             rng = rng_root.child(i)
             if random_baseline:
-                noise = rng.normal((*case.target.grid, bundle.renderer.cfg.channels))
+                noise = rng.normal((*case.target.grid, LATENT_CHANNELS))
                 ids = frames_to_ids(bundle.vae.decode(noise))
             else:
                 ids, planned = run_pipeline(bundle, run, case, rng, phase_seconds)

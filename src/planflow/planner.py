@@ -397,13 +397,13 @@ def _variant_masks(seq: TokenSequence, subsets: list[frozenset]) -> np.ndarray:
     """One hybrid mask per guidance condition subset, stacked on a leading
     batch axis: without "txt" the visual rows do not see the text, and
     without "img" the target rows do not see the sources."""
-    text = seq.kinds == TEXT
+    text = seq.segment_indices < 0
     allow = np.repeat(build_mask(seq)[None], len(subsets), axis=0)
     for b, subset in enumerate(subsets):
         if "txt" not in subset:
             allow[b][np.ix_(~text, text)] = False
         if "img" not in subset:
-            allow[b][np.ix_(seq.kinds == VISUAL_TARGET, seq.kinds == VISUAL_SOURCE)] = False
+            allow[b][np.ix_(seq.segment_indices == 0, seq.segment_indices > 0)] = False
     return allow
 
 

@@ -1,14 +1,14 @@
 """Rotary position phases for video token grids, with a segment-index extension.
 
-Spatial phases: pair j of axis a at coordinate p rotates by p * base**(-j/d_a),
-with the head's pair budget split across (temporal, vertical, horizontal)
-subspaces. The segment extension adds a full-dimensional phase
-i * segment_base**(-2j/head_dim) on every pair, so two tokens sharing (t, h, w)
-but living in different segments get distinct rotations; segment index 0
-contributes nothing and reduces to the plain 3D rotation. Phases compose by
-addition because applying two rotations multiplies unit complex numbers.
-The planner and the renderer both take their angles from `token_angles` over
-a `sequence.serialize` layout.
+Spatial phases: pair j of axis a at coordinate p rotates by
+p * ROPE_BASE**(-j/d_a), with the head's pair budget split across (temporal,
+vertical, horizontal) subspaces. The segment extension adds a full-dimensional
+phase i * SEGMENT_BASE**(-2j/head_dim) on every pair, so two tokens sharing
+(t, h, w) but living in different segments get distinct rotations; segment
+index 0 contributes nothing and reduces to the plain 3D rotation. Phases
+compose by addition because applying two rotations multiplies unit complex
+numbers. The planner and the renderer both take their angles from
+`token_angles` over a `sequence.serialize` layout.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ import numpy as np
 
 from .config import ConfigError
 from .sequence import TokenSequence
+
+
+ROPE_BASE = 10000.0     # spatial frequency base
+SEGMENT_BASE = 10000.0  # segment-index frequency base
 
 
 def default_axis_split(head_dim: int) -> tuple[int, int, int]:
@@ -32,25 +36,21 @@ def default_axis_split(head_dim: int) -> tuple[int, int, int]:
 @dataclass(frozen=True)
 class RopeConfig:
     head_dim: int
-    base: float = 10000.0
-    segment_base: float = 10000.0
 
     def __post_init__(self):
         if self.head_dim <= 0 or self.head_dim % 2 != 0:
             raise ConfigError(f"head_dim must be a positive even integer, got {self.head_dim}")
-        if self.base <= 0 or self.segment_base <= 0:
-            raise ConfigError("rotary bases must be positive")
 
     def axis_frequencies(self) -> list[np.ndarray]:
         out = []
         for d_a in default_axis_split(self.head_dim):
             j = np.arange(d_a, dtype=np.float64)
-            out.append(self.base ** (-j / d_a) if d_a else np.zeros(0))
+            out.append(ROPE_BASE ** (-j / d_a) if d_a else np.zeros(0))
         return out
 
     def segment_frequencies(self) -> np.ndarray:
         j = np.arange(self.head_dim // 2, dtype=np.float64)
-        return self.segment_base ** (-2.0 * j / self.head_dim)
+        return SEGMENT_BASE ** (-2.0 * j / self.head_dim)
 
 
 def spatial_angles(cfg: RopeConfig, positions: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nets
-from .config import ConfigError
 from .guidance import BRANCHES, GuidanceSpec, compose
 from .numerics import DimensionError, ContractError, Rng, Rotation, Run, Tensor, add, concat, embedding, matmul, mul, narrow, no_grad, sub, tmean
 from .posenc import RopeConfig, token_angles
@@ -56,13 +55,10 @@ class ToyVae:
     exact on every encoded value. `offset` is the background codeword (x = 0).
     """
 
-    def __init__(self, channels: int = LATENT_CHANNELS):
-        if channels < 3:
-            raise ConfigError(f"the palette latent needs at least 3 channels, got {channels}")
-        eye = np.eye(channels)[:3]
-        self.codewords = PALETTE_SCALE * np.concatenate([eye, -eye])  # (6, channels)
+    def __init__(self):
+        eye = np.eye(LATENT_CHANNELS)[:3]
+        self.codewords = PALETTE_SCALE * np.concatenate([eye, -eye])  # (6, LATENT_CHANNELS)
         self.offset = self.codewords[0]
-        self.channels = channels
 
     def encode(self, frames: np.ndarray) -> np.ndarray:
         frames = np.asarray(frames, dtype=np.float64)
@@ -146,7 +142,6 @@ class RendererConfig:
     patch: tuple[int, int, int]
     segment_phases: bool
     planner_dim: int              # width of the planner states fed to the projector
-    channels: int = LATENT_CHANNELS
 
     @property
     def head_dim(self) -> int:
@@ -154,7 +149,7 @@ class RendererConfig:
 
     @property
     def patch_dim(self) -> int:
-        return int(np.prod(self.patch)) * self.channels
+        return int(np.prod(self.patch)) * LATENT_CHANNELS
 
     def rope(self) -> RopeConfig:
         return RopeConfig(head_dim=self.head_dim)
@@ -395,7 +390,7 @@ def train_step_renderer(model: RendererModel, target_latent: np.ndarray, cond: T
                         source_latents: list[np.ndarray], task, rng: Rng) -> tuple[Tensor, FlowSample]:
     """Velocity-MSE flow-matching loss on one target latent, conditioned on
     `cond` and the source latents, at a task-weighted timestep."""
-    t = float(np.asarray(sample_timestep(task, rng)))
+    t = sample_timestep(task, rng)
     noise = rng.normal(target_latent.shape)
     fs = FlowSample(target_latent, noise, t)
     pred = renderer_forward(model, fs.x_t, t, cond, source_latents)
@@ -477,13 +472,13 @@ def render(
         )
         cond = concat(conds, axis=0)
         consts = render_constants(model, stream, cond, layout)
-        noise = rng.normal((t_len, h, w, cfg.channels))
+        noise = rng.normal((t_len, h, w, LATENT_CHANNELS))
 
         def velocity(x, t):
             tok = renderer_forward(model, x, t, cond, consts=consts).data
             grid, _ = patchify(x, cfg.patch)
             per_subset = tok.reshape(len(chain), -1, cfg.patch_dim)
-            forwards = {s: unpatchify(v, grid, cfg.patch, cfg.channels) for s, v in zip(chain, per_subset)}
+            forwards = {s: unpatchify(v, grid, cfg.patch, LATENT_CHANNELS) for s, v in zip(chain, per_subset)}
             return compose(spec, forwards)
 
         return euler_integrate(velocity, noise, steps, shift)

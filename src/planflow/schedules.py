@@ -126,11 +126,11 @@ def shift_toward_noise(t, shift: float):
     return 1.0 - apply_shift(1.0 - np.asarray(t, dtype=np.float64), shift)
 
 
-def sample_timestep(task: TaskKind, rng: Rng, shape=()):
+def sample_timestep(task: TaskKind, rng: Rng) -> float:
     """Draw a training timestep for the task, warped by its shift."""
     kind, args, shift = TIMESTEP_WEIGHTING[TaskKind(task)]
     sampler = {"logit-normal": sample_timestep_logit_normal, "mode": sample_timestep_mode}[kind]
-    return shift_toward_noise(sampler(rng, *args, shape), shift)
+    return shift_toward_noise(sampler(rng, *args), shift)
 
 
 def pair_decay_weight(step: int, total_steps: int, start_fraction: float) -> float:

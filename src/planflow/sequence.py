@@ -2,9 +2,10 @@
 
 Canonical order is: text, then source visual segments in ascending segment
 index, then the single target segment. Segment index 0 is reserved for the
-target; sources are numbered 1..N. The hybrid attention mask is causal within
-text, bidirectional within each visual segment, and lets every token see all
-tokens of earlier segments.
+target; sources are numbered 1..N and text is -1, so a row's segment index
+is its role. The hybrid attention mask is causal within text, bidirectional
+within each visual segment, and lets every token see all tokens of earlier
+segments.
 """
 
 from __future__ import annotations
@@ -25,9 +26,12 @@ NEG_BIAS = -1e30  # additive logit bias for banned attention entries
 
 @dataclass(frozen=True)
 class SegmentDesc:
-    segment_index: int
-    kind: str
+    segment_index: int     # -1 for text, 0 for the target, 1..N for the sources
     grid: tuple[int, ...]  # (T, H, W) for visual kinds, (L,) for text
+
+    @property
+    def kind(self) -> str:
+        return TEXT if self.segment_index < 0 else VISUAL_TARGET if self.segment_index == 0 else VISUAL_SOURCE
 
     @property
     def length(self) -> int:
@@ -43,15 +47,14 @@ class TokenSequence:
     """
 
     layout: list[SegmentDesc]
-    kinds: np.ndarray          # (n,) of {TEXT, VISUAL_SOURCE, VISUAL_TARGET}
-    segment_indices: np.ndarray  # (n,) int
+    segment_indices: np.ndarray  # (n,) int: each row's segment, so its role
     positions: np.ndarray      # (n, 3): (l,0,0) for text, (t,h,w) for visual
     masked: np.ndarray         # (n,) bool, true only on target tokens
     embeddings: np.ndarray | None = None  # (n, D_e); zero rows for text
     text_ids: np.ndarray | None = None    # (text_len,)
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return len(self.segment_indices)
 
     def spans(self) -> list[tuple[SegmentDesc, int, int]]:
         """(descriptor, start, stop) per segment, in canonical order."""
@@ -80,7 +83,6 @@ class TokenSequence:
             raise DimensionError(f"head: token {stop} is not a segment boundary")
         return TokenSequence(
             layout=layout,
-            kinds=self.kinds[:stop].copy(),
             segment_indices=self.segment_indices[:stop].copy(),
             positions=self.positions[:stop].copy(),
             masked=self.masked[:stop].copy(),
@@ -116,13 +118,13 @@ def serialize(
 
     layout: list[SegmentDesc] = []
     if text_len:
-        layout.append(SegmentDesc(segment_index=-1, kind=TEXT, grid=(text_len,)))
+        layout.append(SegmentDesc(segment_index=-1, grid=(text_len,)))
     for i, g in enumerate(source_grids):
-        layout.append(SegmentDesc(segment_index=i + 1, kind=VISUAL_SOURCE, grid=tuple(int(d) for d in g)))
+        layout.append(SegmentDesc(segment_index=i + 1, grid=tuple(int(d) for d in g)))
     if target_grid is not None:
-        layout.append(SegmentDesc(segment_index=0, kind=VISUAL_TARGET, grid=tuple(int(d) for d in target_grid)))
+        layout.append(SegmentDesc(segment_index=0, grid=tuple(int(d) for d in target_grid)))
 
-    kinds, seg_idx, positions = [], [], []
+    seg_idx, positions = [], []
     for desc in layout:
         if desc.kind == TEXT:
             pos = np.zeros((desc.length, 3), dtype=np.int64)
@@ -130,13 +132,11 @@ def serialize(
         else:
             pos = grid_positions(desc.grid)
         positions.append(pos)
-        kinds.extend([desc.kind] * desc.length)
         seg_idx.extend([desc.segment_index] * desc.length)
 
-    n = len(kinds)
+    n = len(seg_idx)
     return TokenSequence(
         layout=layout,
-        kinds=np.array(kinds, dtype=object),
         segment_indices=np.array(seg_idx, dtype=np.int64),
         positions=np.concatenate(positions, axis=0) if n else np.zeros((0, 3), dtype=np.int64),
         masked=np.zeros(n, dtype=bool),

@@ -9,7 +9,7 @@ pixel predicate that checks the edited attribute and untouched-object identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ EDIT_FAMILIES = ("recolor", "remove", "add", "replace", "move", "palette")
 # every family the oracle scores -> the edit fields it reads; it reads "old" and "color_a" in the source
 ORACLE_FIELDS = {"generate": ("object",), "animate": ("object",), "recolor": ("new",), "remove": ("old",),
                  "add": ("new",), "replace": ("old", "new"), "move": ("old", "new"), "palette": ("color_a",)}
+SOURCE_FAMILIES = {family for family, names in ORACLE_FIELDS.items() if {"old", "color_a"} & set(names)}
 
 MAX_COORD = 16
 
@@ -82,6 +83,10 @@ class ObjectSpec:
             return [(r, c + j) for j in range(length)]
         return [(r + i, c) for i in range(length)]
 
+    def cells(self, t_len: int) -> set[tuple[int, int, int]]:
+        """The (t, r, c) cells the object covers over `t_len` frames."""
+        return {(t, r, c) for t in range(t_len) for r, c in self.cells_at(t)}
+
     def to_dict(self) -> dict:
         return {
             "shape": self.shape, "color": self.color, "size": self.size,
@@ -90,8 +95,12 @@ class ObjectSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObjectSpec":
-        """An object record; refuses an unknown shape, orient or colour and a size below 1."""
+        """An object record; refuses an unknown shape, orient or colour, a
+        size below 1 and a start or velocity that is not two integers."""
         obj = cls(d["shape"], d["color"], d["size"], tuple(d["start"]), tuple(d["velocity"]), d.get("orient", "h"))
+        for name, pair in (("start", obj.start), ("velocity", obj.velocity)):
+            if len(pair) != 2 or not all(isinstance(n, int) for n in pair):
+                raise ValueError(f"object {name} {list(pair)} is not two integers")
         if obj.shape not in SHAPES:
             raise ValueError(f"unknown shape {obj.shape!r}; expected one of {', '.join(SHAPES)}")
         if obj.orient not in ("h", "v"):
@@ -130,12 +139,7 @@ class Scene:
         return True
 
     def occupied(self) -> set[tuple[int, int, int]]:
-        cells = set()
-        for obj in self.objects:
-            for t in range(self.grid[0]):
-                for r, c in obj.cells_at(t):
-                    cells.add((t, r, c))
-        return cells
+        return set().union(*(obj.cells(self.grid[0]) for obj in self.objects))
 
     def to_dict(self) -> dict:
         return {
@@ -168,17 +172,19 @@ def frames_to_ids(frames: np.ndarray) -> np.ndarray:
 def _object_cells_mask(scene: Scene, obj: ObjectSpec) -> np.ndarray:
     t_len, h, w = scene.grid
     mask = np.zeros((t_len, h, w), dtype=bool)
-    for t in range(t_len):
-        for r, c in obj.cells_at(t):
-            if 0 <= r < h and 0 <= c < w:
-                mask[t, r, c] = True
+    for t, r, c in obj.cells(t_len):
+        if 0 <= r < h and 0 <= c < w:
+            mask[t, r, c] = True
     return mask
 
 
-def _sample_object(rng: Rng, scene: Scene, *, moving: bool, occupied: set, retries: int = 200,
+OBJECT_RETRIES, CASE_RETRIES = 200, 100  # draws before generation gives up on placing an object, on a case
+
+
+def _sample_object(rng: Rng, scene: Scene, *, moving: bool, occupied: set,
                    used_identities: set | None = None) -> ObjectSpec:
     t_len, h, w = scene.grid
-    for _ in range(retries):
+    for _ in range(OBJECT_RETRIES):
         shape = SHAPES[rng.integers(0, len(SHAPES))]
         color = int(rng.integers(1, PALETTE_SIZE))
         if used_identities is not None and (color, shape) in used_identities:
@@ -193,8 +199,7 @@ def _sample_object(rng: Rng, scene: Scene, *, moving: bool, occupied: set, retri
         obj = ObjectSpec(shape, color, size, start, vel, orient)
         if not scene.in_bounds(obj):
             continue
-        cells = {(t, r, c) for t in range(t_len) for r, c in obj.cells_at(t)}
-        if cells & occupied:
+        if obj.cells(t_len) & occupied:
             continue
         return obj
     raise GenerationError("could not place a non-overlapping object within the retry budget")
@@ -211,7 +216,7 @@ def gen_scene(rng: Rng, grid: tuple[int, int, int], n_objects: int, moving: bool
         obj = _sample_object(rng, scene, moving=moving, occupied=occupied, used_identities=used)
         scene.objects.append(obj)
         used.add((obj.color, obj.shape))
-        occupied |= {(t, r, c) for t in range(grid[0]) for r, c in obj.cells_at(t)}
+        occupied |= obj.cells(grid[0])
     return scene
 
 
@@ -256,10 +261,10 @@ class EditCase:
         for name in ORACLE_FIELDS[family]:
             if name not in case.edit:
                 raise ValueError(f"the edit of a {family} case lacks {name!r}")
-            if name in ("old", "color_a") and case.source is None:
-                raise ValueError(f"a {family} case has no source")
             if name != "color_a":
                 ObjectSpec.from_dict(case.edit[name])
+        if family in SOURCE_FAMILIES and case.source is None:
+            raise ValueError(f"a {family} case has no source")
         return case
 
 
@@ -350,7 +355,7 @@ def gen_edit_case(rng: Rng, task: TaskKind, grid: tuple[int, int, int],
     if task == TaskKind.I2V:
         scene = gen_scene(rng, grid, 1, moving=True)
         obj = scene.objects[0]
-        first = Scene(image_grid, [ObjectSpec(obj.shape, obj.color, obj.size, obj.start, (0, 0), obj.orient)])
+        first = Scene(image_grid, [replace(obj, velocity=(0, 0))])
         toks = ["<bos>", "move", COLOR_TOKENS[obj.color], obj.shape, _direction_name(obj.velocity), "<eos>"]
         return EditCase(task, "animate", encode(*toks), scene, source=first,
                         edit={"object": obj.to_dict()})
@@ -363,8 +368,8 @@ def gen_edit_case(rng: Rng, task: TaskKind, grid: tuple[int, int, int],
     return _gen_edit(rng, task, g, family)
 
 
-def _gen_edit(rng: Rng, task: TaskKind, grid, family: str, retries: int = 100) -> EditCase:
-    for _ in range(retries):
+def _gen_edit(rng: Rng, task: TaskKind, grid, family: str) -> EditCase:
+    for _ in range(CASE_RETRIES):
         n_obj = 1 + (1 if rng.uniform() < 0.35 else 0)
         source = gen_scene(rng, grid, n_obj, moving=grid[0] > 1)
         idx = int(rng.integers(0, len(source.objects)))
@@ -374,7 +379,7 @@ def _gen_edit(rng: Rng, task: TaskKind, grid, family: str, retries: int = 100) -
 
         if family == "recolor":
             new_color = _pick_color(rng, {obj.color})
-            new_obj = ObjectSpec(obj.shape, new_color, obj.size, obj.start, obj.velocity, obj.orient)
+            new_obj = replace(obj, color=new_color)
             target = Scene(source.grid, others + [new_obj])
             toks = ["<bos>", "recolor", cname, sname, "to", COLOR_TOKENS[new_color], "<eos>"]
             return EditCase(task, family, encode(*toks), target, source=source,
@@ -407,30 +412,27 @@ def _gen_edit(rng: Rng, task: TaskKind, grid, family: str, retries: int = 100) -
                 continue
             new_color = _pick_color(rng, {o.color for o in source.objects})
             size = 2 if new_shape == "square" else 1
-            new_obj = ObjectSpec(new_shape, new_color, size, obj.start, obj.velocity, obj.orient)
+            new_obj = replace(obj, shape=new_shape, color=new_color, size=size)
             target = Scene(source.grid, others + [new_obj])
             if not target.in_bounds(new_obj):
                 continue
-            new_cells = {(t, r, c) for t in range(grid[0]) for r, c in new_obj.cells_at(t)}
-            if new_cells & Scene(source.grid, others).occupied():
+            if new_obj.cells(grid[0]) & Scene(source.grid, others).occupied():
                 continue
             toks = ["<bos>", "replace", cname, sname, "to", COLOR_TOKENS[new_color], new_shape, "<eos>"]
             return EditCase(task, family, encode(*toks), target, source=source,
                             edit={"old": obj.to_dict(), "new": new_obj.to_dict()})
 
         if family == "move":
-            still = ObjectSpec(obj.shape, obj.color, obj.size, obj.start, (0, 0), obj.orient)
+            still = replace(obj, velocity=(0, 0))
             src_static = Scene(source.grid, others + [still])
             dest = (int(rng.integers(0, grid[1])), int(rng.integers(0, grid[2])))
             if max(abs(dest[0] - obj.start[0]), abs(dest[1] - obj.start[1])) < 3:
                 continue
-            new_obj = ObjectSpec(obj.shape, obj.color, obj.size, dest, (0, 0), obj.orient)
+            new_obj = replace(still, start=dest)
             target = Scene(source.grid, others + [new_obj])
             if not target.in_bounds(new_obj):
                 continue
-            old_cells = {(t, r, c) for t in range(grid[0]) for r, c in still.cells_at(t)}
-            new_cells = {(t, r, c) for t in range(grid[0]) for r, c in new_obj.cells_at(t)}
-            if new_cells & (Scene(source.grid, others).occupied() | old_cells):
+            if new_obj.cells(grid[0]) & (Scene(source.grid, others).occupied() | still.cells(grid[0])):
                 continue
             toks = ["<bos>", "move", cname, sname, "to", *_coord_tokens(*dest), "<eos>"]
             return EditCase(task, family, encode(*toks), target, source=src_static,
@@ -438,11 +440,7 @@ def _gen_edit(rng: Rng, task: TaskKind, grid, family: str, retries: int = 100) -
 
         if family == "palette":
             color_b = _pick_color(rng, {o.color for o in source.objects})
-            new_objs = [
-                ObjectSpec(o.shape, color_b if o.color == obj.color else o.color,
-                           o.size, o.start, o.velocity, o.orient)
-                for o in source.objects
-            ]
+            new_objs = [replace(o, color=color_b) if o.color == obj.color else o for o in source.objects]
             target = Scene(source.grid, new_objs)
             toks = ["<bos>", "palette", cname, "to", COLOR_TOKENS[color_b], "<eos>"]
             return EditCase(task, family, encode(*toks), target, source=source,
@@ -452,15 +450,15 @@ def _gen_edit(rng: Rng, task: TaskKind, grid, family: str, retries: int = 100) -
     raise GenerationError(f"could not generate a {family} case within the retry budget")
 
 
-def _gen_reference_replace(rng: Rng, grid, retries: int = 100) -> EditCase:
+def _gen_reference_replace(rng: Rng, grid) -> EditCase:
     image_grid = (1, grid[1], grid[2])
-    for _ in range(retries):
+    for _ in range(CASE_RETRIES):
         source = gen_scene(rng, grid, 1, moving=True)
         obj = source.objects[0]
         new_shape = SHAPES[rng.integers(0, len(SHAPES))]
         new_color = _pick_color(rng, {obj.color})
         size = 2 if new_shape == "square" else 1
-        new_obj = ObjectSpec(new_shape, new_color, size, obj.start, obj.velocity, obj.orient)
+        new_obj = replace(obj, shape=new_shape, color=new_color, size=size)
         target = Scene(source.grid, [new_obj])
         if not target.in_bounds(new_obj) or (new_shape == obj.shape and new_color == obj.color):
             continue
@@ -469,7 +467,7 @@ def _gen_reference_replace(rng: Rng, grid, retries: int = 100) -> EditCase:
             anchor = _sample_object(rng, ref_scene, moving=False, occupied=set())
         except GenerationError:
             continue
-        ref_scene.objects.append(ObjectSpec(new_shape, new_color, size, anchor.start, (0, 0), new_obj.orient))
+        ref_scene.objects.append(replace(new_obj, start=anchor.start, velocity=(0, 0)))
         if not ref_scene.in_bounds(ref_scene.objects[0]):
             continue
         toks = ["<bos>", "replace", COLOR_TOKENS[obj.color], obj.shape, "<eos>"]
@@ -506,9 +504,16 @@ def _feature_similarity(a: tuple, b: tuple) -> float:
     return float(np.clip(np.dot(ca, cb) / (na * nb), 0.0, 1.0))
 
 
-def mine_pairs(pool: list[Scene], rng: Rng, band: tuple[float, float] = (0.65, 0.95),
-               per_origin_cap: int = 100) -> list[PairRecord]:
-    """Retain pairs inside the similarity band, at most `per_origin_cap` per origin."""
+# the pair recipe: base scenes per pool, perturbed variants per base scene,
+# the similarity band a mined pair lies in and the most pairs kept per origin
+PAIR_BASE_SCENES = 2
+PAIR_VARIANTS = 3
+PAIR_BAND = (0.65, 0.95)
+PAIR_PER_ORIGIN_CAP = 100
+
+
+def mine_pairs(pool: list[Scene], rng: Rng) -> list[PairRecord]:
+    """Retain pairs inside PAIR_BAND, at most PAIR_PER_ORIGIN_CAP per origin."""
     features = [_clip_feature(scene) for scene in pool]
     records: list[PairRecord] = []
     for i in range(len(pool)):
@@ -516,39 +521,34 @@ def mine_pairs(pool: list[Scene], rng: Rng, band: tuple[float, float] = (0.65, 0
         order = i + 1 + rng.permutation(len(pool) - i - 1)
         for j in order:
             sim = _feature_similarity(features[i], features[j])
-            if band[0] <= sim <= band[1]:
+            if PAIR_BAND[0] <= sim <= PAIR_BAND[1]:
                 records.append(PairRecord(pool[i], pool[int(j)], sim))
                 kept += 1
-                if kept >= per_origin_cap:
+                if kept >= PAIR_PER_ORIGIN_CAP:
                     break
     return records
 
 
-def gen_pair_pool(rng: Rng, grid, n_base: int, variants: int = 4) -> list[Scene]:
-    """Clusters of perturbed variants of base scenes; pairs inside a cluster
-    land across the whole similarity range."""
+def gen_pair_pool(rng: Rng, grid) -> list[Scene]:
+    """Clusters of PAIR_VARIANTS perturbed variants of PAIR_BASE_SCENES base
+    scenes; pairs inside a cluster land across the whole similarity range."""
     pool: list[Scene] = []
-    for _ in range(n_base):
+    for _ in range(PAIR_BASE_SCENES):
         base = gen_scene(rng, grid, 2, moving=grid[0] > 1)
         pool.append(base)
-        for _ in range(variants):
+        for _ in range(PAIR_VARIANTS):
             variant = Scene(base.grid, list(base.objects))
             k = int(rng.integers(0, len(base.objects)))
             obj = variant.objects[k]
             if rng.uniform() < 0.5:
-                moved = ObjectSpec(obj.shape, obj.color, obj.size,
-                                   (obj.start[0], obj.start[1]), obj.velocity, obj.orient)
                 for _ in range(20):
                     dr, dc = int(rng.integers(-2, 3)), int(rng.integers(-2, 3))
-                    cand = ObjectSpec(obj.shape, obj.color, obj.size,
-                                      (obj.start[0] + dr, obj.start[1] + dc), obj.velocity, obj.orient)
+                    cand = replace(obj, start=(obj.start[0] + dr, obj.start[1] + dc))
                     if variant.in_bounds(cand):
-                        moved = cand
+                        variant.objects[k] = cand
                         break
-                variant.objects[k] = moved
             else:
-                variant.objects[k] = ObjectSpec(obj.shape, _pick_color(rng, {obj.color}),
-                                                obj.size, obj.start, obj.velocity, obj.orient)
+                variant.objects[k] = replace(obj, color=_pick_color(rng, {obj.color}))
             pool.append(variant)
     return pool
 
@@ -588,7 +588,7 @@ def generate_dataset(out_dir: str | Path, seed: int, counts: dict[str, int],
             if task_name == TEXT_TASK:
                 rec = gen_text_record(rng, grid)
             elif task_name == PAIR_TASK:
-                pool = gen_pair_pool(rng, grid, 2, variants=3)
+                pool = gen_pair_pool(rng, grid)
                 pairs = mine_pairs(pool, rng)
                 if not pairs:
                     a = gen_scene(rng, grid, 2)

@@ -401,9 +401,14 @@ class TestEditDeterminism:
         (lambda r: r["source"]["objects"][0].update(orient="d"), "orient 'd' is neither 'h' nor 'v'"),
         (lambda r: r["source"]["objects"][0].update(size=-1), "object size -1 is not a positive integer"),
         (lambda r: r["target"].update(background=7), "background 7 is outside the palette [0, 5]"),
+        (lambda r: (r.update(family="remove"), r["source"].update(grid=[1, 6, 6])),
+         "the source grid [1, 6, 6] of a remove case is not its target grid [2, 6, 6]"),
+        (lambda r: r["source"]["objects"][0].update(start=[1.5, 2]), "object start [1.5, 2] is not two integers"),
+        (lambda r: r["source"]["objects"][0].update(velocity=[0]), "object velocity [0] is not two integers"),
     ], ids=["long-instruction", "token-above-vocab", "negative-token", "object-outside-grid", "unknown-family",
             "two-value-grid", "grid-patches-do-not-divide", "edit-without-field", "source-missing",
-            "color-outside-palette", "unknown-shape", "unknown-orient", "size-below-one", "background-outside-palette"])
+            "color-outside-palette", "unknown-shape", "unknown-orient", "size-below-one", "background-outside-palette",
+            "source-grid-differs", "fractional-start", "short-velocity"])
     def test_malformed_case_content_exits_1(self, workdir, generated, trained_ckpt, capsys, command, change, words):
         """A case whose content the models cannot take, in a case file given
         to `edit` or a records line read by `eval`, ends in one `error:` line

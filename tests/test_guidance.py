@@ -184,10 +184,6 @@ class TestValidate:
         assert "w_full - w_text - w_image = 1 (i2v branch)" in ids
         assert "w_full - w_text - w_video = 1 (v2v branch)" in ids
 
-    def test_checked_constructor_raises(self):
-        with pytest.raises(GuidanceValidationError):
-            DualBranchSpec.checked(0.7, 0.4, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-
     def test_table_rows_load_as_specs(self):
         # the four-increment weights carry no constraint; every table row loads
         cfg = Config()

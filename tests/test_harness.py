@@ -12,7 +12,7 @@ import pytest
 
 from planflow.checkpoint import Checkpoint, CheckpointError
 from planflow.config import DEFAULTS, KEYS, Config, ConfigError, load_config, parse_config_text
-from planflow import harness, planner as planner_mod, toydata
+from planflow import harness, planner as planner_mod, posenc, schedules, toydata
 from planflow.harness import (
     GUIDANCE_KEY,
     MEANING_KEYS,
@@ -723,6 +723,27 @@ class TestConfigFile:
             signature = inspect.signature(fn)
             defaulted = [n for n in names if signature.parameters[n].default is not inspect.Parameter.empty]
             assert defaulted == [], (fn.__name__, defaulted)
+
+    def test_fixed_numbers_are_not_parameters(self):
+        """Numbers with one value in use are named constants, not parameters
+        or fields that a caller could set to a second value."""
+        fields = {RendererConfig: ("channels",), posenc.RopeConfig: ("base", "segment_base")}
+        for cls, names in fields.items():
+            present = {f.name for f in dataclasses.fields(cls)} & set(names)
+            assert present == set(), (cls.__name__, present)
+        params = {
+            ToyVae: ("channels",),
+            toydata.mine_pairs: ("band", "per_origin_cap"),
+            toydata.gen_pair_pool: ("n_base", "variants"),
+            toydata._sample_object: ("retries",),
+            toydata._gen_edit: ("retries",),
+            toydata._gen_reference_replace: ("retries",),
+            schedules.sample_timestep: ("shape",),
+            harness.Adam: ("beta1", "beta2", "eps"),
+        }
+        for fn, names in params.items():
+            present = set(inspect.signature(fn).parameters) & set(names)
+            assert present == set(), (fn.__name__, present)
 
     @pytest.mark.parametrize("overrides, message", [
         ({"renderer.heads": "5"}, "not divisible"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from planflow.config import ConfigError
+from planflow import posenc
 from planflow.nets import rotary
 from planflow.numerics import DimensionError, Rng, Tensor, rotate_pairs
 from planflow.posenc import (
@@ -28,8 +29,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             RopeConfig(head_dim=7)
-        with pytest.raises(ConfigError):
-            RopeConfig(head_dim=8, base=-1.0)
 
 
 class TestPhaseTable:
@@ -50,7 +49,7 @@ class TestPhaseTable:
 
     def test_segment_phase_closed_form(self):
         # head_dim=8, pair j=0, segment 2 at the origin: phase = 2 * base^0 = 2.0 rad
-        cfg = RopeConfig(head_dim=8, segment_base=10000.0)
+        cfg = RopeConfig(head_dim=8)
         seq = serialize(0, [(1, 1, 1), (1, 1, 1)], (1, 1, 1))
         phase = token_angles(cfg, seq, use_segment_phases=True)[row_at(seq, 2, ORIGIN)]
         assert phase[0] == 2.0
@@ -58,8 +57,9 @@ class TestPhaseTable:
         assert np.array_equal(phase, 2 * freqs)
         assert np.allclose(freqs, [10000.0 ** (-2 * j / 8) for j in range(4)])
 
-    def test_spatial_angle_closed_form(self):
-        cfg = RopeConfig(head_dim=8, base=100.0)  # split (2,1,1)
+    def test_spatial_angle_closed_form(self, monkeypatch):
+        monkeypatch.setattr(posenc, "ROPE_BASE", 100.0)
+        cfg = RopeConfig(head_dim=8)  # split (2,1,1)
         seq = serialize(0, [], (3, 2, 2))
         angles = token_angles(cfg, seq, use_segment_phases=True)
         d_t = 2
@@ -74,8 +74,6 @@ class TestPhaseTable:
         """No table is built for a head it cannot rotate or a grid with an empty axis."""
         with pytest.raises(ConfigError):
             RopeConfig(head_dim=0)
-        with pytest.raises(ConfigError):
-            RopeConfig(head_dim=8, segment_base=0.0)
         with pytest.raises(DimensionError):
             serialize(0, [], (0, 1, 1))
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from planflow.config import ConfigError
 from planflow import nets, renderer as renderer_mod
 from planflow.guidance import GuidanceSpec, compose
 from planflow.numerics import ContractError, DimensionError, Rng, Tensor, backward, concat, fd_gradient, mul, sub, tmean
@@ -10,6 +9,7 @@ from planflow.renderer import (
     CondInputs,
     DomainError,
     FlowSample,
+    LATENT_CHANNELS,
     LayoutError,
     MAX_TEXT_TOKENS,
     RendererConfig,
@@ -30,8 +30,7 @@ from planflow.toydata import PALETTE_SIZE, encode, frames_to_ids
 from util import gelu_np, layernorm_np, rel_err
 
 
-CFG = RendererConfig(hidden_dim=16, blocks=2, heads=2, patch=(1, 2, 2), segment_phases=True, planner_dim=16,
-                     channels=4)
+CFG = RendererConfig(hidden_dim=16, blocks=2, heads=2, patch=(1, 2, 2), segment_phases=True, planner_dim=16)
 
 # the six task layouts: (source role, source grid) per source, and the target grid
 LAYOUTS = {
@@ -95,13 +94,9 @@ class TestPaletteLatent:
         rng = Rng(21)
         codes = vae.encode(np.arange(PALETTE_SIZE) / (PALETTE_SIZE - 1))
         for _ in range(500):
-            delta = rng.normal((PALETTE_SIZE, vae.channels))
+            delta = rng.normal((PALETTE_SIZE, LATENT_CHANNELS))
             delta *= (0.999 * rng.uniform((PALETTE_SIZE, 1))) / np.linalg.norm(delta, axis=1, keepdims=True)
             assert np.array_equal(frames_to_ids(vae.decode(codes + delta)), np.arange(PALETTE_SIZE))
-
-    def test_too_few_channels_rejected(self):
-        with pytest.raises(ConfigError):
-            ToyVae(channels=2)
 
 
 class TestPatchify:
@@ -260,7 +255,7 @@ class TestPatchBias:
 
         def shifted(latent):
             grid, tokens = patchify(latent, CFG.patch)
-            return unpatchify(tokens + delta, grid, CFG.patch, CFG.channels)
+            return unpatchify(tokens + delta, grid, CFG.patch, LATENT_CHANNELS)
 
         return model, rng, delta @ model.params["patch_proj"].data, shifted
 
@@ -382,12 +377,12 @@ class TestRender:
         out = render(model, cond_in, steps=3, scales=scales, shift=2.0, rng=Rng(25), target_grid=(1, 4, 4))
 
         cond_full = build_cond_tokens(model, cond_in.text_ids, cond_in.planner_states)
-        noise = Rng(25).normal((1, 4, 4, CFG.channels))
+        noise = Rng(25).normal((1, 4, 4, LATENT_CHANNELS))
 
         def velocity(x, t):
             tok = renderer_forward(model, x, t, cond_full, cond_in.source_latents)
             grid, _ = patchify(x, CFG.patch)
-            return unpatchify(tok.data, grid, CFG.patch, CFG.channels)
+            return unpatchify(tok.data, grid, CFG.patch, LATENT_CHANNELS)
 
         expected = euler_integrate(velocity, noise, 3, 2.0)
         assert np.abs(out - expected).max() < 1e-10
@@ -419,11 +414,11 @@ class TestRender:
                 held = [i for i, role in enumerate(cond_in.source_roles) if role in subset]
                 tok = renderer_forward(model, x, t, cond, [cond_in.source_latents[i] for i in held]).data
                 grid, _ = patchify(x, CFG.patch)
-                forwards[subset] = unpatchify(tok, grid, CFG.patch, CFG.channels)
+                forwards[subset] = unpatchify(tok, grid, CFG.patch, LATENT_CHANNELS)
             return compose(spec, forwards)
 
         out = render(model, cond_in, steps=3, scales=SCALES, shift=3.0, rng=Rng(32), target_grid=target_grid)
-        noise = Rng(32).normal((*target_grid, CFG.channels))
+        noise = Rng(32).normal((*target_grid, LATENT_CHANNELS))
         expected = euler_integrate(per_subset_velocity, noise, 3, 3.0)
         assert np.abs(out - expected).max() < 1e-12
         assert np.abs(out - noise).max() > 1e-3

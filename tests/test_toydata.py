@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from planflow import toydata
 from planflow.config import Config
 from planflow.numerics import Rng
 from planflow.schedules import TaskKind
@@ -169,8 +170,10 @@ class TestPairMining:
             sims.append(clip_similarity(a, b))
         assert np.mean(sims) < 0.35
 
-    def test_band_respected(self):
-        pool = gen_pair_pool(Rng(55), (2, 8, 8), 6, variants=4)
+    def test_band_respected(self, monkeypatch):
+        monkeypatch.setattr(toydata, "PAIR_BASE_SCENES", 6)
+        monkeypatch.setattr(toydata, "PAIR_VARIANTS", 4)
+        pool = gen_pair_pool(Rng(55), (2, 8, 8))
         records = mine_pairs(pool, Rng(2))
         for rec in records:
             assert 0.65 <= rec.similarity <= 0.95
@@ -202,8 +205,9 @@ class TestPairMining:
         assert len(from_origin0) == 100
 
     @pytest.mark.parametrize("seed", [61, 62, 63])
-    def test_matches_per_pair_reference(self, seed):
-        pool = gen_pair_pool(Rng(seed), (2, 8, 8), 3, variants=3)
+    def test_matches_per_pair_reference(self, seed, monkeypatch):
+        monkeypatch.setattr(toydata, "PAIR_BASE_SCENES", 3)
+        pool = gen_pair_pool(Rng(seed), (2, 8, 8))
         pool += [Scene(pool[0].grid, list(pool[0].objects)), Scene((2, 8, 8), [])]  # an identical clip, a constant one
         reference, rng = [], Rng(seed + 100)
         for i in range(len(pool)):
