@@ -113,9 +113,9 @@ def _guidance_algebra():
         present=("vid", "img", "txt", "tgt"),
     )
     for _ in range(50):
-        forwards = {s: rng.normal((6,)) for s in spec.subset_chain()}
+        forwards = rng.normal((len(spec.subset_chain()), 6))
         out = guidance.compose(spec, forwards)
-        full = forwards[spec.subset_chain()[-1]]
+        full = forwards[-1]
         assert np.abs(out - full).max() < 1e-12, "unit weights must telescope"
     dspec = guidance.DualBranchSpec(0.3, 0.7, (3.0, 1.5, 0.5), (2.0, 0.75, 0.25))
     p = rng.normal((5,))
@@ -165,28 +165,27 @@ def _zero_init_conditioning():
 
 def _ragged_guidance_batch():
     from .renderer import (LATENT_CHANNELS, CondInputs, RendererConfig, RendererModel, build_cond_tokens,
-                           euler_integrate, patchify, render, renderer_forward, unpatchify)
+                           euler_integrate, patchify, render, renderer_forward, source_role, unpatchify)
 
     rng = Rng(59)
     cfg = RendererConfig(hidden_dim=16, blocks=2, heads=2, patch=(1, 2, 2), segment_phases=True, planner_dim=16)
     model = RendererModel(cfg, rng.child(0))
     model.params["cond_proj"].data[:] = rng.normal((16, 16)) * 0.3  # let the planner states count
     cond_in = CondInputs(text_ids=np.array([1, 3], dtype=np.intp), planner_states=rng.normal((4, 16)),
-                         source_latents=[rng.normal((2, 4, 4, 4)), rng.normal((1, 4, 4, 4))],
-                         source_roles=["vid", "img"])
+                         source_latents=[rng.normal((2, 4, 4, 4)), rng.normal((1, 4, 4, 4))])
     scales = {"txt": 4.0, "vid": 1.25, "img": 2.5, "tgt": 1.5}
     spec = guidance.GuidanceSpec(scales, cond_in.branches())
 
     def per_subset(x, t):
         grid, _ = patchify(x, cfg.patch)
-        forwards = {}
+        forwards = []
         for subset in spec.subset_chain():
             cond = build_cond_tokens(model, cond_in.text_ids if "txt" in subset else None,
                                      cond_in.planner_states if "tgt" in subset else None)
-            held = [lat for lat, role in zip(cond_in.source_latents, cond_in.source_roles) if role in subset]
-            forwards[subset] = unpatchify(renderer_forward(model, x, t, cond, held).data, grid, cfg.patch,
-                                         LATENT_CHANNELS)
-        return guidance.compose(spec, forwards)
+            held = [lat for lat in cond_in.source_latents if source_role(lat) in subset]
+            forwards.append(unpatchify(renderer_forward(model, x, t, cond, held).data, grid, cfg.patch,
+                                       LATENT_CHANNELS))
+        return guidance.compose(spec, np.stack(forwards))
 
     with numerics.no_grad():
         out = render(model, cond_in, 2, scales, 3.0, Rng(60), (2, 4, 4))

@@ -266,7 +266,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (ConfigError, CheckpointError, DomainError, GuidanceValidationError, harness.StartupError,
-            harness.NonFiniteError, FileNotFoundError) as exc:
+            harness.NonFiniteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

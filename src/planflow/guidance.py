@@ -9,6 +9,7 @@ predictions:
   differ by exactly that branch, so all-unit weights telescope back to the
   fully conditional prediction. For the same reason a leading run of
   unit-weight increments drops out of the chain: v0 + 1 * (v1 - v0) = v1.
+  The predictions come stacked on axis 0, one per subset of the chain.
 
 * `compose_dual_branch`: the weighted fusion of an image-to-video branch and a
   video-to-video branch with per-branch weight constraints
@@ -76,18 +77,17 @@ class GuidanceSpec:
         return chain[lead:]
 
 
-def compose(spec: GuidanceSpec, forwards: Mapping[frozenset, np.ndarray]) -> np.ndarray:
-    """Base prediction plus weighted increments over the spec's subset chain."""
+def compose(spec: GuidanceSpec, stacked: np.ndarray) -> np.ndarray:
+    """Base prediction plus weighted increments over the spec's subset chain:
+    `stacked[i]` is the prediction under subset i of `spec.subset_chain()`,
+    and increment i adds the i-th branch past the leading unit weights."""
     chain = spec.subset_chain()
-    missing = [s for s in chain if s not in forwards]
-    if missing:
-        names = ", ".join("{" + ",".join(sorted(s)) + "}" if s else "{}" for s in missing)
-        raise CompositionError(f"missing forwards for condition subsets: {names}")
-    out = np.asarray(forwards[chain[0]], dtype=np.float64).copy()
-    for prev, cur in zip(chain, chain[1:]):
-        branch = next(iter(cur - prev))
-        delta = np.asarray(forwards[cur], dtype=np.float64) - np.asarray(forwards[prev], dtype=np.float64)
-        out += spec.weights[branch] * delta
+    if len(stacked) != len(chain):
+        raise CompositionError(f"{len(stacked)} predictions for a chain of {len(chain)} condition subsets")
+    stacked = np.asarray(stacked, dtype=np.float64)
+    out = stacked[0].copy()
+    for i, branch in enumerate(spec.present[len(spec.present) + 1 - len(chain):], 1):
+        out += spec.weights[branch] * (stacked[i] - stacked[i - 1])
     return out
 
 

@@ -177,8 +177,8 @@ class ModelBundle:
 
     def admit(self, case: EditCase) -> EditCase:
         """The case, refused if `vit.patch` or `renderer.patch` does not
-        divide one of its grids, or if its family's oracle reads a source
-        whose grid is not the target's."""
+        divide one of its grids, if its family's oracle reads a source whose
+        grid is not the target's, or if its reference is not one image."""
         for key, patch in (("vit.patch", self.vit.patch), ("renderer.patch", self.renderer.cfg.patch)):
             for scene in (case.target, case.source, case.reference):
                 if scene is not None and any(n % p for n, p in zip(scene.grid, patch)):
@@ -186,6 +186,9 @@ class ModelBundle:
         if case.family in SOURCE_FAMILIES and case.source.grid != case.target.grid:
             raise ValueError(f"the source grid {list(case.source.grid)} of a {case.family} case "
                              f"is not its target grid {list(case.target.grid)}")
+        if case.reference is not None and case.reference.grid[0] > 1:
+            raise ValueError(f"the reference grid {list(case.reference.grid)} has {case.reference.grid[0]} frames; "
+                             f"a reference is one image")
         return case
 
     def named_params(self) -> dict[str, Tensor]:
@@ -364,15 +367,8 @@ def planner_sequence(case: EditCase, vit: ToyVit):
     return seq, tgt_emb
 
 
-def renderer_sources(case: EditCase, vae: ToyVae) -> tuple[list[np.ndarray], list[str]]:
-    latents, roles = [], []
-    if case.source is not None:
-        latents.append(vae.encode(case.source.normalized()))
-        roles.append("vid" if case.source.grid[0] > 1 else "img")
-    if case.reference is not None:
-        latents.append(vae.encode(case.reference.normalized()))
-        roles.append("img")
-    return latents, roles
+def renderer_sources(case: EditCase, vae: ToyVae) -> list[np.ndarray]:
+    return [vae.encode(scene.normalized()) for scene in (case.source, case.reference) if scene is not None]
 
 
 def text_sequence(instruction: list[int]):
@@ -448,8 +444,7 @@ def _renderer_loss(bundle: ModelBundle, run: RunConfig, case: EditCase, states: 
     if states is not None and rngs["drop"].uniform() < run.drop_target:
         states = None
     text = None if rngs["drop"].uniform() < run.drop_text else np.asarray(case.instruction, dtype=np.intp)
-    latents, _ = renderer_sources(case, bundle.vae)
-    kept = [lat for lat in latents if rngs["drop"].uniform() >= run.drop_source]
+    kept = [lat for lat in renderer_sources(case, bundle.vae) if rngs["drop"].uniform() >= run.drop_source]
     cond = build_cond_tokens(bundle.renderer, text, states)
     l_dit, _ = train_step_renderer(bundle.renderer, bundle.vae.encode(case.target.normalized()), cond, kept,
                                    case.task, rngs["noise"])
@@ -495,6 +490,7 @@ def run_stage(
         kind = resume.opt_meta.get("kind", "adam")
         if kind != "adam":
             raise CheckpointError(f"checkpoint holds {kind!r} optimizer state; training resumes Adam state only")
+        _check_mid_stage_state(resume, trainable)
         opt = Adam(stage_cfg.lr)
         opt.t = int(resume.opt_meta.get("t", 0))
         opt.m = {k: v.copy() for k, v in resume.opt_m.items()}
@@ -552,6 +548,25 @@ def run_stage(
     return state, final
 
 
+def _check_mid_stage_state(resume: Checkpoint, trainable: dict[str, Tensor]) -> None:
+    """Refuse mid-stage state that does not fit the stage: RNG streams other
+    than the stage's, Adam moments m and v over different parameters or over
+    one the stage does not train at its shape, or an EMA that lacks one."""
+    if set(resume.rng_states) != set(_STREAMS):
+        raise CheckpointError(f"checkpoint RNG streams {sorted(resume.rng_states)} are not the stage's "
+                              f"{sorted(_STREAMS)}")
+    if set(resume.opt_m) != set(resume.opt_v):
+        raise CheckpointError(f"checkpoint Adam moments m and v differ on "
+                              f"{', '.join(sorted(set(resume.opt_m) ^ set(resume.opt_v)))}")
+    shapes = {name: p.data.shape for name, p in trainable.items()}
+    for name in sorted(resume.opt_m):
+        if not shapes.get(name) == resume.opt_m[name].shape == resume.opt_v[name].shape:
+            raise CheckpointError(f"checkpoint Adam moments of {name!r} do not fit a parameter the stage trains")
+    for name, shape in shapes.items():
+        if name not in resume.ema or resume.ema[name].shape != shape:
+            raise CheckpointError(f"checkpoint EMA lacks {name!r} at its shape {shape}")
+
+
 def _require_finite(bundle: ModelBundle, state: TrainState, stage: str) -> None:
     """Refuse to checkpoint non-finite weights or EMA values."""
     bad = [name for name, p in bundle.named_params().items() if not np.isfinite(p.data).all()]
@@ -607,14 +622,8 @@ def render_case(bundle: ModelBundle, run: RunConfig, case: EditCase, states: np.
                 rng: Rng) -> np.ndarray:
     """Guided render of one case's target latent, conditioned on the planner
     hidden states `states` when given."""
-    latents, roles = renderer_sources(case, bundle.vae)
     key = GUIDANCE_KEY[case.task]
-    cond = CondInputs(
-        text_ids=np.asarray(case.instruction, dtype=np.intp),
-        planner_states=states,
-        source_latents=latents,
-        source_roles=roles,
-    )
+    cond = CondInputs(np.asarray(case.instruction, dtype=np.intp), states, renderer_sources(case, bundle.vae))
     return render(
         bundle.renderer, cond, steps=run.guidance_steps[key], scales=run.guidance_scales[key],
         shift=run.flow_shift, rng=rng, target_grid=case.target.grid,

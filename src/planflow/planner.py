@@ -374,7 +374,7 @@ def _composed_velocity(decoder, x: np.ndarray, t, cond: DecoderCondition, spec: 
     subset of the spec's chain, stacked as in `cond`, then `compose`."""
     chain = spec.subset_chain()
     v = decoder_forward(decoder, Tensor(np.tile(x, (len(chain), 1))), t, cond).data
-    return compose(spec, dict(zip(chain, v.reshape(len(chain), x.shape[0], -1))))
+    return compose(spec, v.reshape(len(chain), x.shape[0], -1))
 
 
 def decode_embedding(decoder: EmbeddingDecoder, cond: DecoderCondition, steps: int, spec: GuidanceSpec,

@@ -29,10 +29,6 @@ from .sequence import TokenSequence, serialize
 from .toydata import MAX_TEXT_TOKENS, VOCAB
 
 
-class LayoutError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # toy VAE: palette polyline, exactly invertible on [0, 1]
 # ---------------------------------------------------------------------------
@@ -230,19 +226,6 @@ def visual_stream(cfg: RendererConfig, source_latents: list[np.ndarray], target_
     return VisualStream(sources, seq, token_angles(cfg.rope(), seq, cfg.segment_phases))
 
 
-@dataclass(frozen=True)
-class BatchLayout:
-    """The entries of one batched renderer forward.
-
-    Entry e holds the source latents `held[e]` (ascending indices) and the
-    target, and cross-attends to the next `cond_lens[e]` rows of the
-    conditioning stream, which stacks the entries' tokens in entry order.
-    """
-
-    held: tuple[tuple[int, ...], ...]
-    cond_lens: tuple[int, ...]
-
-
 class Stacking(NamedTuple):
     """Copies of the visual stream stacked row-wise, each holding some of the
     sources and then the target. An index of None means every row once, in
@@ -292,24 +275,22 @@ class RenderConstants:
     (`groups`). Pairs are indexed by whether only target rows are queries.
     """
 
-    layout: BatchLayout
     sources: Tensor                                          # (n_src, hidden_dim) patch projection of the sources
     groups: Stacking                                         # block 0: one copy per group
     entries: Stacking                                        # later blocks: one copy per entry
     to_entries: tuple[np.ndarray | None, np.ndarray | None]  # row of `groups` behind each entry row
-    cross_kv: list[tuple[Tensor, Tensor]]                    # per block: keys and values of `cond`
-    cross_runs: tuple[list[Run], list[Run]]                  # entries against their own rows of `cond`
+    cross_kv: list[tuple[Tensor, Tensor]]                    # per block: keys and values of the stacked conds
+    cross_runs: tuple[list[Run], list[Run]]                  # entries against their own conditioning rows
 
 
-def render_constants(model: RendererModel, stream: VisualStream, cond: Tensor, layout: BatchLayout) -> RenderConstants:
-    """Prepare the constants of the `layout` entries of `stream`, which
-    cross-attend to the rows of `cond`."""
+def render_constants(model: RendererModel, stream: VisualStream, conds: list[Tensor],
+                     held: tuple[tuple[int, ...], ...]) -> RenderConstants:
+    """Prepare the constants of a batch of entries of `stream`: entry e holds
+    the sources `held[e]` (ascending indices) and the target, and
+    cross-attends to the conditioning tokens `conds[e]`."""
     p = model.params
     cfg = model.cfg
-    held, lens = layout.held, layout.cond_lens
-    if len(lens) != len(held) or sum(lens) != cond.shape[0]:
-        raise DimensionError(f"a layout of {len(held)} entries over {sum(lens)} conditioning rows "
-                             f"does not fit {cond.shape[0]} rows")
+    cond = conds[0] if len(conds) == 1 else concat(conds, axis=0)
     # an entry sees its own sources (segments 1..N), in stream order, then the target (segment 0)
     seg = stream.seq.segment_indices
     target = np.flatnonzero(seg == 0)
@@ -326,9 +307,8 @@ def render_constants(model: RendererModel, stream: VisualStream, cond: Tensor, l
             return np.concatenate([starts[g] + np.arange(sizes[g]) for g in group])
 
         to_entries = (per_entry([len(copies[e]) for e in firsts]), per_entry([len(target)] * len(firsts)))
-    runs = _runs([(len(c), n) for c, n in zip(copies, lens)])
+    runs = _runs([(len(rows), c.shape[0]) for rows, c in zip(copies, conds)])
     return RenderConstants(
-        layout=layout,
         sources=add(matmul(Tensor(stream.sources), p["patch_proj"]), p["patch_bias"]),
         groups=groups,
         entries=entries,
@@ -342,26 +322,26 @@ def renderer_forward(
     model: RendererModel,
     x_t: np.ndarray,
     t: float,
-    cond: Tensor,
+    cond: Tensor | None = None,
     source_latents: list[np.ndarray] | None = None,
     consts: RenderConstants | None = None,
 ) -> Tensor:
     """Velocity prediction on the target tokens, shape (entries * n_target, patch_dim).
 
-    Evaluates the entries of the layout of `consts`, the work prepared from
-    a layout, `cond` and the weights by `render_constants`. They share x_t,
-    t and the sources; each sees only its own sources and the target, placed
-    and rotated as in the full stream (sources first, target last). Without
-    `consts` that work is done here for one entry that holds every source of
-    `source_latents` and all rows of `cond`.
+    Evaluates the entries of `consts`, the work prepared from the entries'
+    conditioning, held sources and the weights by `render_constants`. They
+    share x_t, t and the sources; each sees only its own sources and the
+    target, placed and rotated as in the full stream (sources first, target
+    last). Without `consts` that work is done here for one entry that holds
+    every source of `source_latents` and cross-attends to `cond`.
     """
     cfg = model.cfg
     p = model.params
     x_t = np.asarray(x_t, dtype=np.float64)
     if consts is None:
         sources = source_latents or []
-        layout = BatchLayout((tuple(range(len(sources))),), (cond.shape[0],))
-        consts = render_constants(model, visual_stream(cfg, sources, x_t.shape), cond, layout)
+        consts = render_constants(model, visual_stream(cfg, sources, x_t.shape), [cond],
+                                  (tuple(range(len(sources))),))
     _, tgt_tokens = patchify(x_t, cfg.patch)
     target = add(matmul(Tensor(tgt_tokens), p["patch_proj"]), p["patch_bias"])
     # time conditioning applies to the noisy target tokens; sources are clean
@@ -411,6 +391,12 @@ def euler_integrate(velocity_fn, x0: np.ndarray, steps: int, shift: float = 1.0)
     return x
 
 
+def source_role(latent: np.ndarray) -> str:
+    """The guidance branch a source latent conditions: a source of more than
+    one frame is a video, a one-frame source an image."""
+    return "vid" if len(latent) > 1 else "img"
+
+
 @dataclass
 class CondInputs:
     """Raw conditions available for one render; subsets are derived from these."""
@@ -418,20 +404,13 @@ class CondInputs:
     text_ids: np.ndarray | None = None
     planner_states: np.ndarray | None = None
     source_latents: list[np.ndarray] = field(default_factory=list)
-    source_roles: list[str] = field(default_factory=list)  # "vid" | "img" per source
-
-    def __post_init__(self):
-        if len(self.source_latents) != len(self.source_roles):
-            raise LayoutError("one role per source latent required")
-        bad = [r for r in self.source_roles if r not in ("vid", "img")]
-        if bad:
-            raise LayoutError(f"unknown source roles {bad}")
 
     def branches(self) -> tuple[str, ...]:
         """The guidance branches these conditions supply, in canonical order."""
+        roles = {source_role(latent) for latent in self.source_latents}
         have = {
-            "vid": "vid" in self.source_roles,
-            "img": "img" in self.source_roles,
+            "vid": "vid" in roles,
+            "img": "img" in roles,
             "txt": self.text_ids is not None and len(self.text_ids) > 0,
             "tgt": self.planner_states is not None,
         }
@@ -450,11 +429,11 @@ def render(
     """Sample a target latent by guided Euler integration from pure noise.
 
     The guidance branches are those `cond_inputs` supplies, each weighted by
-    its entry of `scales` (1.0 when absent). Every condition subset in the
-    spec's chain is one entry of a ragged batch (`BatchLayout`): it holds
-    only the sources of its subset and the target, and cross-attends to that
-    subset's conditioning tokens. Every step makes one batched forward and
-    composes its per-subset slices into the guided velocity.
+    its entry of `scales` (1.0 when absent). Subset i of the spec's chain is
+    entry i of a ragged batch (`render_constants`): it holds only the sources
+    of its subset and the target, and cross-attends to that subset's
+    conditioning tokens. Every step makes one batched forward, composes the
+    entries' token rows into the guided velocity and unpatchifies it.
     """
     cfg = model.cfg
     branches = cond_inputs.branches()
@@ -465,20 +444,15 @@ def render(
         stream = visual_stream(cfg, cond_inputs.source_latents, (t_len, h, w))
         conds = [build_cond_tokens(model, cond_inputs.text_ids if "txt" in subset else None,
                                    cond_inputs.planner_states if "tgt" in subset else None) for subset in chain]
-        layout = BatchLayout(
-            held=tuple(tuple(i for i, role in enumerate(cond_inputs.source_roles) if role in subset)
-                       for subset in chain),
-            cond_lens=tuple(c.shape[0] for c in conds),
-        )
-        cond = concat(conds, axis=0)
-        consts = render_constants(model, stream, cond, layout)
+        held = tuple(tuple(i for i, latent in enumerate(cond_inputs.source_latents) if source_role(latent) in subset)
+                     for subset in chain)
+        consts = render_constants(model, stream, conds, held)
         noise = rng.normal((t_len, h, w, LATENT_CHANNELS))
+        grid = stream.seq.layout[-1].grid  # the target's patch grid
 
         def velocity(x, t):
-            tok = renderer_forward(model, x, t, cond, consts=consts).data
-            grid, _ = patchify(x, cfg.patch)
-            per_subset = tok.reshape(len(chain), -1, cfg.patch_dim)
-            forwards = {s: unpatchify(v, grid, cfg.patch, LATENT_CHANNELS) for s, v in zip(chain, per_subset)}
-            return compose(spec, forwards)
+            tok = renderer_forward(model, x, t, consts=consts).data
+            return unpatchify(compose(spec, tok.reshape(len(chain), -1, cfg.patch_dim)), grid, cfg.patch,
+                              LATENT_CHANNELS)
 
         return euler_integrate(velocity, noise, steps, shift)

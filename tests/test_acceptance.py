@@ -64,9 +64,9 @@ def test_criterion_1_guidance_algebra():
     chain = spec.subset_chain()
     worst = 0.0
     for _ in range(1000):
-        forwards = {s: rng.normal((8,)) for s in chain}
+        forwards = np.stack([rng.normal((8,)) for _ in chain])
         out = compose(spec, forwards)
-        worst = max(worst, float(np.abs(out - forwards[chain[-1]]).max()))
+        worst = max(worst, float(np.abs(out - forwards[-1]).max()))
     assert worst < 1e-12, f"telescoping residual {worst:.2e}"
 
     for _ in range(200):

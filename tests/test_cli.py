@@ -92,6 +92,21 @@ class TestUsage:
         out = capsys.readouterr().out
         assert "invariants hold" in out
 
+    @pytest.mark.parametrize("argv, words", [
+        (lambda w, data, ck: ["eval", "--data", str(w / "tiny.cfg"), "--out", str(w / "wrong_kind")],
+         "Not a directory"),
+        (lambda w, data, ck: ["gen-data", "--out", str(w / "tiny.cfg")], "File exists"),
+        (lambda w, data, ck: ["check", "--config", str(w)], "Is a directory"),
+        (lambda w, data, ck: ["edit", "--case", str(data), "--ckpt", str(ck), "--config", str(w / "tiny.cfg"),
+                              "--out", str(w / "wrong_kind")], "Is a directory"),
+    ], ids=["eval-data-is-a-file", "gen-data-out-is-a-file", "check-config-is-a-directory",
+            "edit-case-is-a-directory"])
+    def test_path_of_the_wrong_kind_exits_1(self, workdir, generated, trained_ckpt, capsys, argv, words):
+        """A file where a directory belongs, or the reverse, ends in one `error:` line."""
+        assert cli.main(argv(workdir, generated, trained_ckpt)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and words in err
+
 
 class TestGenData:
     def test_dataset_layout(self, generated):
@@ -405,10 +420,12 @@ class TestEditDeterminism:
          "the source grid [1, 6, 6] of a remove case is not its target grid [2, 6, 6]"),
         (lambda r: r["source"]["objects"][0].update(start=[1.5, 2]), "object start [1.5, 2] is not two integers"),
         (lambda r: r["source"]["objects"][0].update(velocity=[0]), "object velocity [0] is not two integers"),
+        (lambda r: r.update(reference=r["source"]),
+         "the reference grid [2, 6, 6] has 2 frames; a reference is one image"),
     ], ids=["long-instruction", "token-above-vocab", "negative-token", "object-outside-grid", "unknown-family",
             "two-value-grid", "grid-patches-do-not-divide", "edit-without-field", "source-missing",
             "color-outside-palette", "unknown-shape", "unknown-orient", "size-below-one", "background-outside-palette",
-            "source-grid-differs", "fractional-start", "short-velocity"])
+            "source-grid-differs", "fractional-start", "short-velocity", "reference-has-frames"])
     def test_malformed_case_content_exits_1(self, workdir, generated, trained_ckpt, capsys, command, change, words):
         """A case whose content the models cannot take, in a case file given
         to `edit` or a records line read by `eval`, ends in one `error:` line

@@ -31,7 +31,8 @@ def full_spec(weights=None):
 
 
 def random_forwards(spec, rng, dim=6):
-    return {s: rng.normal((dim,)) for s in spec.subset_chain()}
+    """One prediction per subset of the spec's chain, stacked on axis 0."""
+    return np.stack([rng.normal((dim,)) for _ in spec.subset_chain()])
 
 
 class TestCompose:
@@ -41,13 +42,14 @@ class TestCompose:
         for _ in range(200):
             forwards = random_forwards(spec, rng)
             out = compose(spec, forwards)
-            assert np.abs(out - forwards[spec.subset_chain()[-1]]).max() < 1e-12
+            assert np.abs(out - forwards[-1]).max() < 1e-12
 
     def test_zero_weights_return_base(self):
         rng = Rng(2)
         spec = full_spec({b: 0.0 for b in BRANCHES})
         forwards = random_forwards(spec, rng)
-        assert np.array_equal(compose(spec, forwards), forwards[frozenset()])
+        assert spec.subset_chain()[0] == frozenset()
+        assert np.array_equal(compose(spec, forwards), forwards[0])
 
     def test_v2v_table_weights_match_direct_oracle(self):
         # direct weighted-sum oracle over the increment definition
@@ -56,18 +58,18 @@ class TestCompose:
         spec = full_spec(weights)
         chain = spec.subset_chain()
         forwards = random_forwards(spec, rng)
-        expected = forwards[chain[0]].astype(float).copy()
-        for prev, cur in zip(chain, chain[1:]):
+        expected = forwards[0].astype(float).copy()
+        for i, (prev, cur) in enumerate(zip(chain, chain[1:]), 1):
             branch = next(iter(cur - prev))
-            expected = expected + weights[branch] * (forwards[cur] - forwards[prev])
+            expected = expected + weights[branch] * (forwards[i] - forwards[i - 1])
         assert np.abs(compose(spec, forwards) - expected).max() < 1e-12
 
-    def test_missing_subset_named(self):
+    def test_one_prediction_per_subset_required(self):
         spec = full_spec({"vid": 1.25, "img": 2.5, "txt": 4.0, "tgt": 1.5})
         forwards = random_forwards(spec, Rng(4))
-        del forwards[frozenset({"vid", "img"})]
-        with pytest.raises(CompositionError, match=r"\{img,vid\}"):
-            compose(spec, forwards)
+        for wrong in (forwards[:-1], np.concatenate([forwards, forwards[:1]])):
+            with pytest.raises(CompositionError, match=f"{len(wrong)} predictions for a chain of 5"):
+                compose(spec, wrong)
 
     @given(
         present=st.lists(st.sampled_from(BRANCHES), unique=True),
@@ -97,13 +99,14 @@ class TestCompose:
         for b, prev, cur in zip(present, full, full[1:]):
             expected = expected + weights[b] * (forwards[cur] - forwards[prev])
         scale = (1.0 + sum(abs(w) for w in weights.values())) * max(np.abs(f).max() for f in forwards.values())
-        assert np.abs(compose(spec, forwards) - expected).max() <= 1e-12 * scale
+        stacked = np.stack([forwards[s] for s in chain])
+        assert np.abs(compose(spec, stacked) - expected).max() <= 1e-12 * scale
 
     def test_linearity_in_forwards(self):
         rng = Rng(5)
         spec = full_spec({"vid": 1.25, "img": 2.5, "txt": 4.0, "tgt": 1.5})
         forwards = random_forwards(spec, rng)
-        scaled = {k: 3.0 * v for k, v in forwards.items()}
+        scaled = 3.0 * forwards
         assert np.allclose(compose(spec, scaled), 3.0 * compose(spec, forwards), atol=1e-12)
 
     def test_t2v_drops_video_branch(self):

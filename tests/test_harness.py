@@ -423,6 +423,29 @@ class TestTraining:
             assert np.array_equal(final_a.ema[name], final_b.ema[name]), name
         assert final_a.rng_states == final_b.rng_states
 
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda ck: ck.opt_v.pop(sorted(ck.opt_v)[0]), "Adam moments m and v differ on renderer."),
+        (lambda ck: ck.rng_states.pop("drop"), "RNG streams"),
+        (lambda ck: ck.ema.pop("renderer.out_proj"), "EMA lacks 'renderer.out_proj'"),
+        (lambda ck: [moments.update({"planner.ln_f.g": ck.ema["planner.ln_f.g"]}) for moments in (ck.opt_m, ck.opt_v)],
+         "Adam moments of 'planner.ln_f.g'"),
+        (lambda ck: ck.ema.update({"renderer.out_bias": np.zeros(3)}), "EMA lacks 'renderer.out_bias'"),
+    ], ids=["opt-v-entry-removed", "drop-stream-removed", "ema-entry-removed", "moment-of-untrained-param",
+            "ema-misshapen"])
+    def test_mid_stage_resume_refuses_state_that_does_not_fit(self, tiny_dataset, tmp_path, tamper, message):
+        """A stage II checkpoint from step 2 resumes only with the stage's RNG
+        streams, Adam moments of its trainable parameters and a full EMA."""
+        cfg = tiny_config()
+        run = RunConfig.from_config(cfg)
+        bundle = ModelBundle(cfg)
+        _, ck = run_stage(bundle, StageConfig.from_config(cfg, "I"), tiny_dataset, run, seed=2)
+        run_stage(bundle, StageConfig.from_config(cfg, "II"), tiny_dataset, run, seed=2, resume=ck,
+                  checkpoint_dir=tmp_path, checkpoint_every=2)
+        mid = Checkpoint.load(tmp_path / "stage_II_step000002.ckpt")
+        tamper(mid)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            run_stage(ModelBundle(cfg), StageConfig.from_config(cfg, "II"), tiny_dataset, run, seed=2, resume=mid)
+
     def test_non_finite_loss_refused(self, tiny_dataset, tmp_path):
         cfg = tiny_config()
         bundle = ModelBundle(cfg)
@@ -828,8 +851,7 @@ class TestConfigFile:
         """The guidance branches render_case's conditions hold for a case of
         `task` rendered with planner states."""
         case = gen_edit_case(Rng(3), task, Config().get_ints("data.grid"))
-        latents, roles = renderer_sources(case, ToyVae())
-        return CondInputs(np.asarray(case.instruction), np.zeros((1, 1)), latents, roles).branches()
+        return CondInputs(np.asarray(case.instruction), np.zeros((1, 1)), renderer_sources(case, ToyVae())).branches()
 
     def test_default_guidance_rows_name_supplied_branches(self):
         """A row weights only branches that one of the tasks it serves has."""

@@ -1,16 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from planflow import nets, renderer as renderer_mod
 from planflow.guidance import GuidanceSpec, compose
-from planflow.numerics import ContractError, DimensionError, Rng, Tensor, backward, concat, fd_gradient, mul, sub, tmean
+from planflow.numerics import ContractError, DimensionError, Rng, Tensor, backward, fd_gradient, mul, sub, tmean
 from planflow.renderer import (
-    BatchLayout,
     CondInputs,
     DomainError,
     FlowSample,
     LATENT_CHANNELS,
-    LayoutError,
     MAX_TEXT_TOKENS,
     RendererConfig,
     RendererModel,
@@ -21,6 +21,7 @@ from planflow.renderer import (
     render,
     render_constants,
     renderer_forward,
+    source_role,
     train_step_renderer,
     unpatchify,
     visual_stream,
@@ -150,9 +151,8 @@ class TestRendererForward:
         cond = build_cond_tokens(model, np.array([1], dtype=np.intp), None)
         no_src = renderer_forward(model, x_t, 0.3, cond, []).data
         with_src = renderer_forward(model, x_t, 0.3, cond, [src]).data
-        layout = BatchLayout(held=((), (0,)), cond_lens=(cond.shape[0],) * 2)
-        consts = render_constants(model, visual_stream(model.cfg, [src], x_t.shape), concat([cond, cond]), layout)
-        both = renderer_forward(model, x_t, 0.3, concat([cond, cond]), consts=consts).data
+        consts = render_constants(model, visual_stream(model.cfg, [src], x_t.shape), [cond, cond], ((), (0,)))
+        both = renderer_forward(model, x_t, 0.3, consts=consts).data
         assert np.abs(both[: len(no_src)] - no_src).max() < 1e-12
         assert np.abs(both[len(no_src) :] - with_src).max() < 1e-12
         assert np.abs(no_src - with_src).max() > 1e-6
@@ -172,9 +172,8 @@ class TestRendererForward:
         conds = [build_cond_tokens(model, None, None)] * 3 + [build_cond_tokens(model, text, None),
                                                                build_cond_tokens(model, text, rng.normal((30, 16)))]
         held = ((), (0,), (0, 1), (0, 1), (0, 1))
-        layout = BatchLayout(held, tuple(c.shape[0] for c in conds))
-        consts = render_constants(model, visual_stream(model.cfg, sources, x_t.shape), concat(conds), layout)
-        out = renderer_forward(model, x_t, 0.4, concat(conds), consts=consts).data.reshape(len(held), -1, CFG.patch_dim)
+        consts = render_constants(model, visual_stream(model.cfg, sources, x_t.shape), conds, held)
+        out = renderer_forward(model, x_t, 0.4, consts=consts).data.reshape(len(held), -1, CFG.patch_dim)
         for e, (h, cond) in enumerate(zip(held, conds)):
             own = renderer_forward(model, x_t, 0.4, cond, [sources[i] for i in h]).data
             assert np.abs(out[e] - own).max() < 1e-12, e
@@ -276,13 +275,11 @@ class TestPatchBias:
             text_ids=np.array([1, 5, 2], dtype=np.intp),
             planner_states=rng.normal((6, 16)),
             source_latents=[rng.normal((2, 4, 4, 4)), rng.normal((1, 4, 4, 4))],
-            source_roles=["vid", "img"],
         )
         real = renderer_mod.renderer_forward
         monkeypatch.setattr(renderer_mod, "renderer_forward",
-                            lambda model, x, t, cond, **kwargs: real(model, shifted(x), t, cond, **kwargs))
-        moved_in = CondInputs(cond_in.text_ids, cond_in.planner_states,
-                              [shifted(s) for s in cond_in.source_latents], cond_in.source_roles)
+                            lambda model, x, t, **kwargs: real(model, shifted(x), t, **kwargs))
+        moved_in = CondInputs(cond_in.text_ids, cond_in.planner_states, [shifted(s) for s in cond_in.source_latents])
         moved = render(model, moved_in, steps=3, scales=SCALES, shift=3.0, rng=Rng(62), target_grid=(2, 4, 4))
         monkeypatch.undo()
         model.params["patch_bias"].data[:] = bias
@@ -360,13 +357,10 @@ class TestEulerIntegration:
 
 class TestRender:
     def _cond(self, rng, with_sources=True):
-        latents = [rng.normal((1, 4, 4, 4))] if with_sources else []
-        roles = ["vid"] if with_sources else []
         return CondInputs(
             text_ids=np.array([1, 2], dtype=np.intp),
             planner_states=rng.normal((4, 16)),
-            source_latents=latents,
-            source_roles=roles,
+            source_latents=[rng.normal((2, 4, 4, 4))] if with_sources else [],  # a source video
         )
 
     def test_unit_weights_match_conditional_trajectory(self):
@@ -401,21 +395,20 @@ class TestRender:
             text_ids=np.array([1, 5, 2], dtype=np.intp),
             planner_states=rng.normal((6, 16)) if states else None,
             source_latents=[rng.normal((*grid, 4)) for _, grid in sources],
-            source_roles=[role for role, _ in sources],
         )
         spec = derived_spec(cond_in)
         assert len(spec.subset_chain()) == len(sources) + 2 + states
 
         def per_subset_velocity(x, t):
-            forwards = {}
+            forwards = []
             for subset in spec.subset_chain():
                 cond = build_cond_tokens(model, cond_in.text_ids if "txt" in subset else None,
                                          cond_in.planner_states if "tgt" in subset else None)
-                held = [i for i, role in enumerate(cond_in.source_roles) if role in subset]
+                held = [i for i, (role, _) in enumerate(sources) if role in subset]
                 tok = renderer_forward(model, x, t, cond, [cond_in.source_latents[i] for i in held]).data
                 grid, _ = patchify(x, CFG.patch)
-                forwards[subset] = unpatchify(tok, grid, CFG.patch, LATENT_CHANNELS)
-            return compose(spec, forwards)
+                forwards.append(unpatchify(tok, grid, CFG.patch, LATENT_CHANNELS))
+            return compose(spec, np.stack(forwards))
 
         out = render(model, cond_in, steps=3, scales=SCALES, shift=3.0, rng=Rng(32), target_grid=target_grid)
         noise = Rng(32).normal((*target_grid, LATENT_CHANNELS))
@@ -430,7 +423,6 @@ class TestRender:
             text_ids=np.array([1, 5, 2], dtype=np.intp),
             planner_states=rng.normal((6, 16)),
             source_latents=[rng.normal((2, 4, 4, 4)), rng.normal((1, 4, 4, 4))],
-            source_roles=["vid", "img"],
         )
         return model, cond_in
 
@@ -443,10 +435,15 @@ class TestRender:
         real = renderer_mod.renderer_forward
         prepared = []
 
-        def per_step(model, x, t, cond, consts):
+        chain = derived_spec(cond_in).subset_chain()
+        held = tuple(tuple(i for i, role in enumerate(("vid", "img")) if role in subset) for subset in chain)
+
+        def per_step(model, x, t, consts):
             prepared.append(consts)
             stream = visual_stream(model.cfg, cond_in.source_latents, x.shape)
-            return real(model, x, t, cond, consts=render_constants(model, stream, cond, consts.layout))
+            conds = [build_cond_tokens(model, cond_in.text_ids if "txt" in subset else None,
+                                       cond_in.planner_states if "tgt" in subset else None) for subset in chain]
+            return real(model, x, t, consts=render_constants(model, stream, conds, held))
 
         monkeypatch.setattr(renderer_mod, "renderer_forward", per_step)
         recomputed = render(model, cond_in, steps=3, scales=SCALES, shift=3.0, rng=Rng(37), target_grid=(2, 4, 4))
@@ -481,8 +478,9 @@ class TestRender:
         real = renderer_mod.renderer_forward
 
         def counting(*args, **kwargs):
-            calls.append(len(kwargs["consts"].layout.held))
-            return real(*args, **kwargs)
+            out = real(*args, **kwargs)
+            calls.append(out.shape[0] // 4)  # entries: output rows over the 4 target tokens
+            return out
 
         monkeypatch.setattr(renderer_mod, "renderer_forward", counting)
         cond_in = self._cond(Rng(33))
@@ -508,15 +506,25 @@ class TestRender:
         expected = sources[task] + ("txt",) + (("tgt",) if states else ())
         layout, _ = LAYOUTS[task]
         cond = dict(planner_states=np.zeros((3, 16)) if states else None,
-                    source_latents=[np.zeros((*grid, 4)) for _, grid in layout],
-                    source_roles=[role for role, _ in layout])
+                    source_latents=[np.zeros((*grid, 4)) for _, grid in layout])
         assert CondInputs(np.array([1, 5], dtype=np.intp), **cond).branches() == expected
         without_text = tuple(b for b in expected if b != "txt")
         assert CondInputs(np.zeros(0, dtype=np.intp), **cond).branches() == without_text
         assert CondInputs(None, **cond).branches() == without_text
 
-    def test_cond_inputs_validation(self):
-        with pytest.raises(LayoutError):
-            CondInputs(source_latents=[np.zeros((1, 2, 2, 4))], source_roles=[])
-        with pytest.raises(LayoutError):
-            CondInputs(source_latents=[np.zeros((1, 2, 2, 4))], source_roles=["audio"])
+    def test_source_role_follows_frame_count(self):
+        """A source of one frame is an image, a source of more a video."""
+        assert [source_role(np.zeros((n, 2, 2, 4))) for n in (1, 2, 3)] == ["img", "vid", "vid"]
+        for task, (layout, _) in LAYOUTS.items():
+            assert [source_role(np.zeros((*grid, 4))) for _, grid in layout] == [role for role, _ in layout], task
+
+    def test_subsets_are_one_array_axis(self):
+        """compose takes one prediction per subset stacked on axis 0, and no
+        structure restates a render's batch or a source's role."""
+        spec = GuidanceSpec({"txt": 4.0, "tgt": 1.5}, ("txt", "tgt"))
+        stacked = Rng(40).normal((3, 4, CFG.patch_dim))
+        out = compose(spec, stacked)
+        assert np.array_equal(out, stacked[0] + 4.0 * (stacked[1] - stacked[0]) + 1.5 * (stacked[2] - stacked[1]))
+        for name in ("BatchLayout", "LayoutError"):
+            assert not hasattr(renderer_mod, name), name
+        assert "source_roles" not in {f.name for f in dataclasses.fields(CondInputs)}
