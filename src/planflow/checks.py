@@ -82,7 +82,7 @@ def _rope_properties():
     assert np.abs(np.linalg.norm(y, axis=1) - np.linalg.norm(x, axis=1)).max() < 1e-12, "norms"
     plain = seq.segment_indices <= 0  # text and target rows
     assert np.array_equal(on[plain], off[plain]), "text and segment 0 must carry no segment phase"
-    origin = on[seq.span_of(sequence.VISUAL_SOURCE, 2)[0]]  # (0, 0, 0) of segment 2: no spatial phase
+    origin = on[seq.span_of(2)[0]]  # (0, 0, 0) of segment 2: no spatial phase
     assert np.array_equal(origin, 2 * cfg.segment_frequencies()), "segment phase = index * frequency"
     assert origin[0] == 2.0, "pair 0 phase must equal the raw index"
 

@@ -111,6 +111,7 @@ def _bundle_from_ckpt(cfg: Config, ckpt_path: str | None):
         ck = Checkpoint.load(ckpt_path)
         harness.check_config_snapshot(ck.config_snapshot, cfg)
         bundle.load_param_values(ck.params)
+        bundle.check_fit(ck.ema, "EMA entry")
         ema = ck.ema or None
     return bundle, ema
 

@@ -42,7 +42,7 @@ from .renderer import (
     train_step_renderer,
 )
 from .schedules import TaskKind, pair_decay_weight, sample_mask_ratio
-from .sequence import TEXT, VISUAL_TARGET, apply_target_mask, serialize
+from .sequence import TARGET, apply_target_mask, serialize
 from .toydata import (
     PAIR_TASK,
     SOURCE_FAMILIES,
@@ -201,14 +201,19 @@ class ModelBundle:
     def trainable(self, stage: str) -> dict[str, Tensor]:
         return {k: v for k, v in self.named_params().items() if k.partition(".")[0] in STAGE_MODELS[stage]}
 
-    def load_param_values(self, values: dict[str, np.ndarray]) -> None:
-        """Replace every parameter; refuses a set that is not exactly this config's."""
+    def check_fit(self, values: dict[str, np.ndarray], what: str = "parameter") -> None:
+        """Refuse checkpoint `values` holding a name this config lacks or a shape other than its own."""
         named = self.named_params()
         for name, arr in values.items():
             if name not in named:
-                raise ConfigError(f"checkpoint parameter {name!r} does not match this config")
+                raise ConfigError(f"checkpoint {what} {name!r} does not match this config")
             if named[name].data.shape != arr.shape:
-                raise ConfigError(f"shape mismatch for {name}: {named[name].data.shape} vs {arr.shape}")
+                raise ConfigError(f"shape mismatch for {what} {name}: {named[name].data.shape} vs {arr.shape}")
+
+    def load_param_values(self, values: dict[str, np.ndarray]) -> None:
+        """Replace every parameter; refuses a set that is not exactly this config's."""
+        self.check_fit(values)
+        named = self.named_params()
         missing = sorted(set(named) - set(values))
         if missing:
             raise ConfigError(f"checkpoint lacks {len(missing)} parameter(s) of this config: {', '.join(missing)}")
@@ -258,19 +263,18 @@ class Adam:
 
 
 def ema_update(shadow: dict[str, np.ndarray], params: dict[str, Tensor], decay: float) -> None:
-    """shadow = decay * shadow + (1 - decay) * params, updated in place."""
+    """shadow = decay * shadow + (1 - decay) * params, updated in place;
+    `shadow` holds every name of `params`."""
     for name, p in params.items():
-        s = shadow.get(name)
-        if s is None:
-            shadow[name] = p.data.copy()
-        else:
-            s *= decay
-            s += (1.0 - decay) * p.data
+        s = shadow[name]
+        s *= decay
+        s += (1.0 - decay) * p.data
 
 
 class ema_weights:
     """Context manager: temporarily swap EMA values into the live parameters.
-    An empty or missing `shadow` keeps the live weights."""
+    An empty or missing `shadow` keeps the live weights; its names and shapes
+    must fit the bundle (`ModelBundle.check_fit`)."""
 
     def __init__(self, bundle: ModelBundle, shadow: dict[str, np.ndarray] | None):
         self.bundle, self.shadow = bundle, shadow or {}
@@ -279,9 +283,8 @@ class ema_weights:
     def __enter__(self):
         named = self.bundle.named_params()
         for name, arr in self.shadow.items():
-            if name in named:
-                self._saved[name] = named[name].data
-                named[name].data = arr.copy()
+            self._saved[name] = named[name].data
+            named[name].data = arr.copy()
         return self
 
     def __exit__(self, *exc):
@@ -338,33 +341,16 @@ class StageConfig:
 # ---------------------------------------------------------------------------
 
 def planner_sequence(case: EditCase, vit: ToyVit):
-    """Canonical sequence for a case with ground-truth embeddings attached.
-
-    Returns (sequence, target_embeddings); the target rows also carry the
-    ground truth (training masks overwrite flags, inference masks everything).
-    """
+    """Canonical sequence for a case, its rows holding the ground-truth
+    embeddings: zeros for the text, then the sources', then the target's
+    (training masks set flags only, inference zeroes the target)."""
     text_ids = np.asarray(case.instruction, dtype=np.intp)
-    source_grids, source_embs = [], []
-    for scene in (case.source, case.reference):
-        if scene is None:
-            continue
-        grid, emb = vit.encode(scene.normalized())
-        source_grids.append(grid)
-        source_embs.append(emb)
-    tgt_grid, tgt_emb = vit.encode(case.target.normalized())
-    seq = serialize(len(text_ids), source_grids, tgt_grid)
+    grids, embs = zip(*(vit.encode(scene.normalized()) for scene in (case.source, case.reference, case.target)
+                        if scene is not None))
+    seq = serialize(len(text_ids), list(grids[:-1]), grids[-1])
     seq.text_ids = text_ids
-    emb_dim = vit.embed_dim
-    rows = np.zeros((len(seq), emb_dim))
-    for desc, start, stop in seq.spans():
-        if desc.kind == TEXT:
-            continue
-        if desc.kind == VISUAL_TARGET:
-            rows[start:stop] = tgt_emb
-        else:
-            rows[start:stop] = source_embs[desc.segment_index - 1]
-    seq.embeddings = rows
-    return seq, tgt_emb
+    seq.embeddings = np.concatenate([np.zeros((len(text_ids), vit.embed_dim)), *embs])
+    return seq
 
 
 def renderer_sources(case: EditCase, vae: ToyVae) -> list[np.ndarray]:
@@ -426,11 +412,11 @@ def _effective_mixture(cfg: StageConfig, step: int) -> dict[str, float]:
 def _planner_case_loss(bundle: ModelBundle, run: RunConfig, case: EditCase, with_renderer: bool, rngs) -> Tensor:
     """The planner's loss on one case, plus, `with_renderer`, the renderer's,
     conditioned on the planner states of the sequence's conditioning rows."""
-    seq, tgt_emb = planner_sequence(case, bundle.vit)
+    seq = planner_sequence(case, bundle.vit)
     ratio = sample_mask_ratio(case.task, rngs["mask"])
     seq = apply_target_mask(seq, ratio, rngs["mask"])
     z = planner_forward(bundle.planner, seq)
-    losses = losses_from_hidden(bundle.planner, bundle.decoder, seq, z, tgt_emb, rngs["noise"])
+    losses = losses_from_hidden(bundle.planner, bundle.decoder, seq, z, rngs["noise"])
     loss = TEXT_LOSS_WEIGHT * losses.ntp + losses.visual
     if with_renderer:
         loss = loss + _renderer_loss(bundle, run, case, gather_rows(z, conditioning_rows(seq)), rngs)
@@ -503,6 +489,7 @@ def run_stage(
         for name, p in trainable.items():
             ema.setdefault(name, p.data.copy())
         state = TrainState(0, Adam(stage_cfg.lr), ema, _fresh_streams(seed, stage), stages_done)
+    bundle.check_fit(state.ema, "EMA entry")
 
     while state.step < stage_cfg.steps:
         mixture = _effective_mixture(stage_cfg, state.step)
@@ -515,7 +502,7 @@ def run_stage(
                 seq = text_sequence(data.instruction(idx))
                 z = planner_forward(bundle.planner, seq)
                 loss = TEXT_LOSS_WEIGHT * losses_from_hidden(
-                    bundle.planner, bundle.decoder, seq, z, None, state.rngs["noise"]).ntp
+                    bundle.planner, bundle.decoder, seq, z, state.rngs["noise"]).ntp
             elif task_name == PAIR_TASK or "planner" not in models:
                 loss = _renderer_loss(bundle, run, data.case(idx, bundle.admit), None, state.rngs)
             else:
@@ -607,8 +594,8 @@ def dataset_counts(cfg: Config, stage: str) -> dict[str, int]:
 
 def plan_case(bundle: ModelBundle, run: RunConfig, case: EditCase, rng: Rng) -> PlanResult:
     """Plan one case with every target token masked."""
-    seq, _ = planner_sequence(case, bundle.vit)
-    t0, t1 = seq.span_of(VISUAL_TARGET)
+    seq = planner_sequence(case, bundle.vit)
+    t0, t1 = seq.span_of(TARGET)
     seq.embeddings[t0:t1] = 0.0
     seq.masked[t0:t1] = True
     return plan(

@@ -39,14 +39,7 @@ from .numerics import (
 from .posenc import RopeConfig, token_angles
 from .renderer import conditioning_rows, euler_integrate, patchify, unpatchify
 from .schedules import masked_count_trace
-from .sequence import (
-    NEG_BIAS,
-    TEXT,
-    VISUAL_SOURCE,
-    VISUAL_TARGET,
-    TokenSequence,
-    build_mask,
-)
+from .sequence import NEG_BIAS, TARGET, TEXT, TokenSequence, build_mask
 from .toydata import VOCAB
 
 
@@ -222,7 +215,7 @@ def _assemble_inputs(model: PlannerModel, seq: TokenSequence, start: int = 0) ->
     for desc, s0, s1 in seq.spans():
         if s0 < start:
             continue
-        if desc.kind == TEXT:
+        if desc.segment_index == TEXT:
             if seq.text_ids is None:
                 raise DimensionError("sequence has a text segment but no text ids")
             parts.append(embedding(p["text_embed"], seq.text_ids))
@@ -230,9 +223,9 @@ def _assemble_inputs(model: PlannerModel, seq: TokenSequence, start: int = 0) ->
         if seq.embeddings is None:
             raise DimensionError("sequence has visual segments but no embeddings")
         rows = Tensor(seq.embeddings[s0:s1])
-        if desc.kind == VISUAL_SOURCE:
+        if desc.segment_index > 0:  # a source
             parts.append(add(matmul(rows, p["src_proj"]), p["src_bias"]))
-        else:
+        else:  # masked rows are multiplied by 0: the planner never sees their ground truth
             flags = seq.masked[s0:s1].astype(np.float64)[:, None]
             content = add(mul(Tensor(flags), p["mask_embed"]), Tensor((1.0 - flags) * seq.embeddings[s0:s1]))
             parts.append(add(matmul(content, p["tgt_proj"]), p["tgt_bias"]))
@@ -242,8 +235,8 @@ def _assemble_inputs(model: PlannerModel, seq: TokenSequence, start: int = 0) ->
 @dataclass(frozen=True)
 class PrefixCache:
     """The first `length` rows of a sequence, run once: each block's rotated
-    keys and values and the final states, one copy per batch entry
-    (batch-major rows), plus the rotary tables of the rows after them.
+    keys and values, one copy per batch entry (batch-major rows), plus the
+    rotary tables of the rows after them.
 
     Valid while the layout, those rows and the weights stay fixed and no row
     before `length` may attend to a later one, so later rows cannot change
@@ -252,7 +245,6 @@ class PrefixCache:
 
     length: int
     kv: list[tuple[Tensor, Tensor]]  # per block, each (batch * length, hidden_dim)
-    states: np.ndarray               # (batch, length, hidden_dim)
     rotation: Rotation               # rows after the prefix, tiled over batch and heads
 
 
@@ -264,10 +256,9 @@ def prefix_cache(model: PlannerModel, seq: TokenSequence, mask: np.ndarray, leng
     cfg = model.cfg
     allow = mask[..., :length, :length].reshape(-1, length, length)
     kv: list[tuple[Tensor, Tensor]] = []
-    states = planner_forward(model, seq.head(length), allow, keep=kv).data
+    planner_forward(model, seq.head(length), allow, keep=kv)
     angles = token_angles(cfg.rope(), seq, cfg.segment_phases)[length:]
-    batch = len(allow)
-    return PrefixCache(length, kv, states.reshape(batch, length, -1), nets.rotary(angles, cfg.heads, batch))
+    return PrefixCache(length, kv, nets.rotary(angles, cfg.heads, len(allow)))
 
 
 def planner_forward(
@@ -331,13 +322,12 @@ def losses_from_hidden(
     decoder: EmbeddingDecoder,
     seq: TokenSequence,
     z: Tensor,
-    target_embeddings: np.ndarray | None,
     rng: Rng,
 ) -> PlannerLosses:
     """Joint text NTP + masked-embedding flow-matching losses of a sequence
-    with its mask flags set, from its planner states `z`; `target_embeddings`
-    are the target segment's ground-truth rows, None without a target. A
-    sequence with no masked rows, such as a text-only one, has no visual loss."""
+    with its mask flags set, from its planner states `z`; each masked row's
+    ground truth is its row of `seq.embeddings`. A sequence with no masked
+    rows, such as a text-only one, has no visual loss."""
     p = model.params
 
     if seq.text_len >= 2:
@@ -352,10 +342,9 @@ def losses_from_hidden(
     rows = np.flatnonzero(seq.masked)  # only target rows are ever masked
     if rows.size == 0:
         return PlannerLosses(l_ntp, Tensor(0.0))
-    masked_rel = rows - seq.span_of(VISUAL_TARGET)[0]
     z_masked = embedding(z, rows)
-    gt = target_embeddings[masked_rel]
-    t = rng.uniform((len(masked_rel),))
+    gt = seq.embeddings[rows]
+    t = rng.uniform((len(rows),))
     eps = rng.normal(gt.shape)
     x_t = t[:, None] * gt + (1.0 - t[:, None]) * eps
     v_target = gt - eps
@@ -429,20 +418,21 @@ def plan(
     revealing step makes one batched planner forward.
 
     Text and source rows never attend to the target, so they are run once
-    per call (`prefix_cache`) and each step runs only the target rows. The
-    decoder's planner-state terms are prepared once per revealing step and
-    its time terms once per distinct t.
+    per call (`prefix_cache`) and each revealing step runs only the target
+    rows; the final pass is the plain `planner_forward` stage III training
+    makes. The decoder's planner-state terms are prepared once per revealing
+    step and its time terms once per distinct t.
     """
     if total_steps < 1:
         raise ContractError(f"total_steps must be >= 1, got {total_steps}")
     seq = seq.copy()
-    t0, t1 = seq.span_of(VISUAL_TARGET)
+    t0, t1 = seq.span_of(TARGET)
     if not seq.masked[t0:t1].all():
         raise ContractError("plan() expects a fully masked target segment")
     n_target = t1 - t0
     trace = masked_count_trace(total_steps, n_target)
 
-    has = {"img": any(d.kind == VISUAL_SOURCE for d in seq.layout), "txt": seq.text_len > 0}
+    has = {"img": any(d.segment_index > 0 for d in seq.layout), "txt": seq.text_len > 0}
     spec = GuidanceSpec({"img": g_image, "txt": g_text}, tuple(b for b in has if has[b]))
     chain = spec.subset_chain()
     mask = _variant_masks(seq, chain)
@@ -475,10 +465,7 @@ def plan(
             seq.masked[t0 + chosen] = False
             masked_counts.append(keep)
             norms.append(float(np.linalg.norm(pred, axis=1).mean()))
-        # the full subset is the plain hybrid mask and always comes last
-        z_final = planner_forward(model, seq, mask, past).data.reshape(len(chain), n_target, -1)[-1]
-        if past is not None:
-            z_final = np.concatenate([past.states[-1], z_final])
+        z_final = planner_forward(model, seq).data
     return PlanResult(
         embeddings=seq.embeddings[t0:t1].copy(),
         hidden=z_final[conditioning_rows(seq)],

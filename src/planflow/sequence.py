@@ -1,9 +1,9 @@
 """Serialization of heterogeneous task inputs into one canonical token sequence.
 
 Canonical order is: text, then source visual segments in ascending segment
-index, then the single target segment. Segment index 0 is reserved for the
-target; sources are numbered 1..N and text is -1, so a row's segment index
-is its role. The hybrid attention mask is causal within text, bidirectional
+index, then the single target segment. A row's segment index is its role:
+`TEXT` (-1) for the text, `TARGET` (0) for the target and 1..N for the
+sources. The hybrid attention mask is causal within text, bidirectional
 within each visual segment, and lets every token see all tokens of earlier
 segments.
 """
@@ -17,21 +17,15 @@ import numpy as np
 
 from .numerics import DimensionError, Rng
 
-TEXT = "text"
-VISUAL_SOURCE = "visual-source"
-VISUAL_TARGET = "visual-target"
+TEXT, TARGET = -1, 0  # the segment indices of the text and the target; sources are 1..N
 
 NEG_BIAS = -1e30  # additive logit bias for banned attention entries
 
 
 @dataclass(frozen=True)
 class SegmentDesc:
-    segment_index: int     # -1 for text, 0 for the target, 1..N for the sources
-    grid: tuple[int, ...]  # (T, H, W) for visual kinds, (L,) for text
-
-    @property
-    def kind(self) -> str:
-        return TEXT if self.segment_index < 0 else VISUAL_TARGET if self.segment_index == 0 else VISUAL_SOURCE
+    segment_index: int     # TEXT, TARGET, or 1..N for the sources
+    grid: tuple[int, ...]  # (T, H, W) for visual segments, (L,) for text
 
     @property
     def length(self) -> int:
@@ -65,15 +59,15 @@ class TokenSequence:
             offset += desc.length
         return out
 
-    def span_of(self, kind: str, segment_index: int | None = None) -> tuple[int, int]:
+    def span_of(self, segment_index: int) -> tuple[int, int]:
         for desc, start, stop in self.spans():
-            if desc.kind == kind and (segment_index is None or desc.segment_index == segment_index):
+            if desc.segment_index == segment_index:
                 return start, stop
-        raise KeyError(f"no segment of kind {kind!r} (index {segment_index})")
+        raise KeyError(f"no segment of index {segment_index}")
 
     @property
     def text_len(self) -> int:
-        return sum(d.length for d in self.layout if d.kind == TEXT)
+        return sum(d.length for d in self.layout if d.segment_index == TEXT)
 
     def head(self, stop: int) -> "TokenSequence":
         """The segments that end at or before token `stop`, as a sequence of
@@ -118,15 +112,15 @@ def serialize(
 
     layout: list[SegmentDesc] = []
     if text_len:
-        layout.append(SegmentDesc(segment_index=-1, grid=(text_len,)))
+        layout.append(SegmentDesc(segment_index=TEXT, grid=(text_len,)))
     for i, g in enumerate(source_grids):
         layout.append(SegmentDesc(segment_index=i + 1, grid=tuple(int(d) for d in g)))
     if target_grid is not None:
-        layout.append(SegmentDesc(segment_index=0, grid=tuple(int(d) for d in target_grid)))
+        layout.append(SegmentDesc(segment_index=TARGET, grid=tuple(int(d) for d in target_grid)))
 
     seg_idx, positions = [], []
     for desc in layout:
-        if desc.kind == TEXT:
+        if desc.segment_index == TEXT:
             pos = np.zeros((desc.length, 3), dtype=np.int64)
             pos[:, 0] = np.arange(desc.length)
         else:
@@ -153,7 +147,7 @@ def build_mask(seq: TokenSequence) -> np.ndarray:
         # earlier segments are fully visible
         for _, s0, s1 in spans[:i]:
             allow[start:stop, s0:s1] = True
-        if desc.kind == TEXT:
+        if desc.segment_index == TEXT:
             allow[start:stop, start:stop] = np.tril(np.ones((desc.length, desc.length), dtype=bool))
         else:
             allow[start:stop, start:stop] = True
@@ -166,13 +160,13 @@ def round_half_up(x: float) -> int:
 
 def apply_target_mask(seq: TokenSequence, ratio: float, rng: Rng) -> TokenSequence:
     """Flag exactly round(ratio * target_count) target tokens as masked, chosen
-    uniformly; the embeddings are untouched, since the planner reads masked
-    rows from the flags.
+    uniformly; the embeddings keep the ground truth the visual loss reads,
+    since the planner sees masked rows by their flags only.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"apply_target_mask: ratio {ratio} outside [0, 1]")
     out = seq.copy()
-    start, stop = out.span_of(VISUAL_TARGET)
+    start, stop = out.span_of(TARGET)
     m = stop - start
     count = round_half_up(ratio * m)
     out.masked[:] = False

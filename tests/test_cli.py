@@ -135,6 +135,33 @@ class TestTrainErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "'sgd'" in err
 
+    @pytest.mark.parametrize("command", ["edit", "train"])
+    @pytest.mark.parametrize("tamper, words", [
+        (lambda ema: ema.update({"planner.ln_f.g": np.ones(3)}), "shape mismatch for EMA entry planner.ln_f.g"),
+        (lambda ema: ema.update({"planner.nonexistent": np.ones(3)}), "EMA entry 'planner.nonexistent' does not match"),
+    ], ids=["misshapen", "unknown-name"])
+    def test_checkpoint_ema_that_does_not_fit_exits_1(self, workdir, generated, trained_ckpt, capsys, tamper, words,
+                                                      command):
+        """A stage I checkpoint whose EMA holds a name or a shape this config
+        does not have is refused where inference would swap it in and where
+        stage II would carry it on."""
+        ck = Checkpoint.load(trained_ckpt)
+        tamper(ck.ema)
+        ck.save(workdir / "bad_ema.ckpt")
+        if command == "edit":
+            argv = ["edit", "--case", str(generated / "eval" / "cases" / "case_00000.json"), "--seed", "7"]
+            argv += ["--ckpt", str(workdir / "bad_ema.ckpt")]
+        else:
+            assert cli.main(["gen-data", "--config", str(workdir / "tiny.cfg"), "--stage", "II",
+                             "--out", str(workdir / "data_II"), "--seed", "0"]) == 0
+            capsys.readouterr()
+            argv = ["train", "--stage", "II", "--data", str(workdir / "data_II" / "stage_II"),
+                    "--resume", str(workdir / "bad_ema.ckpt"), "--log-every", "0"]
+        rc = cli.main([*argv, "--config", str(workdir / "tiny.cfg"), "--out", str(workdir / "bad_ema_out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and words in err
+
     def test_non_numeric_config_value_exits_1(self, workdir, generated, capsys):
         bad = workdir / "bad_steps.cfg"
         bad.write_text("infer.plan_steps = abc\n")

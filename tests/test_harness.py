@@ -45,7 +45,7 @@ from planflow import renderer as renderer_mod
 from planflow.planner import PlannerConfig
 from planflow.renderer import CondInputs, RendererConfig, ToyVae, conditioning_rows
 from planflow.schedules import TaskKind, pair_decay_weight
-from planflow.sequence import apply_target_mask
+from planflow.sequence import TARGET, apply_target_mask
 from planflow.toydata import Dataset, gen_edit_case, generate_dataset
 from planflow import tensorio
 from util import read_tensor, write_config
@@ -173,11 +173,11 @@ class TestOptimizersAndEma:
     def test_ema_matches_reference_bit_for_bit(self):
         decay, rng = 0.9995, Rng(6)
         params = {"w": Tensor(rng.normal((4, 3)), requires_grad=True)}
-        shadow: dict[str, np.ndarray] = {}
-        ref = None
+        shadow = {"w": params["w"].data.copy()}  # run_stage seeds every trainable name before its loop
+        ref = params["w"].data.copy()
         for _ in range(5):
             ema_update(shadow, params, decay)
-            ref = params["w"].data.copy() if ref is None else decay * ref + (1.0 - decay) * params["w"].data
+            ref = decay * ref + (1.0 - decay) * params["w"].data
             assert shadow["w"].tobytes() == ref.tobytes()
             params["w"].data = params["w"].data + rng.normal((4, 3))
 
@@ -185,7 +185,7 @@ class TestOptimizersAndEma:
         cfg = tiny_config()
         bundle = ModelBundle(cfg)
         trainable = bundle.trainable("II")
-        state = TrainState(0, Adam(lr=0.01), {}, {}, [])
+        state = TrainState(0, Adam(lr=0.01), {k: p.data.copy() for k, p in trainable.items()}, {}, [])
         rng = Rng(8)
 
         def train_step():
@@ -533,7 +533,7 @@ class TestConditioningRows:
         cfg = tiny_config()
         bundle = ModelBundle(cfg)
         case = gen_edit_case(Rng(17), task, grid=(2, 6, 6))
-        seq, _ = planner_sequence(case, bundle.vit)
+        seq = planner_sequence(case, bundle.vit)
         masked = apply_target_mask(seq, 0.5, Rng(18))
         k = int(masked.masked.sum())
         assert k > 0
@@ -567,8 +567,8 @@ class TestEvaluation:
     def test_vit_decode_inverts_ground_truth(self, task):
         vit = ModelBundle(Config()).vit
         case = gen_edit_case(Rng(51), task, grid=(2, 8, 8))
-        _, target = planner_sequence(case, vit)
-        ids = toydata.frames_to_ids(vit.decode(target, case.target.grid))
+        seq = planner_sequence(case, vit)
+        ids = toydata.frames_to_ids(vit.decode(seq.embeddings[slice(*seq.span_of(TARGET))], case.target.grid))
         assert np.array_equal(ids, case.target.rasterize())
 
     def test_report_scores_the_plan_alone(self, tiny_dataset, monkeypatch):

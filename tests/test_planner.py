@@ -1,9 +1,12 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from planflow import planner as planner_mod
+from planflow import sequence
 from hypothesis import given, settings, strategies as st
 
 from planflow.config import Config
@@ -23,7 +26,7 @@ from planflow.planner import (
     planner_forward,
 )
 from planflow.schedules import masked_count_trace
-from planflow.sequence import VISUAL_SOURCE, VISUAL_TARGET, apply_target_mask, build_mask, serialize
+from planflow.sequence import TARGET, apply_target_mask, build_mask, serialize
 from planflow.toydata import VOCAB
 from util import gelu_np, layernorm_np, rel_err
 
@@ -45,9 +48,9 @@ def guidance_spec(g_text=1.0, g_image=1.0, present=("img", "txt")):
 UNIT = guidance_spec()  # all-unit weights: the chain is the full subset alone
 
 
-def stage_losses(model, decoder, seq, tgt, rng):
+def stage_losses(model, decoder, seq, rng):
     """The planner losses of a masked sequence, as the training loop takes them."""
-    return losses_from_hidden(model, decoder, seq, planner_forward(model, seq), tgt, rng)
+    return losses_from_hidden(model, decoder, seq, planner_forward(model, seq), rng)
 
 
 def make_models(seed=5):
@@ -96,7 +99,7 @@ class TestPlannerForward:
         seq = make_seq(text_len=2, sources=(), target=(1, 1, 2))
         z = planner_forward(model, seq).data
         swapped = seq.copy()
-        t0, t1 = seq.span_of(VISUAL_TARGET)
+        t0, t1 = seq.span_of(TARGET)
         swapped.embeddings[[t0, t0 + 1]] = seq.embeddings[[t0 + 1, t0]]
         swapped.positions[[t0, t0 + 1]] = seq.positions[[t0 + 1, t0]]
         z2 = planner_forward(model, swapped).data
@@ -125,8 +128,7 @@ class TestPlannerForward:
         model, decoder = make_models()
         seq = make_seq()
         masked = apply_target_mask(seq, 1.0, Rng(3))
-        tgt = seq.embeddings[slice(*seq.span_of(VISUAL_TARGET))].copy()
-        losses = stage_losses(model, decoder, masked, tgt, Rng(4))
+        losses = stage_losses(model, decoder, masked, Rng(4))
         total = losses.ntp + losses.visual
         backward(total)
         assert model.params["mask_embed"].grad is not None
@@ -140,26 +142,24 @@ class TestTrainStep:
         model.params["text_head_b"].data[:] = 0.0
         seq = make_seq(text_len=5)
         masked = apply_target_mask(seq, 0.5, Rng(1))
-        tgt = seq.embeddings[slice(*seq.span_of(VISUAL_TARGET))]
-        losses = stage_losses(model, decoder, masked, tgt, Rng(2))
+        losses = stage_losses(model, decoder, masked, Rng(2))
         assert losses.ntp.item() == pytest.approx(math.log(len(VOCAB)), abs=1e-12)
 
     def test_zero_ratio_skips_visual_loss(self):
         model, decoder = make_models()
         seq = make_seq()
         masked = apply_target_mask(seq, 0.0, Rng(1))
-        tgt = seq.embeddings[slice(*seq.span_of(VISUAL_TARGET))]
-        losses = stage_losses(model, decoder, masked, tgt, Rng(2))
+        losses = stage_losses(model, decoder, masked, Rng(2))
         assert losses.visual.item() == 0.0 and not losses.visual.requires_grad
 
     def test_visual_loss_matches_direct_recomputation(self):
         model, decoder = make_models()
         seq = make_seq()
         masked = apply_target_mask(seq, 1.0, Rng(5))
-        t0, t1 = masked.span_of(VISUAL_TARGET)
+        t0, t1 = masked.span_of(TARGET)
         tgt = seq.embeddings[t0:t1].copy()
         rng = Rng(6)
-        losses = stage_losses(model, decoder, masked, tgt, rng)
+        losses = stage_losses(model, decoder, masked, rng)
         # replay the same stream to rebuild the expected loss independently
         rng2 = Rng(6)
         z = planner_forward(model, masked).data
@@ -175,8 +175,7 @@ class TestTrainStep:
         model, decoder = make_models()
         seq = make_seq(text_len=4)
         masked = apply_target_mask(seq, 0.75, Rng(9))
-        tgt = seq.embeddings[slice(*seq.span_of(VISUAL_TARGET))]
-        losses = stage_losses(model, decoder, masked, tgt, Rng(10))
+        losses = stage_losses(model, decoder, masked, Rng(10))
         total = 0.2 * losses.ntp + 1.0 * losses.visual
         assert total.item() == pytest.approx(0.2 * losses.ntp.item() + losses.visual.item(), rel=1e-15)
 
@@ -184,10 +183,9 @@ class TestTrainStep:
         model, decoder = make_models(seed=21)
         seq = make_seq(text_len=3, seed=22)
         masked = apply_target_mask(seq, 0.8, Rng(23))
-        tgt = seq.embeddings[slice(*seq.span_of(VISUAL_TARGET))].copy()
 
         def loss():
-            losses = stage_losses(model, decoder, masked, tgt, Rng(24))
+            losses = stage_losses(model, decoder, masked, Rng(24))
             return 0.2 * losses.ntp + losses.visual
 
         grads = backward(loss())
@@ -283,7 +281,7 @@ class TestDecodeEmbedding:
 class TestPlan:
     def _masked_seq(self, **kw):
         seq = make_seq(**kw)
-        t0, t1 = seq.span_of(VISUAL_TARGET)
+        t0, t1 = seq.span_of(TARGET)
         seq.embeddings[t0:t1] = 0.0
         seq.masked[t0:t1] = True
         return seq
@@ -324,7 +322,7 @@ class TestPlan:
     def test_requires_fully_masked_target(self):
         model, decoder = make_models()
         seq = self._masked_seq()
-        seq.masked[seq.span_of(VISUAL_TARGET)[0]] = False
+        seq.masked[seq.span_of(TARGET)[0]] = False
         with pytest.raises(ContractError):
             plan(model, decoder, seq, 4, 1, **GUIDE, rng=Rng(1))
 
@@ -345,8 +343,8 @@ class TestGuidanceVariants:
         subsets = [UNCOND, IMG, FULL]
         z = planner_forward(model, seq, planner_mod._variant_masks(seq, subsets)).data
         z = z.reshape(len(subsets), len(seq), -1)
-        t0, t1 = seq.span_of(VISUAL_TARGET)
-        sources = [d.grid for d in seq.layout if d.kind == VISUAL_SOURCE]
+        t0, t1 = seq.span_of(TARGET)
+        sources = [d.grid for d in seq.layout if d.segment_index > 0]
         target = seq.layout[-1].grid
         for b, kept_sources in ((0, []), (1, sources), (2, None)):
             if kept_sources is None:
@@ -356,11 +354,11 @@ class TestGuidanceVariants:
                 dropped = serialize(0, kept_sources, target)
                 dropped.embeddings = np.zeros((len(dropped), CFG.embed_dim))
                 for desc, start, stop in dropped.spans():
-                    o0, o1 = seq.span_of(desc.kind, desc.segment_index)
+                    o0, o1 = seq.span_of(desc.segment_index)
                     dropped.embeddings[start:stop] = seq.embeddings[o0:o1]
                     dropped.masked[start:stop] = seq.masked[o0:o1]
                 ref = planner_forward(model, dropped).data
-                r0, _ = dropped.span_of(VISUAL_TARGET)
+                r0, _ = dropped.span_of(TARGET)
             assert np.abs(z[b, t0:t1] - ref[r0 : r0 + t1 - t0]).max() < 1e-12, sorted(subsets[b])
         assert np.abs(z[0, t0:t1] - z[2, t0:t1]).max() > 1e-6
 
@@ -381,7 +379,7 @@ class TestGuidanceVariants:
         monkeypatch.setattr(planner_mod, "planner_forward", count_planner)
         monkeypatch.setattr(planner_mod, "decoder_forward", count_decoder)
         seq = make_seq(text_len=3, sources=sources, target=(1, 2, 3))
-        t0, t1 = seq.span_of(VISUAL_TARGET)
+        t0, t1 = seq.span_of(TARGET)
         seq.embeddings[t0:t1] = 0.0
         seq.masked[t0:t1] = True
         total, decoder_steps = 8, 3
@@ -394,9 +392,9 @@ class TestGuidanceVariants:
             assert len(revealing) < total  # the cosine trace holds steps that reveal nothing
             # a unit image weight telescopes the unconditional copy away
             copies = 3 if sources and g_image != 1.0 else 2
-            # one prefix pass, one pass per revealing step and one final
-            # pass, each with one entry per subset of the chain
-            assert calls["planner"] == [copies] * (len(revealing) + 2)
+            # one prefix pass and one pass per revealing step, each with one
+            # entry per subset of the chain, then one plain final pass
+            assert calls["planner"] == [copies] * (len(revealing) + 1) + [1]
             # decoder_steps Euler forwards per revealing step, then one terminal
             # forward to rank the rows, except on the last step, which reveals
             # every masked row
@@ -412,10 +410,10 @@ def reference_plan(model, decoder, seq, total_steps, decoder_steps, g_text, g_im
     Returns (embeddings, hidden, masked counts, the target's masked flags
     before every revealing step and before the final pass)."""
     seq = seq.copy()
-    t0, t1 = seq.span_of(VISUAL_TARGET)
+    t0, t1 = seq.span_of(TARGET)
     trace = masked_count_trace(total_steps, t1 - t0)
     weights = {"img": g_image, "txt": g_text}
-    present = [b for b, has in (("img", any(d.kind == VISUAL_SOURCE for d in seq.layout)),
+    present = [b for b, has in (("img", any(d.segment_index > 0 for d in seq.layout)),
                                 ("txt", seq.text_len > 0)) if has]
     chain = [frozenset(present[:i]) for i in range(len(present) + 1)]
     mask = planner_mod._variant_masks(seq, chain)
@@ -469,7 +467,7 @@ class TestInferenceCaches:
     def test_rows_before_the_target_never_see_it(self, text_len, sources, target):
         """The invariant the prefix cache rests on, for every guidance variant."""
         seq = serialize(text_len, sources, target)
-        t0, t1 = seq.span_of(VISUAL_TARGET)
+        t0, t1 = seq.span_of(TARGET)
         masks = [build_mask(seq)[None]]
         masks += [planner_mod._variant_masks(seq, subsets)
                   for subsets in ([FULL], [UNCOND, TXT], [UNCOND, IMG, FULL])]
@@ -482,14 +480,14 @@ class TestInferenceCaches:
     def test_cached_plan_matches_uncached_reference(self, monkeypatch, layout, guidance):
         model, decoder = make_models(seed=51)
         seq = make_seq(target=(1, 2, 3), seed=52, **LAYOUTS[layout])
-        t0, t1 = seq.span_of(VISUAL_TARGET)
+        t0, t1 = seq.span_of(TARGET)
         seq.embeddings[t0:t1] = 0.0
         seq.masked[t0:t1] = True
         flags = []
         real = planner_mod.planner_forward
 
         def spy(model, seq, mask=None, past=None, keep=None):
-            if mask is not None and len(seq) > t0 and (past is not None or t0 == 0):
+            if len(seq) > t0:  # a revealing step or the final pass, not the prefix
                 flags.append(seq.masked[t0:t1].copy())
             return real(model, seq, mask, past, keep)
 
@@ -502,16 +500,30 @@ class TestInferenceCaches:
         assert np.abs(res.embeddings - emb).max() < 1e-12
         assert res.hidden.shape == hidden.shape and np.abs(res.hidden - hidden).max() < 1e-12
 
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_hidden_is_one_forward_over_the_finished_sequence(self, layout):
+        """The conditioning states are the plain forward stage III training
+        makes, over the input with the plan written in and nothing masked."""
+        model, decoder = make_models(seed=51)
+        seq = make_seq(target=(1, 2, 3), seed=52, **LAYOUTS[layout])
+        t0, t1 = seq.span_of(TARGET)
+        seq.embeddings[t0:t1] = 0.0
+        seq.masked[t0:t1] = True
+        res = plan(model, decoder, seq, 6, 3, g_text=1.5, g_image=1.2, rng=Rng(53))
+        finished = seq.copy()
+        finished.embeddings[t0:t1] = res.embeddings
+        finished.masked[:] = False
+        assert np.array_equal(res.hidden, planner_forward(model, finished).data)
+
     def test_target_rows_against_cache_match_full_forward(self):
         model, _ = make_models(seed=54)
         seq = make_seq(text_len=3, sources=((1, 2, 2), (1, 1, 2)), target=(1, 2, 2), seed=55)
         seq = apply_target_mask(seq, 0.5, Rng(56))
         mask = planner_mod._variant_masks(seq, [UNCOND, IMG, FULL])
-        t0, _ = seq.span_of(VISUAL_TARGET)
+        t0, _ = seq.span_of(TARGET)
         past = planner_mod.prefix_cache(model, seq, mask, t0)
         full = planner_forward(model, seq, mask).data.reshape(3, len(seq), -1)
         tail = planner_forward(model, seq, mask, past).data.reshape(3, len(seq) - t0, -1)
-        assert np.abs(past.states - full[:, :t0]).max() < 1e-12
         assert np.abs(tail - full[:, t0:]).max() < 1e-12
 
     def test_prefix_runs_one_entry_per_mask(self, monkeypatch):
@@ -522,7 +534,7 @@ class TestInferenceCaches:
         seq = make_seq(text_len=3, sources=((1, 2, 2), (1, 1, 2)), target=(1, 2, 2), seed=58)
         subsets = [UNCOND, IMG, FULL]
         mask = planner_mod._variant_masks(seq, subsets)
-        t0, _ = seq.span_of(VISUAL_TARGET)
+        t0, _ = seq.span_of(TARGET)
         entries = []
         real = planner_mod.planner_forward
 
@@ -538,7 +550,6 @@ class TestInferenceCaches:
         with no_grad():
             for b, subset in enumerate(subsets):
                 own = planner_mod.prefix_cache(model, seq, planner_mod._variant_masks(seq, [subset]), t0)
-                assert np.array_equal(past.states[b], own.states[0]), sorted(subset)
                 for (k, v), (k1, v1) in zip(past.kv, own.kv):
                     assert np.array_equal(k.data[b * t0 : (b + 1) * t0], k1.data)
                     assert np.array_equal(v.data[b * t0 : (b + 1) * t0], v1.data)
@@ -546,7 +557,7 @@ class TestInferenceCaches:
     def test_cache_refuses_a_prefix_that_sees_later_rows(self):
         model, _ = make_models()
         seq = make_seq()
-        t0, _ = seq.span_of(VISUAL_TARGET)
+        t0, _ = seq.span_of(TARGET)
         allow = build_mask(seq).copy()
         allow[0, t0] = True
         with pytest.raises(ContractError):
@@ -555,7 +566,7 @@ class TestInferenceCaches:
     def test_time_terms_once_per_distinct_t(self, monkeypatch):
         model, decoder = make_models()
         seq = make_seq(target=(1, 2, 3))
-        t0, t1 = seq.span_of(VISUAL_TARGET)
+        t0, t1 = seq.span_of(TARGET)
         seq.embeddings[t0:t1] = 0.0
         seq.masked[t0:t1] = True
         times = []
@@ -597,6 +608,17 @@ class TestInferenceCaches:
             raw = decoder_forward(decoder, Tensor(x), t, z).data
             assert np.array_equal(decoder_forward(decoder, Tensor(x), t, cond).data, raw)
         assert list(cond.time_terms) == [0.25]
+
+
+def test_the_sequence_is_the_one_record():
+    """Roles are segment indices, the ground truth stays in the rows and a
+    plan's states come from one forward, so nothing beside the sequence
+    restates them."""
+    assert not hasattr(sequence, "VISUAL_SOURCE") and not hasattr(sequence, "VISUAL_TARGET")
+    assert not hasattr(sequence.SegmentDesc, "kind")
+    assert list(inspect.signature(sequence.TokenSequence.span_of).parameters) == ["self", "segment_index"]
+    assert list(inspect.signature(losses_from_hidden).parameters) == ["model", "decoder", "seq", "z", "rng"]
+    assert "states" not in {f.name for f in dataclasses.fields(planner_mod.PrefixCache)}
 
 
 class TestToyVit:

@@ -13,7 +13,7 @@ from planflow.posenc import (
     spatial_angles,
     token_angles,
 )
-from planflow.sequence import VISUAL_SOURCE, VISUAL_TARGET, serialize
+from planflow.sequence import TARGET, serialize
 from util import row_at
 
 
@@ -42,7 +42,7 @@ class TestPhaseTable:
     def test_segment_zero_equals_standard_table(self):
         cfg = RopeConfig(head_dim=8)
         seq = serialize(2, [(1, 2, 2)], (2, 3, 2))
-        start, stop = seq.span_of(VISUAL_TARGET)
+        start, stop = seq.span_of(TARGET)
         on = token_angles(cfg, seq, use_segment_phases=True)
         off = token_angles(cfg, seq, use_segment_phases=False)
         assert np.array_equal(on[start:stop], off[start:stop])
@@ -138,18 +138,18 @@ class TestApplyRope:
         freqs = cfg.segment_frequencies()
         seq = serialize(0, [(1, 2, 2)] * 5, (1, 2, 2))
         angles = token_angles(cfg, seq, use_segment_phases=True)
-        target = slice(*seq.span_of(VISUAL_TARGET))
+        target = slice(*seq.span_of(TARGET))
         for i in (1, 2, 5):
             # against segment 0 at the origin the identity is exact in floating point
             assert np.array_equal(angles[row_at(seq, i, ORIGIN)] - angles[row_at(seq, 0, ORIGIN)], i * freqs)
-            rows = slice(*seq.span_of(VISUAL_SOURCE, i))
+            rows = slice(*seq.span_of(i))
             assert np.abs(angles[rows] - angles[target] - i * freqs).max() < 1e-14
         at = {i: angles[row_at(seq, i, ORIGIN)] for i in (1, 3)}
         assert np.allclose(at[3] - at[1], 2 * freqs, rtol=1e-15, atol=0)
         # rotated keys actually differ
         x = Rng(3).normal((4, 8))
-        r3 = rotate_pairs(Tensor(x), angles[slice(*seq.span_of(VISUAL_SOURCE, 3))]).data
-        r1 = rotate_pairs(Tensor(x), angles[slice(*seq.span_of(VISUAL_SOURCE, 1))]).data
+        r3 = rotate_pairs(Tensor(x), angles[slice(*seq.span_of(3))]).data
+        r1 = rotate_pairs(Tensor(x), angles[slice(*seq.span_of(1))]).data
         assert np.abs(r3 - r1).max() > 1e-3
 
     def test_reduction_to_standard_rope(self):
@@ -160,8 +160,8 @@ class TestApplyRope:
         seq = serialize(0, [(1, 2, 2)] * 4, (1, 2, 2))
         on = token_angles(cfg, seq, use_segment_phases=True)
         off = token_angles(cfg, seq, use_segment_phases=False)
-        for kind, i, phases in ((VISUAL_SOURCE, 4, off), (VISUAL_TARGET, 0, on)):
-            rows = slice(*seq.span_of(kind, i))
+        for i, phases in ((4, off), (TARGET, on)):
+            rows = slice(*seq.span_of(i))
             a = rotate_pairs(Tensor(x), phases[rows]).data
             b = rotate_pairs(Tensor(x), spatial_angles(cfg, seq.positions[rows])).data
             assert np.array_equal(a, b)
@@ -190,8 +190,8 @@ class TestTokenAngles:
             others = [g if j == i else (1, 1, 1 + j) for j, g in enumerate(grids, start=1)]
             alt = serialize(7, others, (1, 2, 1))
             alt_angles = token_angles(cfg, alt, segment_phases)
-            assert np.array_equal(angles[slice(*seq.span_of(VISUAL_SOURCE, i))],
-                                  alt_angles[slice(*alt.span_of(VISUAL_SOURCE, i))])
+            assert np.array_equal(angles[slice(*seq.span_of(i))],
+                                  alt_angles[slice(*alt.span_of(i))])
         alt = serialize(1, [(1, 1, 1)], (2, 3, 3))
-        assert np.array_equal(angles[slice(*seq.span_of(VISUAL_TARGET))],
-                              token_angles(cfg, alt, segment_phases)[slice(*alt.span_of(VISUAL_TARGET))])
+        assert np.array_equal(angles[slice(*seq.span_of(TARGET))],
+                              token_angles(cfg, alt, segment_phases)[slice(*alt.span_of(TARGET))])

@@ -3,9 +3,8 @@ import pytest
 
 from planflow.numerics import DimensionError, Rng
 from planflow.sequence import (
+    TARGET,
     TEXT,
-    VISUAL_SOURCE,
-    VISUAL_TARGET,
     apply_target_mask,
     build_mask,
     round_half_up,
@@ -17,24 +16,22 @@ class TestSerialize:
     def test_text_plus_target_counts(self):
         seq = serialize(3, [], (1, 2, 2))
         assert len(seq) == 7
-        t0, t1 = seq.span_of(VISUAL_TARGET)
+        t0, t1 = seq.span_of(TARGET)
         assert t1 - t0 == 4
         assert (seq.segment_indices[t0:t1] == 0).all()
 
     def test_single_source_counts(self):
         seq = serialize(2, [(1, 2, 2)], (1, 2, 2))
         assert len(seq) == 10
-        s0, s1 = seq.span_of(VISUAL_SOURCE, 1)
+        s0, s1 = seq.span_of(1)
         assert (seq.segment_indices[s0:s1] == 1).all()
 
     def test_two_sources_layout_enumerated(self):
         seq = serialize(4, [(2, 2, 2), (1, 2, 2)], (2, 2, 2))
         assert len(seq) == 4 + 8 + 4 + 8
-        kinds = [d.kind for d in seq.layout]
-        assert kinds == [TEXT, VISUAL_SOURCE, VISUAL_SOURCE, VISUAL_TARGET]
-        assert [d.segment_index for d in seq.layout] == [-1, 1, 2, 0]
+        assert [d.segment_index for d in seq.layout] == [TEXT, 1, 2, TARGET] == [-1, 1, 2, 0]
         # positions enumerate each grid row-major
-        s0, _ = seq.span_of(VISUAL_SOURCE, 1)
+        s0, _ = seq.span_of(1)
         assert seq.positions[s0].tolist() == [0, 0, 0]
         assert seq.positions[s0 + 1].tolist() == [0, 0, 1]
         assert seq.positions[s0 + 7].tolist() == [1, 1, 1]
@@ -105,7 +102,7 @@ class TestApplyTargetMask:
         seq = self._seq()
         assert apply_target_mask(seq, 0.0, Rng(1)).masked.sum() == 0
         out = apply_target_mask(seq, 1.0, Rng(1))
-        t0, t1 = out.span_of(VISUAL_TARGET)
+        t0, t1 = out.span_of(TARGET)
         assert out.masked[t0:t1].all() and out.masked.sum() == t1 - t0
 
     def test_exact_count_round_half_up(self):
@@ -116,7 +113,7 @@ class TestApplyTargetMask:
 
     def test_uniform_choice_monte_carlo(self):
         seq = self._seq()
-        t0, _ = seq.span_of(VISUAL_TARGET)
+        t0, _ = seq.span_of(TARGET)
         hits = np.zeros(8)
         rng = Rng(17)
         trials = 10_000
@@ -132,7 +129,7 @@ class TestApplyTargetMask:
         seq = self._seq()
         before = seq.embeddings.copy()
         out = apply_target_mask(seq, 1.0, Rng(2))
-        t0, _ = seq.span_of(VISUAL_TARGET)
+        t0, _ = seq.span_of(TARGET)
         assert np.array_equal(out.embeddings, before)
         assert not out.masked[:t0].any()
         # input sequence is untouched (pure function)

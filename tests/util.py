@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 
-from planflow.sequence import VISUAL_SOURCE, VISUAL_TARGET, TokenSequence
+from planflow.sequence import TokenSequence
 from planflow.tensorio import tensor_from_bytes
 from planflow.toydata import VOCAB
 
@@ -43,6 +43,5 @@ def layernorm_np(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-12
 
 def row_at(seq: TokenSequence, segment_index: int, position) -> int:
     """Row of the token at (t, h, w) `position` of a visual segment of `seq`."""
-    kind = VISUAL_TARGET if segment_index == 0 else VISUAL_SOURCE
-    start, stop = seq.span_of(kind, segment_index)
+    start, stop = seq.span_of(segment_index)
     return start + int(np.flatnonzero((seq.positions[start:stop] == position).all(axis=1))[0])
