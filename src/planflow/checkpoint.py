@@ -1,6 +1,7 @@
 """Versioned binary checkpoints: magic, version, JSON metadata, then
-name-indexed tensor blocks in the raw tensor layout. Writes are atomic
-(temp file + rename); save/load round-trips training bit-exactly.
+name-indexed tensor blocks in the raw tensor layout (`tensorio`), streamed
+through the open file one block at a time. Writes are atomic (temp file +
+rename); save/load round-trips training bit-exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensorio import TensorFormatError, tensor_bytes, tensor_from_bytes
+from .tensorio import BlockReader, TensorFormatError, write_block
 
 MAGIC = b"PFCK"
 VERSION = 2  # 2: palette-latent renderer with learned text positions
@@ -54,20 +55,16 @@ class Checkpoint:
         ):
             for name in sorted(tensors):
                 blocks.append((f"{group}/{name}", tensors[name]))
-        payload = bytearray()
-        payload += MAGIC
-        payload += struct.pack("<I", VERSION)
-        payload += struct.pack("<Q", len(meta_bytes)) + meta_bytes
-        payload += struct.pack("<Q", len(blocks))
-        for name, arr in blocks:
-            nb = name.encode()
-            payload += struct.pack("<H", len(nb)) + nb
-            payload += tensor_bytes(arr)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(bytes(payload))
+                fh.write(MAGIC + struct.pack("<IQ", VERSION, len(meta_bytes)) + meta_bytes)
+                fh.write(struct.pack("<Q", len(blocks)))
+                for name, arr in blocks:
+                    nb = name.encode()
+                    fh.write(struct.pack("<H", len(nb)) + nb)
+                    write_block(fh, arr)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -77,29 +74,40 @@ class Checkpoint:
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
         """Parse a checkpoint; a truncated or garbled file raises CheckpointError."""
-        reader = _Reader(Path(path).read_bytes(), path)
+        with open(path, "rb") as fh:
+            try:
+                return cls._read(BlockReader(fh), path)
+            except TensorFormatError as exc:
+                raise CheckpointError(f"{path}: {exc}") from None
+
+    @classmethod
+    def _read(cls, reader: BlockReader, path) -> "Checkpoint":
         if reader.take(4, "magic") != MAGIC:
             raise CheckpointError(f"{path}: bad magic")
-        version = reader.unpack("<I", "version")
+        (version,) = reader.unpack("<I", "version")
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported version {version} (this build reads version {VERSION})")
-        meta_len = reader.unpack("<Q", "metadata length")
+        (meta_len,) = reader.unpack("<Q", "metadata length")
         try:
             meta = json.loads(reader.take(meta_len, "metadata").decode())
         except (UnicodeDecodeError, ValueError) as exc:
             raise CheckpointError(f"{path}: metadata is not JSON ({exc})") from None
         groups: dict[str, dict[str, np.ndarray]] = {"params": {}, "ema": {}, "opt_m": {}, "opt_v": {}}
-        for _ in range(reader.unpack("<Q", "block count")):
-            name = reader.take(reader.unpack("<H", "block name length"), "block name").decode(errors="replace")
+        (count,) = reader.unpack("<Q", "block count")
+        if 8 * count > reader.left:  # a block takes at least its name length, magic, dtype and rank
+            raise CheckpointError(f"{path}: {count} tensor blocks do not fit in {reader.left} bytes")
+        for _ in range(count):
+            (name_len,) = reader.unpack("<H", "block name length")
+            name = reader.take(name_len, "block name").decode(errors="replace")
             group, _, key = name.partition("/")
             if group not in groups:
                 raise CheckpointError(f"{path}: unknown tensor block {name!r}")
             try:
-                groups[group][key], reader.offset = tensor_from_bytes(reader.buf, reader.offset)
+                groups[group][key] = reader.block()
             except TensorFormatError as exc:
                 raise CheckpointError(f"{path}: tensor {name!r} is truncated or malformed ({exc})") from None
-        if reader.offset != len(reader.buf):
-            raise CheckpointError(f"{path}: {len(reader.buf) - reader.offset} trailing bytes after the last tensor")
+        if reader.left:
+            raise CheckpointError(f"{path}: {reader.left} trailing bytes after the last tensor")
         try:
             return cls(
                 stage=meta["stage"],
@@ -112,22 +120,3 @@ class Checkpoint:
             )
         except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
             raise CheckpointError(f"{path}: malformed metadata ({type(exc).__name__}: {exc})") from None
-
-
-class _Reader:
-    """Bounds-checked cursor over a checkpoint's bytes."""
-
-    def __init__(self, buf: bytes, path):
-        self.buf, self.path, self.offset = buf, path, 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if n > len(self.buf) - self.offset:
-            raise CheckpointError(
-                f"{self.path}: truncated at byte {len(self.buf)}: {what} needs {n} bytes at offset {self.offset}"
-            )
-        out = self.buf[self.offset : self.offset + n]
-        self.offset += n
-        return out
-
-    def unpack(self, fmt: str, what: str) -> int:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]

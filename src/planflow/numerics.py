@@ -382,8 +382,8 @@ def attention(q, k, v, heads: int, batch: int | Sequence[Run] = 1, bias: np.ndar
     hd = width // heads
     scale = 1.0 / math.sqrt(hd)
 
-    def split(x, n):  # (b*n, heads*hd) -> (b, heads, n, hd)
-        return x.reshape(-1, n, heads, hd).transpose(0, 2, 1, 3)
+    def split(x, b, n):  # (b*n, heads*hd) -> (b, heads, n, hd)
+        return x.reshape(b, n, heads, hd).transpose(0, 2, 1, 3)
 
     def merge(x):  # inverse of split
         return x.transpose(0, 2, 1, 3).reshape(-1, width)
@@ -394,7 +394,8 @@ def attention(q, k, v, heads: int, batch: int | Sequence[Run] = 1, bias: np.ndar
     for run in batch:
         rq, rk = slice(q0, q0 + run.batch * run.nq), slice(k0, k0 + run.batch * run.nk)
         q0, k0 = rq.stop, rk.stop
-        qh, kh, vh = split(q.data[rq], run.nq), split(k.data[rk], run.nk), split(v.data[rk], run.nk)
+        qh = split(q.data[rq], run.batch, run.nq)
+        kh, vh = split(k.data[rk], run.batch, run.nk), split(v.data[rk], run.batch, run.nk)
         # softmax computed in place in one (batch, heads, nq, nk) buffer
         s = qh @ kh.swapaxes(-1, -2)
         s *= scale
@@ -409,7 +410,7 @@ def attention(q, k, v, heads: int, batch: int | Sequence[Run] = 1, bias: np.ndar
     def vjp(g):
         dq, dk, dv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
         for rq, rk, qh, kh, vh, s in saved:
-            gh = split(g[rq], s.shape[2])
+            gh = split(g[rq], s.shape[0], s.shape[2])
             ds = gh @ vh.swapaxes(-1, -2)
             dlogits = s * (ds - (ds * s).sum(axis=-1, keepdims=True)) * scale
             dq[rq] = merge(dlogits @ kh)

@@ -256,7 +256,7 @@ def prefix_cache(model: PlannerModel, seq: TokenSequence, mask: np.ndarray, leng
     cfg = model.cfg
     allow = mask[..., :length, :length].reshape(-1, length, length)
     kv: list[tuple[Tensor, Tensor]] = []
-    planner_forward(model, seq.head(length), allow, keep=kv)
+    planner_forward(model, seq.head(length), allow, keep=kv, rows=np.arange(0))
     angles = token_angles(cfg.rope(), seq, cfg.segment_phases)[length:]
     return PrefixCache(length, kv, nets.rotary(angles, cfg.heads, len(allow)))
 
@@ -267,6 +267,7 @@ def planner_forward(
     mask: np.ndarray | None = None,
     past: PrefixCache | None = None,
     keep: list | None = None,
+    rows: np.ndarray | None = None,
 ) -> Tensor:
     """Contextual hidden states, one per token, under the hybrid attention mask.
 
@@ -276,7 +277,9 @@ def planner_forward(
     With `past`, a `PrefixCache` of the same layout and batch, only the rows
     from `past.length` on are run, against the cached rows: the states then
     have shape (batch * (n - past.length), hidden_dim). `keep`, a list,
-    receives each block's rotated keys and values.
+    receives each block's rotated keys and values. `rows`, indices into the
+    rows each copy runs, are the only rows read out: the states then have
+    shape (batch * len(rows), hidden_dim).
     """
     cfg = model.cfg
     if mask is None:
@@ -295,9 +298,16 @@ def planner_forward(
     p = model.params
     for i in range(cfg.blocks):
         pre = f"block{i}."
+        # the layers after the last self-attention act row by row: there only
+        # the rows read out are queries
+        queries = None
+        if rows is not None and i == cfg.blocks - 1:
+            queries = (np.arange(batch)[:, None] * (n - start) + rows).ravel()
+            bias = bias[:, :, rows]
         h = nets.ln(p, pre + "ln1.", x)
         kv = None if past is None else past.kv[i]
-        x = add(x, nets.self_attention(p, pre, h, cfg.heads, bias, rotation, batch, kv, keep))
+        attn = nets.self_attention(p, pre, h, cfg.heads, bias, rotation, batch, kv, keep, queries)
+        x = add(x if queries is None else embedding(x, queries), attn)
         x = add(x, nets.mlp(p, pre, nets.ln(p, pre + "ln2.", x)))
     return nets.ln(p, "ln_f.", x)
 
@@ -429,8 +439,7 @@ def plan(
     t0, t1 = seq.span_of(TARGET)
     if not seq.masked[t0:t1].all():
         raise ContractError("plan() expects a fully masked target segment")
-    n_target = t1 - t0
-    trace = masked_count_trace(total_steps, n_target)
+    trace = masked_count_trace(total_steps, t1 - t0)
 
     has = {"img": any(d.segment_index > 0 for d in seq.layout), "txt": seq.text_len > 0}
     spec = GuidanceSpec({"img": g_image, "txt": g_text}, tuple(b for b in has if has[b]))
@@ -450,9 +459,10 @@ def plan(
                 masked_counts.append(len(masked_rel))
                 norms.append(0.0)
                 continue
-            # rows of the target segment only (it is last), one block per subset
-            z = planner_forward(model, seq, mask, past).data.reshape(len(chain), n_target, -1)
-            cond = decoder_condition(decoder, z[:, masked_rel].reshape(-1, z.shape[2]), time_terms)
+            # the masked rows of the target segment (it is last, and the rows
+            # run start at it), one block per subset
+            z = planner_forward(model, seq, mask, past, rows=masked_rel).data
+            cond = decoder_condition(decoder, z, time_terms)
             noise = rng.normal((len(masked_rel), decoder.cfg.embed_dim))
             pred = decode_embedding(decoder, cond, decoder_steps, spec, noise)
             if keep:

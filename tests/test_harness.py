@@ -331,6 +331,8 @@ class TestCheckpoint:
     def test_garbled_file_refused(self, tmp_path):
         buf = self._saved_bytes(tmp_path)
         (meta_len,) = struct.unpack_from("<Q", buf, 8)
+        (name_len,) = struct.unpack_from("<H", buf, 24 + meta_len)
+        tensor = 26 + meta_len + name_len  # the first tensor block; its dims are (2, 3)
         path = tmp_path / "bad.ckpt"
         for garbled in (
             buf[:16] + b"}" * meta_len + buf[16 + meta_len :],                       # metadata not JSON
@@ -338,10 +340,40 @@ class TestCheckpoint:
             buf[:16 + meta_len] + struct.pack("<Q", 5) + buf[24 + meta_len :],        # too many blocks
             buf[:16 + meta_len + 10] + b"xxxxxx" + buf[16 + meta_len + 16 :],         # unknown block group
             buf + b"\0",                                                             # trailing bytes
+            buf[:8] + struct.pack("<Q", 2**62) + buf[16:],                            # metadata of 2**62 bytes
+            buf[:tensor + 6] + struct.pack("<2Q", 2**40, 2**40) + buf[tensor + 22 :],  # dims past the end
+            buf[:tensor + 6] + struct.pack("<2Q", 0, 2**64 - 1) + buf[tensor + 22 :],  # dims numpy refuses
+            buf[:tensor + 4] + b"\0\xff" + buf[tensor + 6 :],                          # rank 255
         ):
             path.write_bytes(garbled)
             with pytest.raises(CheckpointError):
                 Checkpoint.load(path)
+
+    def test_format_pinned(self, tmp_path):
+        """The exact bytes of a fixed checkpoint and tensor file. The digests
+        were taken from files written before save and load streamed, so a
+        file that passes here is such a file, and it loads to equal arrays."""
+        rng = Rng(5)
+        ck = Checkpoint(stage="II", step=7, stages_done=["I"],
+                        params={"a.w": rng.normal((2, 3)), "a.b": rng.normal((3,))},
+                        ema={"a.w": rng.normal((2, 3))}, opt_m={"a.b": rng.normal((3,))},
+                        opt_v={"a.b": rng.normal((3,))}, opt_meta={"t": 7},
+                        rng_states={"task": (1, 2)}, config_snapshot={"planner.heads": "2"})
+        ck.save(tmp_path / "f.ckpt")
+        arr = Rng(9).normal((2, 3, 4))
+        tensorio.write_tensor(tmp_path / "t.pft", arr)
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("f.ckpt", "t.pft")} == {
+            "f.ckpt": "2605ec34c813a86d748e5052c0e8bcb90048657c23ea4391c5f9706ee98cf91b",
+            "t.pft": "c78585286c2070fdfdbb81cc1b242995c7816c48654bd64bea37ff05c7918a40",
+        }
+        back = Checkpoint.load(tmp_path / "f.ckpt")
+        for field in dataclasses.fields(Checkpoint):
+            saved, loaded = getattr(ck, field.name), getattr(back, field.name)
+            if field.name in ("params", "ema", "opt_m", "opt_v"):
+                assert saved.keys() == loaded.keys() and all(np.array_equal(saved[k], loaded[k]) for k in saved)
+            else:
+                assert saved == loaded, field.name
+        assert np.array_equal(read_tensor(tmp_path / "t.pft"), arr)
 
     def test_tensorio_roundtrip(self, tmp_path):
         arr = Rng(9).normal((2, 3, 4))

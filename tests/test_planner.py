@@ -486,10 +486,10 @@ class TestInferenceCaches:
         flags = []
         real = planner_mod.planner_forward
 
-        def spy(model, seq, mask=None, past=None, keep=None):
+        def spy(model, seq, mask=None, past=None, keep=None, rows=None):
             if len(seq) > t0:  # a revealing step or the final pass, not the prefix
                 flags.append(seq.masked[t0:t1].copy())
-            return real(model, seq, mask, past, keep)
+            return real(model, seq, mask, past, keep, rows)
 
         monkeypatch.setattr(planner_mod, "planner_forward", spy)
         res = plan(model, decoder, seq, 6, 3, *guidance, rng=Rng(53))
@@ -525,6 +525,34 @@ class TestInferenceCaches:
         full = planner_forward(model, seq, mask).data.reshape(3, len(seq), -1)
         tail = planner_forward(model, seq, mask, past).data.reshape(3, len(seq) - t0, -1)
         assert np.abs(tail - full[:, t0:]).max() < 1e-12
+
+    def test_rows_read_out_match_the_full_forward(self):
+        """Reading out some rows gives exactly those rows of the full states,
+        with and without a prefix cache; reading out none still yields every
+        block's keys and values."""
+        model, _ = make_models(seed=54)
+        seq = make_seq(text_len=3, sources=((1, 2, 2),), target=(1, 2, 2), seed=55)
+        seq = apply_target_mask(seq, 0.5, Rng(56))
+        mask = planner_mod._variant_masks(seq, [UNCOND, IMG, FULL])
+        t0, t1 = seq.span_of(TARGET)
+        with no_grad():
+            full = planner_forward(model, seq, mask).data.reshape(3, len(seq), -1)
+            rows = np.array([t0 + 3, 1, t0])
+            picked = planner_forward(model, seq, mask, rows=rows).data
+            assert np.array_equal(picked, full[:, rows].reshape(-1, full.shape[2]))
+            past = planner_mod.prefix_cache(model, seq, mask, t0)
+            tail = planner_forward(model, seq, mask, past).data.reshape(3, t1 - t0, -1)
+            rows = np.flatnonzero(seq.masked[t0:t1])
+            picked = planner_forward(model, seq, mask, past, rows=rows).data
+            assert np.array_equal(picked, tail[:, rows].reshape(-1, tail.shape[2]))
+            kept, kept_all = [], []
+            head = seq.head(t0)
+            allow = mask[:, :t0, :t0]
+            none = planner_forward(model, head, allow, keep=kept, rows=np.arange(0))
+            planner_forward(model, head, allow, keep=kept_all)
+        assert none.shape == (0, full.shape[2]) and len(kept) == len(kept_all) == model.cfg.blocks
+        assert all(np.array_equal(a.data, b.data) for pair, pair_all in zip(kept, kept_all)
+                   for a, b in zip(pair, pair_all))
 
     def test_prefix_runs_one_entry_per_mask(self, monkeypatch):
         """The prefix forward gets one entry per subset, also for the subsets

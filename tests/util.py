@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 
 from planflow.sequence import TokenSequence
-from planflow.tensorio import tensor_from_bytes
+from planflow.tensorio import BlockReader
 from planflow.toydata import VOCAB
 
 
@@ -27,7 +27,8 @@ def decode_tokens(ids) -> list[str]:
 
 def read_tensor(path: Path) -> np.ndarray:
     """The array in one tensor file."""
-    return tensor_from_bytes(Path(path).read_bytes())[0]
+    with open(path, "rb") as fh:
+        return BlockReader(fh).block()
 
 
 def gelu_np(a: np.ndarray) -> np.ndarray:
